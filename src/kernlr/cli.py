@@ -21,6 +21,8 @@ configuration error.
 from __future__ import annotations
 
 import argparse
+import functools
+import inspect
 import json
 import math
 import os
@@ -28,7 +30,7 @@ import sys
 
 import numpy as np
 
-from . import datasets, verification
+from . import datasets, kernels, verification
 from .analytic import (
     DecayHypothesis,
     GaussianRbfSpectrum,
@@ -38,9 +40,9 @@ from .analytic import (
     required_rank,
 )
 from .errors import EigensolverError
-from .kernels import KernelSpec, gram_matrix, median_heuristic, standardize
+from .kernels import KernelSpec, gram_matrix
 from .random_projection import compare_methods
-from .spectral import eigendecompose, error_sweep
+from .spectral import _mirror_upper, eigendecompose, error_sweep
 from .svgplot import line_plot
 
 ENV_OUT = "KERNLR_OUT"
@@ -68,6 +70,10 @@ class ConfigError(ValueError):
     pass
 
 
+# Keys that also take a second JSON type besides the type of their default.
+_OTHER_TYPES = {"ranks": (list,), "bandwidth": (int, float)}
+
+
 def _load_config(args) -> dict:
     config = json.loads(json.dumps(DEFAULT_CONFIG))  # deep copy
     if getattr(args, "config", None):
@@ -80,6 +86,14 @@ def _load_config(args) -> dict:
             raise ConfigError(f"config {args.config} is not valid JSON: {exc}") from exc
         if not isinstance(user, dict):
             raise ConfigError("config root must be a JSON object")
+        for key, value in user.items():
+            if key not in DEFAULT_CONFIG:
+                raise ConfigError(f"unknown config key {key!r}; "
+                                  f"valid keys: {', '.join(DEFAULT_CONFIG)}")
+            types = (type(DEFAULT_CONFIG[key]),) + _OTHER_TYPES.get(key, ())
+            if type(value) not in types:  # exact: a JSON true is no integer here
+                names = " or ".join(t.__name__ for t in types)
+                raise ConfigError(f"config key {key!r} must be a {names}, got {value!r}")
         config.update(user)
     if getattr(args, "seed", None) is not None:
         config["seed"] = args.seed
@@ -93,82 +107,80 @@ def _load_config(args) -> dict:
     return config
 
 
+def _call(what: str, func, fields: dict, **supplied):
+    """``func(**fields)``; ``supplied`` maps a parameter ``func`` takes but ``fields``
+    lacks to a callable giving its value. A field ``func`` does not take, a missing
+    required field or a value of the wrong type is reported as a ConfigError."""
+    signature = inspect.signature(func)
+    for param, value in supplied.items():
+        if param in signature.parameters and param not in fields:
+            fields[param] = value()
+    try:
+        signature.bind(**fields)
+    except TypeError as exc:
+        raise ConfigError(f"{what}: {exc}; fields: {', '.join(signature.parameters)}") from None
+    try:
+        return func(**fields)
+    except TypeError as exc:
+        raise ConfigError(f"{what}: a field has the wrong type: {exc}") from None
+
+
+def _construct(what: str, table: dict, key: str, entry, **supplied):
+    """Call ``table[entry[key]]`` with the entry's other fields as keyword arguments."""
+    if not isinstance(entry, dict):
+        raise ConfigError(f"each {what} must be a JSON object, got {entry!r}")
+    fields = dict(entry)
+    name = fields.pop(key, None)
+    if not isinstance(name, str) or name not in table:
+        raise ConfigError(f"unknown {what} {key} {name!r}; valid: {', '.join(table)}")
+    return _call(f"{what} {name!r}", table[name], fields, **supplied)
+
+
 def _build_dataset(config) -> np.ndarray:
-    spec = config["dataset"]
-    kind = spec.get("kind")
-    seed = int(config["seed"])
-    if kind == "csv":
-        if "path" not in spec:
-            raise ConfigError("csv dataset needs a 'path'")
-        X = datasets.load_csv(
-            spec["path"],
-            delimiter=spec.get("delimiter", ","),
-            has_header=spec.get("has_header", False),
-            columns=spec.get("columns"),
-        )
-    elif kind == "gmm":
-        X = datasets.gmm_synthetic(
-            n=spec.get("n", 1000), p=spec.get("p", 10),
-            components=spec.get("components", 10),
-            mean_scale=spec.get("mean_scale", 10.0), seed=seed,
-        )
-    elif kind == "gaussian":
-        X = datasets.gaussian_synthetic(
-            n=spec.get("n", 1000), p=spec.get("p", 1),
-            sigma=spec.get("sigma", 1.0), seed=seed,
-        )
-    elif kind == "sphere":
-        X = datasets.sphere_uniform(n=spec.get("n", 1000), p=spec.get("p", 3), seed=seed)
-    else:
-        raise ConfigError(f"unknown dataset kind {kind!r}")
-    if spec.get("subsample"):
-        X = datasets.subsample(X, int(spec["subsample"]), seed=seed + 1)
-    if config.get("standardize"):
-        X = standardize(X)
+    spec = dict(config["dataset"])
+    seed = config["seed"]
+    if "seed" in spec:
+        raise ConfigError("dataset takes no 'seed'; the top-level seed seeds the data")
+    count = spec.pop("subsample", None)
+    # dataset.kind names a generator; its keyword arguments are the fields.
+    kinds = {"csv": datasets.load_csv, "gmm": datasets.gmm_synthetic,
+             "gaussian": datasets.gaussian_synthetic, "sphere": datasets.sphere_uniform}
+    X = _construct("dataset", kinds, "kind", spec, seed=lambda: seed)
+    if count is not None:
+        X = _call("dataset subsample", datasets.subsample,
+                  {"data": X, "count": count, "seed": seed + 1})
+    if config["standardize"]:
+        X = kernels.standardize(X)
     return X
 
 
 def _build_kernels(config, X) -> list[KernelSpec]:
-    policy = config.get("bandwidth", "median")
-    shared = None
-    specs = []
-    for entry in config["kernels"]:
-        family = entry.get("family")
-        if family == "dot_product":
-            specs.append(KernelSpec(family="dot_product",
-                                    coefficients=tuple(entry["coefficients"])))
-            continue
-        bw = entry.get("bandwidth")
-        if bw is None:
-            if policy == "median":
-                if shared is None:
-                    shared = median_heuristic(X)
-                bw = shared
-            else:
-                bw = float(policy)
-        if family == "matern":
-            specs.append(KernelSpec(family="matern", bandwidth=bw, nu=entry.get("nu")))
-        elif family == "rbf":
-            specs.append(KernelSpec(family="rbf", bandwidth=bw))
-        else:
-            raise ConfigError(f"unknown kernel family {family!r}")
+    # The bandwidth policy fills in matern/rbf entries without a "bandwidth";
+    # the median pairwise distance is computed once, and only if needed.
+    policy = config["bandwidth"]
+    bandwidth = (functools.cache(lambda: kernels.median_heuristic(X)) if policy == "median"
+                 else lambda: policy)
+    families = {"matern": kernels.matern, "rbf": kernels.rbf, "dot_product": kernels.dot_product}
+    specs = [_construct("kernel", families, "family", entry, bandwidth=bandwidth)
+             for entry in config["kernels"]]
     if not specs:
         raise ConfigError("config needs at least one kernel")
     return specs
 
 
 def _rank_grid(spec, n: int) -> list[int]:
-    if isinstance(spec, str):
-        if spec != "auto":
-            ranks = _parse_rank_list(spec)
-        else:
-            # Geometric grid: 30 points from 1 to n, plus the endpoints 0 and n.
-            pts = np.unique(np.rint(np.geomspace(1, n, 30)).astype(int))
-            ranks = sorted(set(pts.tolist()) | {0, n})
+    if spec == "auto":
+        # Geometric grid: 30 points from 1 to n, plus the endpoints 0 and n.
+        pts = np.unique(np.rint(np.geomspace(1, n, 30)).astype(int))
+        ranks = sorted(set(pts.tolist()) | {0, n})
+    elif isinstance(spec, str):
+        ranks = _parse_rank_list(spec)
+    elif all(isinstance(d, int) for d in spec):
+        ranks = sorted(spec)
     else:
-        ranks = sorted(int(d) for d in spec)
-    if any(d < 0 or d > n for d in ranks):
-        raise ConfigError(f"ranks must lie in [0, {n}]")
+        raise ConfigError(f"ranks must be integers, got {spec!r}")
+    if not ranks or any(d < 0 or d > n for d in ranks):
+        raise ConfigError(f"ranks must be non-empty and lie in [0, {n}], got {spec!r}")
     return ranks
 
 
@@ -185,15 +197,16 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_csv(path, header, rows) -> None:
+def _write_csv(out, name, header, rows) -> None:
+    path = os.path.join(out, name)
     with open(path, "w", encoding="utf-8", newline="") as handle:
         handle.write(",".join(header) + "\n")
         for row in rows:
             handle.write(",".join(_fmt(v) for v in row) + "\n")
+    print(f"wrote {path}")
 
 
-def _ensure_out(config) -> str:
-    out = config["out"]
+def _ensure_out(out: str) -> str:
     os.makedirs(out, exist_ok=True)
     return out
 
@@ -203,13 +216,12 @@ def _ensure_out(config) -> str:
 def cmd_sweep(args) -> int:
     config = _load_config(args)
     X = _build_dataset(config)
-    kernels = _build_kernels(config, X)
-    n = X.shape[0]
-    ranks = _rank_grid(config["ranks"], n)
-    out = _ensure_out(config)
+    specs = _build_kernels(config, X)
+    ranks = _rank_grid(config["ranks"], X.shape[0])
+    out = _ensure_out(config["out"])
 
     curves = []
-    for spec in kernels:
+    for spec in specs:
         try:
             gram = gram_matrix(spec, X)
             eig = eigendecompose(gram)
@@ -219,10 +231,9 @@ def cmd_sweep(args) -> int:
             return 1
         rows = zip(sweep.ranks.tolist(), sweep.max_entry_error, sweep.frobenius_error,
                    sweep.spectral_error, sweep.tail_abs_sum, sweep.sup_norm_tail)
-        path = os.path.join(out, f"sweep_{spec.label}.csv")
-        _write_csv(path, ["rank", "max_entry_error", "frobenius_error", "spectral_error",
-                          "tail_abs_sum", "sup_norm_tail"], rows)
-        print(f"wrote {path}")
+        _write_csv(out, f"sweep_{spec.label}.csv",
+                   ["rank", "max_entry_error", "frobenius_error", "spectral_error",
+                    "tail_abs_sum", "sup_norm_tail"], rows)
         curves.append((spec.label, sweep.ranks.tolist(), sweep.max_entry_error.tolist()))
 
     svg = os.path.join(out, "sweep.svg")
@@ -237,25 +248,21 @@ def cmd_sweep(args) -> int:
 def cmd_compare(args) -> int:
     config = _load_config(args)
     X = _build_dataset(config)
-    kernels = _build_kernels(config, X)
-    n = X.shape[0]
-    ranks = [d for d in _rank_grid(config["ranks"], n) if d >= 1]
-    trials = int(config.get("jl_trials", 50))
-    out = _ensure_out(config)
+    spec = _build_kernels(config, X)[0]
+    ranks = [d for d in _rank_grid(config["ranks"], X.shape[0]) if d >= 1]
+    out = _ensure_out(config["out"])
 
-    spec = kernels[0]
     try:
         gram = gram_matrix(spec, X)
-        result = compare_methods(gram, ranks, trials=trials, seed=int(config["seed"]))
+        result = compare_methods(gram, ranks, trials=config["jl_trials"], seed=config["seed"])
     except EigensolverError as exc:
         print(f"numerical failure in stage eigendecompose ({spec.label}): {exc}", file=sys.stderr)
         return 1
 
-    path = os.path.join(out, f"compare_{spec.label}.csv")
-    _write_csv(path, ["rank", "spectral_max_error", "jl_median_max_error", "jl_rate_shape"],
+    _write_csv(out, f"compare_{spec.label}.csv",
+               ["rank", "spectral_max_error", "jl_median_max_error", "jl_rate_shape"],
                zip(result.ranks.tolist(), result.spectral_max_error,
                    result.jl_median_max_error, result.jl_rate_shape))
-    print(f"wrote {path}")
     return 0
 
 
@@ -267,8 +274,7 @@ def _check_identity(seed, quick):
     for n in (10, 50):
         for _ in range(5 if quick else 10):
             G = rng.standard_normal((2 * n, n))
-            K = G.T @ G / (2 * n)
-            K = np.triu(K) + np.triu(K, 1).T
+            K = _mirror_upper(G.T @ G / (2 * n))
             report = verification.minor_identity_check(K)
             worst = max(worst, report.max_discrepancy)
     return worst, 1e-6, "PSD instances, n in (10, 50)"
@@ -281,7 +287,6 @@ def _check_interlacing(seed, quick):
         for _ in range(5 if quick else 10):
             A = rng.standard_normal((n, n))
             K = (A + A.T) / 2.0
-            K = np.triu(K) + np.triu(K, 1).T
             eig = eigendecompose(K)
             minor = verification.minor_decomposition(K)
             worst = max(worst, verification.interlacing_check(eig, minor))
@@ -334,9 +339,9 @@ _SUITES = {
 
 def cmd_verify(args) -> int:
     config = _load_config(args)
-    seed = int(config["seed"])
+    seed = config["seed"]
     names = list(_SUITES) if args.suite == "all" else [args.suite]
-    out = _ensure_out(config)
+    out = _ensure_out(config["out"])
 
     rows = []
     all_ok = True
@@ -360,21 +365,21 @@ def cmd_verify(args) -> int:
         print(f"{'PASS' if ok else 'FAIL'} {name:<{width}}  statistic={stat:.6g}  "
               f"threshold={threshold:g}  seed={used_seed}  ({detail})")
 
-    path = os.path.join(out, "verify.csv")
-    _write_csv(path, ["check", "statistic", "threshold", "passed", "seed", "detail"],
+    _write_csv(out, "verify.csv", ["check", "statistic", "threshold", "passed", "seed", "detail"],
                [(name, stat, threshold, int(ok), used_seed, detail)
                 for name, stat, threshold, ok, used_seed, detail in rows])
-    print(f"wrote {path}")
     return 0 if all_ok else 1
 
 
 # ------------------------------------------------------- spectrum, rates
 
 def cmd_spectrum(args) -> int:
+    if args.count < 1:
+        raise ConfigError(f"--count must be at least 1, got {args.count}")
     if args.upsilon is not None:
         upsilon = args.upsilon
-        sigma = math.sqrt(upsilon / 2.0)
-        spec = GaussianRbfSpectrum(sigma=sigma, bandwidth=1.0)
+        beta_from_upsilon(upsilon)  # rejects upsilon <= 0 before the square root
+        spec = GaussianRbfSpectrum(sigma=math.sqrt(upsilon / 2.0), bandwidth=1.0)
     else:
         if args.sigma is None or args.omega is None:
             raise ConfigError("give either --upsilon or both --sigma and --omega")
@@ -386,10 +391,8 @@ def cmd_spectrum(args) -> int:
     print(f"ratio = {spec.ratio:.7f}")
     print("eigenvalues: " + ", ".join(f"{v:.7f}" for v in values))
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        path = os.path.join(args.out, "spectrum.csv")
-        _write_csv(path, ["index", "eigenvalue"], list(enumerate(values)))
-        print(f"wrote {path}")
+        _write_csv(_ensure_out(args.out), "spectrum.csv", ["index", "eigenvalue"],
+                   list(enumerate(values)))
     return 0
 
 
@@ -405,22 +408,16 @@ def _hypothesis_from_args(args) -> DecayHypothesis:
 
 def cmd_rates(args) -> int:
     hyp = _hypothesis_from_args(args)
-    grid = _parse_rank_list(args.n) if isinstance(args.n, str) else [int(args.n)]
-    rows = []
-    for n in grid:
-        rows.append((n, required_rank(n, hyp, c=args.c), entrywise_error_rate(n, hyp)))
-    kind = "P" if hyp.kind == "P" else "E"
-    params = (f"alpha={hyp.alpha:g}, r={hyp.r:g}" if kind == "P"
+    rows = [(n, required_rank(n, hyp, c=args.c), entrywise_error_rate(n, hyp))
+            for n in _parse_rank_list(args.n)]
+    params = (f"alpha={hyp.alpha:g}, r={hyp.r:g}" if hyp.kind == "P"
               else f"beta={hyp.beta:g}, gamma={hyp.gamma:g}, s={hyp.s:g}")
-    print(f"hypothesis {kind} ({params})")
+    print(f"hypothesis {hyp.kind} ({params})")
     print(f"{'n':>10}  {'required_rank':>13}  {'rate':>12}")
     for n, d, rate in rows:
         print(f"{n:>10}  {d:>13}  {rate:>12.6g}")
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        path = os.path.join(args.out, "rates.csv")
-        _write_csv(path, ["n", "required_rank", "rate"], rows)
-        print(f"wrote {path}")
+        _write_csv(_ensure_out(args.out), "rates.csv", ["n", "required_rank", "rate"], rows)
     return 0
 
 
@@ -478,8 +475,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except EigensolverError as exc:

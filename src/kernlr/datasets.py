@@ -90,7 +90,8 @@ def gmm_synthetic(n: int = 1000, p: int = 10, components: int = 10,
     return X
 
 
-def gaussian_synthetic(n: int, p: int, sigma: float = 1.0, seed: int = 0) -> np.ndarray:
+def gaussian_synthetic(n: int = 1000, p: int = 1, sigma: float = 1.0,
+                       seed: int = 0) -> np.ndarray:
     """i.i.d. rows from N(0, sigma^2 I_p)."""
     if n < 1 or p < 1:
         raise ValueError(f"need n >= 1 and p >= 1, got n={n!r}, p={p!r}")
@@ -100,7 +101,7 @@ def gaussian_synthetic(n: int, p: int, sigma: float = 1.0, seed: int = 0) -> np.
     return sigma * rng.standard_normal((n, p))
 
 
-def sphere_uniform(n: int, p: int, seed: int = 0) -> np.ndarray:
+def sphere_uniform(n: int = 1000, p: int = 3, seed: int = 0) -> np.ndarray:
     """Rows uniform on the unit sphere: normalized Gaussian vectors."""
     if n < 1 or p < 2:
         raise ValueError(f"need n >= 1 and p >= 2, got n={n!r}, p={p!r}")

@@ -23,6 +23,7 @@ import numpy as np
 from scipy.spatial.distance import pdist, squareform
 
 from .errors import DegenerateDataError
+from .spectral import _mirror_upper
 
 _MATERN_NUS = (0.5, 1.5, 2.5)
 _HORNER_ROWS = 32  # rows per panel in the dot-product Gram build
@@ -156,8 +157,7 @@ def gram_matrix(kernel: KernelSpec, points) -> GramMatrix:
     """
     X = as_dataset(points)
     if kernel.family == "dot_product":
-        G = X @ X.T
-        G = np.triu(G) + np.triu(G, 1).T  # mirror: bitwise symmetry
+        G = _mirror_upper(X @ X.T)
         # Horner in place, the same scheme as ``_poly``; elementwise on a
         # symmetric input, so the result stays symmetric bit for bit. Row
         # panels keep each panel in cache across the coefficient passes.

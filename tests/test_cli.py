@@ -2,8 +2,14 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from kernlr.cli import main
+from kernlr import kernels
+from kernlr.cli import DEFAULT_CONFIG, main
+from kernlr.datasets import sphere_uniform
+from kernlr.kernels import dot_product, gram_matrix
+from kernlr.spectral import eigendecompose
 
 
 def _read_csv(path):
@@ -228,3 +234,152 @@ def test_bad_config_json_exits_2(tmp_path, capsys):
     cfg.write_text("{not json")
     assert main(["sweep", "--config", str(cfg)]) == 2
     assert "JSON" in capsys.readouterr().err
+
+
+def _run_config(tmp_path, config, command="sweep"):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    return main([command, "--config", str(cfg), "--out", str(tmp_path / "o")])
+
+
+def _assert_one_error_line(capsys):
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+    return err
+
+
+_SMALL = {"kind": "gaussian", "n": 20, "p": 1}
+
+
+@pytest.mark.parametrize("config, needle", [
+    ({"jl_trail": 5}, "'jl_trail'; valid keys: dataset"),
+    ({"dataset": {"kind": "sphere", "n": 20}, "kernels": [{"family": "dot_product"}]},
+     "coefficients"),
+    ({"dataset": "gmm"}, "dataset"),
+    ({"kernels": {"family": "rbf"}}, "kernels"),
+    ({"ranks": 5}, "ranks"),
+    ({"dataset": {"kind": "gmm", "n": "30"}}, "gmm"),
+    ({"dataset": {"kind": "gaussian", "n": 20, "sigm": 1.0}}, "sigm"),
+    ({"dataset": _SMALL, "kernels": [{"family": "rbf", "nuu": 1.5}]}, "nuu"),
+    ({"dataset": {**_SMALL, "seed": 3}}, "seed"),
+    ({"dataset": {"kind": "csv"}}, "path"),
+    ({"dataset": {"kind": "gmmm", "n": 20}}, "gmmm"),
+    ({"dataset": _SMALL, "kernels": [{"family": "poly"}]}, "poly"),
+    ({"dataset": _SMALL, "kernels": ["rbf"]}, "JSON object"),
+    ({"dataset": _SMALL, "ranks": [1, "5"]}, "ranks"),
+    ({"dataset": _SMALL, "ranks": []}, "ranks"),
+    ({"dataset": _SMALL, "ranks": [0, 21]}, "[0, 20]"),
+    ({"dataset": {**_SMALL, "subsample": "5"}}, "subsample"),
+    ({"dataset": _SMALL, "jl_trials": "5"}, "jl_trials"),
+    ({"dataset": _SMALL, "jl_trials": True}, "jl_trials"),
+])
+def test_bad_config_exits_2_with_one_line(tmp_path, capsys, config, needle):
+    assert _run_config(tmp_path, config) == 2
+    assert needle in _assert_one_error_line(capsys)
+
+
+def test_dataset_fields_are_library_keyword_arguments(tmp_path):
+    # a sphere entry without "p" gets sphere_uniform's own default, p = 3,
+    # and the master seed; the dot-product kernel needs no bandwidth
+    config = {"dataset": {"kind": "sphere", "n": 25},
+              "kernels": [{"family": "dot_product", "coefficients": [1.0, 0.5, 0.25]}],
+              "ranks": [0, 3]}
+    assert _run_config(tmp_path, config) == 0
+    X = sphere_uniform(25, 3, seed=0)
+    eig = eigendecompose(gram_matrix(dot_product([1.0, 0.5, 0.25]), X))
+    _, rows = _read_csv(tmp_path / "o" / "sweep_dot_product.csv")
+    assert float(rows[0][5]) == float(np.abs(eig.eigenvectors).max())
+
+
+def test_median_bandwidth_computed_once_and_only_when_needed(tmp_path, monkeypatch):
+    calls = []
+    real = kernels.median_heuristic
+    monkeypatch.setattr(kernels, "median_heuristic", lambda X: calls.append(1) or real(X))
+    three = [{"family": "matern", "nu": 0.5}, {"family": "rbf"},
+             {"family": "rbf", "bandwidth": 2.0}]
+    assert _run_config(tmp_path, {"dataset": _SMALL, "kernels": three, "ranks": [1]}) == 0
+    assert len(calls) == 1
+    explicit = [{"family": "rbf", "bandwidth": 2.0}]
+    assert _run_config(tmp_path, {"dataset": _SMALL, "kernels": explicit, "ranks": [1]}) == 0
+    fixed = {"dataset": _SMALL, "kernels": [{"family": "matern", "nu": 1.5}],
+             "bandwidth": 0.5, "ranks": [1]}
+    assert _run_config(tmp_path, fixed) == 0
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("argv, needle", [
+    (["--upsilon", "-1"], "upsilon must be a positive"),
+    (["--upsilon", "0"], "upsilon must be a positive"),
+    (["--upsilon", "2", "--count", "0"], "--count"),
+    (["--upsilon", "2", "--count", "-3"], "--count"),
+])
+def test_spectrum_bad_input_exits_2(capsys, argv, needle):
+    assert main(["spectrum"] + argv) == 2
+    assert needle in _assert_one_error_line(capsys)
+    assert capsys.readouterr().out == ""
+
+
+def test_eigensolver_failure_exits_1_and_names_stage(tmp_path, capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+    config = {"dataset": _SMALL, "kernels": [{"family": "rbf"}], "ranks": [1]}
+    assert _run_config(tmp_path, config) == 1
+    assert "numerical failure in stage eigendecompose (rbf)" in capsys.readouterr().err
+
+
+# Fuzzing the 0/1/2 exit contract: a config that is valid but for at most one
+# field, drawn from the valid keys plus misspellings. Every dataset has 40
+# points or fewer.
+_INTS = st.integers(-3, 40)
+_ANY = st.recursive(
+    _INTS | st.floats() | st.booleans() | st.none() | st.text(max_size=4)
+    | st.sampled_from(["gmm", "sphere", "csv", "rbf", "auto", "median", "1,2", "0.5"]),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text("xyz", max_size=2), inner, max_size=2)),
+    max_leaves=6)
+_N = st.integers(2, 40)
+_DATASET = st.one_of(
+    st.fixed_dictionaries({"kind": st.just("gmm"), "n": _N},
+                          optional={"components": st.integers(1, 10)}),
+    st.fixed_dictionaries({"kind": st.just("gaussian"), "n": _N},
+                          optional={"p": st.integers(1, 3), "sigma": st.floats(0.1, 3.0),
+                                    "subsample": st.integers(2, 10)}),
+    st.fixed_dictionaries({"kind": st.just("sphere"), "n": _N},
+                          optional={"p": st.integers(2, 4)}))
+_KERNEL = st.sampled_from([{"family": "matern", "nu": 0.5}, {"family": "matern", "nu": 2.5},
+                           {"family": "rbf"}, {"family": "rbf", "bandwidth": 0.7},
+                           {"family": "dot_product", "coefficients": [1.0, 0.5]}]).map(dict)
+_CONFIG = st.fixed_dictionaries(
+    {"dataset": _DATASET, "kernels": st.lists(_KERNEL, min_size=1, max_size=3)},
+    optional={"standardize": st.booleans(),
+              "bandwidth": st.just("median") | st.floats(0.1, 10.0),
+              "ranks": st.just("auto") | st.lists(st.integers(0, 40), max_size=4),
+              "jl_trials": st.integers(1, 5), "seed": st.integers(0, 40)})
+_EDIT = st.one_of(
+    st.tuples(st.just(()), st.sampled_from(sorted(DEFAULT_CONFIG) + ["jl_trail", "sed"]), _ANY),
+    st.tuples(st.just(("dataset",)), st.sampled_from(
+        ["kind", "n", "p", "components", "mean_scale", "sigma", "subsample", "seed",
+         "path", "sigm"]), _ANY),
+    st.tuples(st.just(("kernels", 0)), st.sampled_from(
+        ["family", "nu", "bandwidth", "coefficients", "nuu"]), _ANY))
+
+
+@settings(max_examples=400, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(config=_CONFIG, edit=st.none() | _EDIT, command=st.sampled_from(["sweep", "compare"]))
+def test_fuzzed_configs_keep_exit_contract(tmp_path, capsys, monkeypatch, config, edit,
+                                           command):
+    if edit is not None:
+        path, key, value = edit
+        target = config
+        for step in path:
+            target = target[step]
+        target[key] = value
+    monkeypatch.chdir(tmp_path)
+    capsys.readouterr()
+    rc = _run_config(tmp_path, config, command)
+    assert rc in (0, 1, 2)
+    if rc == 2:
+        _assert_one_error_line(capsys)

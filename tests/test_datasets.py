@@ -100,6 +100,14 @@ def test_gaussian_synthetic_zero_scale_and_determinism():
     assert np.array_equal(a, gaussian_synthetic(50, 2, seed=3))
 
 
+def test_gaussian_and_sphere_defaults_shape():
+    # the CLI passes dataset fields straight through, so these defaults are
+    # what a config without "n" or "p" gets
+    assert gaussian_synthetic(seed=1).shape == (1000, 1)
+    assert sphere_uniform(seed=1).shape == (1000, 3)
+    assert np.array_equal(gaussian_synthetic(seed=1), gaussian_synthetic(1000, 1, seed=1))
+
+
 def test_sphere_uniform_unit_norms_and_symmetry():
     X = sphere_uniform(4000, 3, seed=9)
     assert np.abs(np.linalg.norm(X, axis=1) - 1.0).max() <= 1e-12
