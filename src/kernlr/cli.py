@@ -110,7 +110,7 @@ def _load_config(args) -> dict:
 def _call(what: str, func, fields: dict, **supplied):
     """``func(**fields)``; ``supplied`` maps a parameter ``func`` takes but ``fields``
     lacks to a callable giving its value. A field ``func`` does not take, a missing
-    required field or a value of the wrong type is reported as a ConfigError."""
+    required field or a value it rejects is a ConfigError naming ``what``."""
     signature = inspect.signature(func)
     for param, value in supplied.items():
         if param in signature.parameters and param not in fields:
@@ -123,6 +123,8 @@ def _call(what: str, func, fields: dict, **supplied):
         return func(**fields)
     except TypeError as exc:
         raise ConfigError(f"{what}: a field has the wrong type: {exc}") from None
+    except ValueError as exc:
+        raise ConfigError(f"{what}: {exc}") from None
 
 
 def _construct(what: str, table: dict, key: str, entry, **supplied):
@@ -158,6 +160,8 @@ def _build_kernels(config, X) -> list[KernelSpec]:
     # The bandwidth policy fills in matern/rbf entries without a "bandwidth";
     # the median pairwise distance is computed once, and only if needed.
     policy = config["bandwidth"]
+    if isinstance(policy, str) and policy != "median":
+        raise ConfigError(f"config key 'bandwidth' must be \"median\" or a number, got {policy!r}")
     bandwidth = (functools.cache(lambda: kernels.median_heuristic(X)) if policy == "median"
                  else lambda: policy)
     families = {"matern": kernels.matern, "rbf": kernels.rbf, "dot_product": kernels.dot_product}
@@ -174,7 +178,7 @@ def _rank_grid(spec, n: int) -> list[int]:
         pts = np.unique(np.rint(np.geomspace(1, n, 30)).astype(int))
         ranks = sorted(set(pts.tolist()) | {0, n})
     elif isinstance(spec, str):
-        ranks = _parse_rank_list(spec)
+        ranks = _parse_int_list(spec, "rank list")
     elif all(isinstance(d, int) for d in spec):
         ranks = sorted(spec)
     else:
@@ -184,11 +188,11 @@ def _rank_grid(spec, n: int) -> list[int]:
     return ranks
 
 
-def _parse_rank_list(text: str) -> list[int]:
+def _parse_int_list(text: str, what: str) -> list[int]:
     try:
         return sorted(int(tok) for tok in text.split(",") if tok.strip())
     except ValueError as exc:
-        raise ConfigError(f"cannot parse rank list {text!r}") from exc
+        raise ConfigError(f"cannot parse {what} {text!r}") from exc
 
 
 def _fmt(value) -> str:
@@ -250,6 +254,8 @@ def cmd_compare(args) -> int:
     X = _build_dataset(config)
     spec = _build_kernels(config, X)[0]
     ranks = [d for d in _rank_grid(config["ranks"], X.shape[0]) if d >= 1]
+    if not ranks:
+        raise ConfigError(f"compare needs a rank >= 1, got {config['ranks']!r}")
     out = _ensure_out(config["out"])
 
     try:
@@ -408,8 +414,10 @@ def _hypothesis_from_args(args) -> DecayHypothesis:
 
 def cmd_rates(args) -> int:
     hyp = _hypothesis_from_args(args)
-    rows = [(n, required_rank(n, hyp, c=args.c), entrywise_error_rate(n, hyp))
-            for n in _parse_rank_list(args.n)]
+    sizes = _parse_int_list(args.n, "--n grid")
+    if not sizes:  # required_rank rejects sizes below 2
+        raise ConfigError(f"--n must list at least one sample size, got {args.n!r}")
+    rows = [(n, required_rank(n, hyp, c=args.c), entrywise_error_rate(n, hyp)) for n in sizes]
     params = (f"alpha={hyp.alpha:g}, r={hyp.r:g}" if hyp.kind == "P"
               else f"beta={hyp.beta:g}, gamma={hyp.gamma:g}, s={hyp.s:g}")
     print(f"hypothesis {hyp.kind} ({params})")

@@ -100,10 +100,7 @@ def _mirror_upper(M: np.ndarray) -> np.ndarray:
 
 def truncate(eig: EigenDecomposition, d: int) -> np.ndarray:
     """Rank-d reconstruction: the sum of the first d eigenvalue/vector terms."""
-    n = eig.n
-    d = _check_rank(d, n)
-    if d == 0:
-        return np.zeros((n, n))
+    d = _check_rank(d, eig.n)
     U = eig.eigenvectors[:, :d]
     return _mirror_upper((U * eig.eigenvalues[:d]) @ U.T)
 
@@ -114,10 +111,15 @@ def _check_rank(d, n) -> int:
     return int(d)
 
 
+def _tail_abs_sums(w: np.ndarray) -> np.ndarray:
+    # Entry d is the sum of |w[d:]|, added from the smallest end; entry n is 0.
+    return np.append(np.cumsum(np.abs(w[::-1]))[::-1], 0.0)
+
+
 def tail_abs_sum(eig: EigenDecomposition, d: int) -> float:
     """Sum of absolute eigenvalues discarded by a rank-d truncation."""
     d = _check_rank(d, eig.n)
-    return float(np.abs(eig.eigenvalues[d:]).sum())
+    return float(_tail_abs_sums(eig.eigenvalues)[d])
 
 
 def sup_norm_tail(eig: EigenDecomposition, d: int) -> float:
@@ -127,25 +129,21 @@ def sup_norm_tail(eig: EigenDecomposition, d: int) -> float:
     return float(np.abs(eig.eigenvectors[:, int(d):]).max())
 
 
-def _largest_discarded(w: np.ndarray, d: int) -> float:
-    # w is descending, so the extreme magnitudes of w[d:] sit at its ends.
-    if d >= w.shape[0]:
-        return 0.0
-    return float(max(abs(w[d]), abs(w[-1])))
-
-
 def error_sweep(gram, eig: EigenDecomposition, ranks) -> RankSweepResult:
     """Residual error metrics of the rank-d truncation on a grid of ranks.
 
-    The residual is updated incrementally, ``R_d = R_{d-1} - w_d u_d u_d^T``,
-    and measured at each requested rank:
+    The residual ``R = K - truncate(eig, d)`` is updated once per interval
+    ``[a, b)`` between requested ranks, by one matrix product over the block of
+    eigenpairs it adds, ``R -= (U[:, a:b] * w[a:b]) @ U[:, a:b].T``, and measured:
 
     * ``max_entry_error``: largest absolute entry of the residual,
     * ``frobenius_error``: Frobenius norm of the residual,
     * ``spectral_error``: largest-magnitude discarded eigenvalue,
-    * ``tail_abs_sum`` and ``sup_norm_tail`` of the discarded eigenpairs.
+    * ``tail_abs_sum`` and ``sup_norm_tail`` of the discarded eigenpairs, read
+      from suffix sums of ``|w|`` and suffix maxima of the column maxima of
+      ``|U|``, computed once for all ranks.
 
-    ``ranks`` must be sorted ascending, all within [0, n].
+    ``ranks`` must be sorted ascending, all within [0, n]; repeats are allowed.
     """
     K = _as_symmetric(gram)
     n = eig.n
@@ -156,29 +154,21 @@ def error_sweep(gram, eig: EigenDecomposition, ranks) -> RankSweepResult:
         raise ValueError("ranks must be sorted ascending")
 
     w, U = eig.eigenvalues, eig.eigenvectors
-    wanted = set(ranks)
-    out = {}
+    abs_sums = _tail_abs_sums(w)
+    sup_norms = np.maximum.accumulate(np.abs(U).max(axis=0)[::-1])[::-1]
+    rows = []
     R = K.copy()
-    for d in range(0, (max(ranks) if ranks else 0) + 1):
-        if d > 0:
-            R -= w[d - 1] * np.outer(U[:, d - 1], U[:, d - 1])
-        if d in wanted:
-            if d == n:  # nothing discarded: errors are zero by definition
-                out[d] = (0.0, 0.0, 0.0, 0.0, 0.0)
-            else:
-                out[d] = (
-                    float(np.abs(R).max()),
-                    float(np.linalg.norm(R)),
-                    _largest_discarded(w, d),
-                    float(np.abs(w[d:]).sum()),
-                    float(np.abs(U[:, d:]).max()),
-                )
-    cols = np.array([out[d] for d in ranks], dtype=float).reshape(len(ranks), 5)
-    return RankSweepResult(
-        ranks=np.array(ranks, dtype=int),
-        max_entry_error=cols[:, 0].copy(),
-        frobenius_error=cols[:, 1].copy(),
-        spectral_error=cols[:, 2].copy(),
-        tail_abs_sum=cols[:, 3].copy(),
-        sup_norm_tail=cols[:, 4].copy(),
-    )
+    done = 0
+    for d in ranks:
+        if d == n:  # nothing discarded: errors are zero by definition
+            rows.append((0.0, 0.0, 0.0, 0.0, 0.0))
+            continue
+        if d > done:
+            V = U[:, done:d]
+            R -= (V * w[done:d]) @ V.T
+            done = d
+        # w is descending, so the extreme magnitudes of w[d:] sit at its ends.
+        rows.append((max(R.max(), -R.min()), np.linalg.norm(R), max(abs(w[d]), abs(w[-1])),
+                     abs_sums[d], sup_norms[d]))
+    columns = np.array(rows, dtype=float).reshape(len(ranks), 5).T.copy()
+    return RankSweepResult(np.array(ranks, dtype=int), *columns)

@@ -170,6 +170,19 @@ def test_rates_invalid_hypothesis_exits_2(capsys):
     assert "alpha" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("grid, needle", [
+    ("", "--n must list at least one sample size"),
+    (",", "--n must list at least one sample size"),
+    ("0", "n must be an integer >= 2, got 0"),
+    ("-5,100", "n must be an integer >= 2, got -5"),
+])
+def test_rates_empty_or_non_positive_n_grid_exits_2(capsys, grid, needle):
+    assert main(["rates", "--hypothesis", "E", "--beta", "1", f"--n={grid}"]) == 2
+    captured = capsys.readouterr()
+    assert len(captured.err.splitlines()) == 1 and needle in captured.err, captured.err
+    assert captured.out == ""
+
+
 def test_env_var_output_dir(tmp_path, monkeypatch, capsys):
     target = tmp_path / "from-env"
     monkeypatch.setenv("KERNLR_OUT", str(target))
@@ -272,10 +285,31 @@ _SMALL = {"kind": "gaussian", "n": 20, "p": 1}
     ({"dataset": {**_SMALL, "subsample": "5"}}, "subsample"),
     ({"dataset": _SMALL, "jl_trials": "5"}, "jl_trials"),
     ({"dataset": _SMALL, "jl_trials": True}, "jl_trials"),
+    # values the library constructors reject: the message names the entry
+    ({"dataset": {"kind": "gmm", "n": 0}}, "dataset 'gmm': need n >= 1"),
+    ({"dataset": {**_SMALL, "subsample": 50}}, "dataset subsample: count must lie"),
+    ({"dataset": _SMALL, "kernels": [{"family": "rbf", "bandwidth": "abc"}]},
+     "kernel 'rbf': could not convert"),
+    ({"dataset": _SMALL, "kernels": [{"family": "matern", "nu": 0.7}]},
+     "kernel 'matern': matern smoothness nu"),
+    ({"dataset": _SMALL, "bandwidth": "abc"}, "config key 'bandwidth'"),
 ])
 def test_bad_config_exits_2_with_one_line(tmp_path, capsys, config, needle):
     assert _run_config(tmp_path, config) == 2
     assert needle in _assert_one_error_line(capsys)
+
+
+@pytest.mark.parametrize("config, flags", [
+    ({"dataset": _SMALL, "ranks": [0]}, []),
+    ({"dataset": _SMALL}, ["--ranks", "0"]),
+])
+def test_compare_without_a_positive_rank_exits_2(tmp_path, capsys, config, flags):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "o"
+    assert main(["compare", "--config", str(cfg), "--out", str(out)] + flags) == 2
+    assert "rank >= 1" in _assert_one_error_line(capsys)
+    assert not out.exists()
 
 
 def test_dataset_fields_are_library_keyword_arguments(tmp_path):

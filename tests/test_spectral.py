@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kernlr import (
     eigendecompose,
@@ -160,6 +162,41 @@ def test_incremental_residual_matches_direct():
     for i, d in enumerate([1, 5, 15]):
         direct = K - truncate(eig, d)
         assert abs(sweep.max_entry_error[i] - np.abs(direct).max()) <= 1e-9
+
+
+@st.composite
+def _matrix_and_ranks(draw):
+    # A symmetric or PSD matrix (possibly rank-deficient, so with repeated zero
+    # eigenvalues) at a drawn scale, and a sorted rank grid that may repeat
+    # ranks and contain 0 and n.
+    n = draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        K = _random_psd(n, rng, dof=draw(st.integers(1, 2 * n)))
+    else:
+        K = _random_symmetric(n, rng)
+    K *= draw(st.sampled_from([1e-3, 1.0, 1e3]))
+    ranks = sorted(draw(st.lists(st.integers(0, n), max_size=8))
+                   + draw(st.lists(st.sampled_from([0, n]), max_size=2)))
+    return K, ranks
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_matrix_and_ranks())
+def test_error_sweep_matches_direct_residual_and_tail_statistics(case):
+    K, ranks = case
+    eig = eigendecompose(K)
+    sweep = error_sweep(K, eig, ranks)
+    tol = 1e-12 * np.linalg.norm(K)
+    for i, d in enumerate(ranks):
+        direct = K - truncate(eig, d)
+        assert abs(sweep.max_entry_error[i] - np.abs(direct).max()) <= tol
+        assert abs(sweep.frobenius_error[i] - np.linalg.norm(direct)) <= tol
+        if d < eig.n:
+            assert sweep.tail_abs_sum[i] == tail_abs_sum(eig, d)
+            assert sweep.sup_norm_tail[i] == sup_norm_tail(eig, d)
+    assert np.all(np.diff(sweep.frobenius_error) <= tol)
+    assert np.all(np.diff(sweep.tail_abs_sum) <= 0.0)
 
 
 def test_spectral_error_matches_power_iteration():
