@@ -12,6 +12,7 @@ Run:  python3 demos/spectral_identities.py
 import numpy as np
 
 from kernlr import (
+    EigenDecomposition,
     bernoulli,
     delocalisation_report,
     eigendecompose,
@@ -33,8 +34,7 @@ print(f"principal-minor identity: max relative discrepancy {report.max_discrepan
 
 # interlacing between a symmetric matrix and its trailing minor
 A = rng.standard_normal((80, 80))
-S = (A + A.T) / 2.0
-S = np.triu(S) + np.triu(S, 1).T
+S = (A + A.T) / 2.0  # bitwise symmetric: a + b == b + a in floating point
 violation = interlacing_check(eigendecompose(S), minor_decomposition(S))
 print(f"interlacing violation: {violation:.2e} (0 means it holds)")
 
@@ -44,7 +44,6 @@ n = 400
 print(f"identity matrix (fully localized): statistic = "
       f"{delocalisation_report(eigendecompose(np.eye(n)), 0):.2f} = sqrt({n})")
 Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
-from kernlr import EigenDecomposition
 haar = EigenDecomposition(eigenvalues=np.arange(n, 0, -1, dtype=float), eigenvectors=Q)
 print(f"random orthonormal basis: statistic = {delocalisation_report(haar, 0):.2f} "
       f"(compare sqrt(2 log n) = {np.sqrt(2 * np.log(n)):.2f})")

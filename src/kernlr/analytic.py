@@ -103,21 +103,21 @@ def _hermite_normalized(i: int, t: np.ndarray) -> np.ndarray:
     return h
 
 
-def gaussian_rbf_eigenfunction(i: int, x, spec: GaussianRbfSpectrum, *, order_cap: int = HERMITE_ORDER_CAP):
+def gaussian_rbf_eigenfunction(i: int, x, spec: GaussianRbfSpectrum):
     """Univariate eigenfunction, orthonormal in L2 of N(0, sigma^2). Requires p = 1.
 
     The value is ``(1 + 2u)**(1/8) * exp(-x^2 (sqrt(1 + 2u) - 1) / (4 sigma^2))
     * h_i(((1 + 2u) / 4)**(1/4) * x / sigma)`` with ``u`` the bandwidth ratio
     ``upsilon`` and ``h_i`` the normalized Hermite polynomial. Orders above
-    ``order_cap`` (default 60) are refused: beyond that the evaluation leaves
+    ``HERMITE_ORDER_CAP`` (60) are refused: beyond that the evaluation leaves
     the range where double precision keeps the normalization honest.
     """
     if spec.p != 1:
         raise ValueError("univariate eigenfunctions require p = 1")
     if i < 0 or i != int(i):
         raise ValueError(f"index must be an integer >= 0, got {i!r}")
-    if i > order_cap:
-        raise CapabilityError(f"eigenfunction order {i} exceeds the supported cap {order_cap}")
+    if i > HERMITE_ORDER_CAP:
+        raise CapabilityError(f"eigenfunction order {i} exceeds the supported cap {HERMITE_ORDER_CAP}")
     x = np.asarray(x, dtype=float)
     u = spec.upsilon
     root = math.sqrt(1.0 + 2.0 * u)

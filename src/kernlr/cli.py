@@ -36,6 +36,7 @@ from .analytic import (
     GaussianRbfSpectrum,
     beta_from_upsilon,
     entrywise_error_rate,
+    exponential_decay,
     gaussian_rbf_eigenvalue,
     required_rank,
 )
@@ -242,7 +243,7 @@ def cmd_sweep(args) -> int:
 
     svg = os.path.join(out, "sweep.svg")
     line_plot(svg, curves, xlabel="rank", ylabel="max-entry error",
-              title="Truncation error against rank", log_y=True)
+              title="Truncation error against rank")
     print(f"wrote {svg}")
     return 0
 
@@ -303,8 +304,8 @@ def _check_delocalisation(seed, quick):
     n = 500 if quick else 2000
     X = datasets.gaussian_synthetic(n, 1, sigma=1.0, seed=seed)
     spec = GaussianRbfSpectrum(sigma=1.0, bandwidth=1.0)
-    d = required_rank(n, DecayHypothesis(kind="E", beta=spec.beta, gamma=1.0))
-    gram = gram_matrix(KernelSpec(family="rbf", bandwidth=1.0), X)
+    d = required_rank(n, exponential_decay(spec.beta))
+    gram = gram_matrix(kernels.rbf(1.0), X)
     eig = eigendecompose(gram)
     stat = verification.delocalisation_report(eig, d)
     return stat, 10.0, f"rbf Gram, n={n}, d={d}"
@@ -326,8 +327,8 @@ def _check_eigdev(seed, quick):
     devs = []
     for k in range(seeds):
         X = datasets.gaussian_synthetic(n, 1, sigma=1.0, seed=seed + k)
-        K = gram_matrix(KernelSpec(family="rbf", bandwidth=1.0), X)
-        w = np.linalg.eigvalsh(np.asarray(K))[::-1]
+        K = gram_matrix(kernels.rbf(1.0), X)
+        w = np.linalg.eigvalsh(K)[::-1]
         report = verification.eigenvalue_deviation_report(w, spec, count=5)
         devs.append(report.rel_deviation)
     worst = float(np.max(np.median(np.array(devs), axis=0)))

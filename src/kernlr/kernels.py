@@ -82,24 +82,6 @@ def dot_product(coefficients) -> KernelSpec:
     return KernelSpec(family="dot_product", coefficients=tuple(float(b) for b in coefficients))
 
 
-@dataclass(frozen=True, eq=False)
-class GramMatrix:
-    """An exactly-symmetric matrix of pairwise kernel evaluations."""
-
-    values: np.ndarray
-    kernel: KernelSpec
-
-    def __post_init__(self):
-        self.values.setflags(write=False)
-
-    def __array__(self, dtype=None):
-        return np.asarray(self.values, dtype=dtype)
-
-    @property
-    def n(self) -> int:
-        return self.values.shape[0]
-
-
 def as_dataset(points) -> np.ndarray:
     """Validate and return an ``(n, p)`` float array of row observations."""
     X = np.asarray(points, dtype=float)
@@ -149,8 +131,8 @@ def _poly(coeffs, s):
     return acc
 
 
-def gram_matrix(kernel: KernelSpec, points) -> GramMatrix:
-    """Build the ``n x n`` matrix of pairwise kernel evaluations.
+def gram_matrix(kernel: KernelSpec, points) -> np.ndarray:
+    """Build the read-only ``n x n`` matrix of pairwise kernel evaluations.
 
     Each unordered pair is evaluated once and mirrored, so the result is
     exactly symmetric. For matern/rbf kernels the diagonal is exactly 1.
@@ -174,7 +156,8 @@ def gram_matrix(kernel: KernelSpec, points) -> GramMatrix:
         else:
             V = squareform(_radial(kernel, pdist(X)))
             np.fill_diagonal(V, 1.0)
-    return GramMatrix(values=V, kernel=kernel)
+    V.setflags(write=False)
+    return V
 
 
 def median_heuristic(points) -> float:

@@ -10,14 +10,13 @@ compares them against the optimal spectral truncation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import EigenDecomposition, eigendecompose, error_sweep, _mirror_upper
+from .spectral import EigenDecomposition, eigendecompose, error_sweep, _mirror_upper, _readonly
 
 
-@dataclass(frozen=True, eq=False)
+@_readonly
 class PsdFactor:
     """Symmetric square root of a PSD matrix, negative round-off clipped to 0.
 
@@ -27,9 +26,6 @@ class PsdFactor:
 
     root: np.ndarray
     clip_mass: float
-
-    def __post_init__(self):
-        self.root.setflags(write=False)
 
     @property
     def n(self) -> int:
@@ -78,7 +74,7 @@ def jl_error_bound(n: int, d: int) -> float:
     return math.sqrt(math.log(n) / d)
 
 
-@dataclass(frozen=True, eq=False)
+@_readonly
 class MethodComparison:
     """Per-rank max-entry errors: spectral truncation vs the sketch median."""
 
@@ -87,10 +83,6 @@ class MethodComparison:
     jl_median_max_error: np.ndarray
     jl_rate_shape: np.ndarray
     trials: int
-
-    def __post_init__(self):
-        for a in (self.ranks, self.spectral_max_error, self.jl_median_max_error, self.jl_rate_shape):
-            a.setflags(write=False)
 
 
 def compare_methods(gram, ranks, trials: int, seed) -> MethodComparison:

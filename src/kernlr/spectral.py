@@ -15,30 +15,48 @@ for individual vectors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .errors import EigensolverError
 
 
-@dataclass(frozen=True, eq=False)
+def _mirror_upper(M: np.ndarray) -> np.ndarray:
+    """Copy the upper triangle onto the lower one: exact symmetry."""
+    return np.triu(M) + np.triu(M, 1).T
+
+
+def _readonly(cls):
+    """Frozen dataclass whose array fields are made read-only on construction.
+
+    This is the one place the "result arrays are read-only" rule is written.
+    ``__post_init__`` is set before ``dataclass()`` runs, because the generated
+    ``__init__`` calls it only if the class has it at that point.
+    """
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
+
+    cls.__post_init__ = __post_init__
+    return dataclass(frozen=True, eq=False)(cls)
+
+
+@_readonly
 class EigenDecomposition:
     """Descending eigenvalues with orthonormal eigenvectors, column l <-> value l."""
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
-    def __post_init__(self):
-        self.eigenvalues.setflags(write=False)
-        self.eigenvectors.setflags(write=False)
-
     @property
     def n(self) -> int:
         return self.eigenvalues.shape[0]
 
 
-@dataclass(frozen=True, eq=False)
+@_readonly
 class RankSweepResult:
     """Per-rank error metrics of the spectral truncation.
 
@@ -55,11 +73,6 @@ class RankSweepResult:
     tail_abs_sum: np.ndarray
     sup_norm_tail: np.ndarray
 
-    def __post_init__(self):
-        for a in (self.ranks, self.max_entry_error, self.frobenius_error,
-                  self.spectral_error, self.tail_abs_sum, self.sup_norm_tail):
-            a.setflags(write=False)
-
 
 def _as_symmetric(gram) -> np.ndarray:
     K = np.asarray(gram, dtype=float)
@@ -75,7 +88,8 @@ def _as_symmetric(gram) -> np.ndarray:
 def eigendecompose(gram) -> EigenDecomposition:
     """Full eigendecomposition of a symmetric matrix, descending order.
 
-    Accepts a :class:`~kernlr.kernels.GramMatrix` or a plain symmetric array.
+    Accepts any exactly symmetric square array, such as the result of
+    :func:`~kernlr.kernels.gram_matrix`.
     Raises :class:`EigensolverError` if the underlying solver fails to
     converge within its iteration cap.
     """
@@ -91,11 +105,6 @@ def eigendecompose(gram) -> EigenDecomposition:
     flip = U[lead, np.arange(U.shape[1])] < 0
     U[:, flip] *= -1.0
     return EigenDecomposition(eigenvalues=w, eigenvectors=U)
-
-
-def _mirror_upper(M: np.ndarray) -> np.ndarray:
-    """Copy the upper triangle onto the lower one: exact symmetry."""
-    return np.triu(M) + np.triu(M, 1).T
 
 
 def truncate(eig: EigenDecomposition, d: int) -> np.ndarray:

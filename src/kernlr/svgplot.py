@@ -12,12 +12,13 @@ _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b", "#
 
 _WIDTH, _HEIGHT = 820, 520
 _LEFT, _RIGHT, _TOP, _BOTTOM = 80, 170, 46, 58
+_TICK_TARGET = 6  # about this many ticks on a linear axis
 
 
-def _linear_ticks(lo: float, hi: float, target: int = 6):
+def _linear_ticks(lo: float, hi: float):
     if hi <= lo:
         hi = lo + 1.0
-    raw = (hi - lo) / target
+    raw = (hi - lo) / _TICK_TARGET
     mag = 10.0 ** math.floor(math.log10(raw))
     step = next(s * mag for s in (1.0, 2.0, 5.0, 10.0) if s * mag >= raw)
     first = math.ceil(lo / step) * step
@@ -39,16 +40,14 @@ def _fmt(v: float) -> str:
     return f"{v:g}"
 
 
-def line_plot(path, curves, xlabel: str = "", ylabel: str = "", title: str = "",
-              log_y: bool = True) -> None:
+def line_plot(path, curves, xlabel: str = "", ylabel: str = "", title: str = "") -> None:
     """Write a line plot of ``curves = [(label, xs, ys), ...]`` to ``path``.
 
-    With ``log_y`` (the default) points with non-positive y are dropped from
+    The y axis is logarithmic, and points with non-positive y are dropped from
     the drawing, since they have no logarithm; if that would drop everything,
     the plot falls back to a linear axis instead.
     """
-    if log_y and not any(y > 0.0 for _, _, ys in curves for y in ys):
-        log_y = False
+    log_y = any(y > 0.0 for _, _, ys in curves for y in ys)
     cleaned = []
     for label, xs, ys in curves:
         pts = [(float(x), float(y)) for x, y in zip(xs, ys) if (not log_y) or y > 0.0]

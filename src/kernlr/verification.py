@@ -21,10 +21,14 @@ from typing import Callable
 import numpy as np
 
 from .analytic import GaussianRbfSpectrum, tensor_spectrum
-from .spectral import EigenDecomposition, eigendecompose, sup_norm_tail
+from .spectral import EigenDecomposition, _readonly, eigendecompose, sup_norm_tail
+
+MINOR_GAP_GUARD = 1e-6  # eigenvalue gaps below this make the minor identity degenerate
+TAIL_THRESHOLDS = (8.0, 10.0, 12.0, 16.0)  # the 4 exp(-t^2 / 32) bound means something for t >= 8
+TRIALS_PER_SUBSPACE = 100
 
 
-@dataclass(frozen=True, eq=False)
+@_readonly
 class MinorDecomposition:
     """Corner entry, coupling column and eigensystem of the trailing minor."""
 
@@ -32,9 +36,6 @@ class MinorDecomposition:
     coupling: np.ndarray
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-
-    def __post_init__(self):
-        self.coupling.setflags(write=False)
 
 
 def minor_decomposition(gram) -> MinorDecomposition:
@@ -60,11 +61,11 @@ class MinorIdentityReport:
     skipped: tuple[int, ...]
 
 
-def minor_identity_check(gram, guard: float = 1e-6) -> MinorIdentityReport:
+def minor_identity_check(gram) -> MinorIdentityReport:
     """Verify the identity tying u_l(1)^2 to the minor's spectrum.
 
-    For each eigenvalue of K that stays at least ``guard`` away from every
-    minor eigenvalue, compare the first squared eigenvector coordinate with
+    For each eigenvalue of K that stays at least ``MINOR_GAP_GUARD`` away from
+    every minor eigenvalue, compare the first squared eigenvector coordinate with
     ``1 / (1 + sum_j (minor_eval_j - eval_l)^-2 (minor_evec_j . y)^2)``. The
     identity degenerates when eigenvalues of the matrix and its minor
     coincide, so such indices are skipped and reported, never silently
@@ -82,7 +83,7 @@ def minor_identity_check(gram, guard: float = 1e-6) -> MinorIdentityReport:
     checked = 0
     for l in range(eig.n):
         gaps = minor.eigenvalues - eig.eigenvalues[l]
-        if np.abs(gaps).min() < guard:
+        if np.abs(gaps).min() < MINOR_GAP_GUARD:
             skipped.append(l)
             continue
         rhs = 1.0 / (1.0 + float(np.sum((proj / gaps) ** 2)))
@@ -116,7 +117,7 @@ def delocalisation_report(eig: EigenDecomposition, d: int) -> float:
     return math.sqrt(eig.n) * sup_norm_tail(eig, d)
 
 
-@dataclass(frozen=True, eq=False)
+@_readonly
 class EigenvalueDeviationReport:
     """Per-index deviation of sample eigenvalues (scaled by 1/n) from analytic ones."""
 
@@ -125,10 +126,6 @@ class EigenvalueDeviationReport:
     analytic: np.ndarray
     abs_deviation: np.ndarray
     rel_deviation: np.ndarray
-
-    def __post_init__(self):
-        for a in (self.indices, self.sample, self.analytic, self.abs_deviation, self.rel_deviation):
-            a.setflags(write=False)
 
 
 def eigenvalue_deviation_report(eigenvalues, spectrum: GaussianRbfSpectrum, count: int) -> EigenvalueDeviationReport:
@@ -202,7 +199,7 @@ def scaled(lo: float, hi: float) -> EntryLaw:
     )
 
 
-@dataclass(frozen=True, eq=False)
+@_readonly
 class TailFrequencyReport:
     """Empirical tail frequencies of the projection-distance statistic vs bound."""
 
@@ -215,34 +212,21 @@ class TailFrequencyReport:
     sigma2: float
     seed: int
 
-    def __post_init__(self):
-        self.thresholds.setflags(write=False)
-        self.frequencies.setflags(write=False)
-        self.bounds.setflags(write=False)
 
-
-def subspace_distance_experiment(
-    n: int,
-    q: int,
-    law: EntryLaw,
-    trials: int,
-    seed: int,
-    thresholds=(8.0, 10.0, 12.0, 16.0),
-    trials_per_subspace: int = 100,
-) -> TailFrequencyReport:
+def subspace_distance_experiment(n: int, q: int, law: EntryLaw, trials: int, seed: int) -> TailFrequencyReport:
     """Monte Carlo tail frequencies of ``| ||proj_H(y)|| - sigma sqrt(q) |``.
 
     ``y`` has i.i.d. entries from ``law`` and H is a random q-dimensional
     subspace orthogonal to the all-ones direction, so the projection of the
     mean vector is zero by construction and the concentration bound's
     alignment condition holds with room to spare. The q >= 64 / sigma^2
-    requirement is enforced. Each subspace serves a batch of trials
-    (``trials_per_subspace``, default 100): the tail bound holds conditionally
+    requirement is enforced. Each subspace serves a batch of
+    ``TRIALS_PER_SUBSPACE`` trials: the tail bound holds conditionally
     on every admissible subspace, so batching leaves the per-trial guarantee
     intact while keeping the orthonormalization cost manageable.
 
-    The theoretical comparison value at threshold t is ``4 exp(-t^2 / 32)``,
-    meaningful for t >= 8.
+    Frequencies are reported at the thresholds ``TAIL_THRESHOLDS``; the
+    theoretical comparison value at threshold t is ``4 exp(-t^2 / 32)``.
     """
     if n < 2 or q < 1 or q >= n:
         raise ValueError(f"need 1 <= q < n with n >= 2, got n={n!r}, q={q!r}")
@@ -252,10 +236,10 @@ def subspace_distance_experiment(
             f"subspace dimension q = {q} is below the required minimum "
             f"64 / sigma^2 = {q_min:g} for {law.name}"
         )
-    if trials < 1 or trials_per_subspace < 1:
-        raise ValueError("trials and trials_per_subspace must be >= 1")
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials!r}")
 
-    t_grid = np.asarray(thresholds, dtype=float)
+    t_grid = np.array(TAIL_THRESHOLDS)
     target = law.variance**0.5 * math.sqrt(q)
     ones = np.full(n, 1.0 / math.sqrt(n))
 
@@ -263,7 +247,7 @@ def subspace_distance_experiment(
     done = 0
     batch_index = 0
     while done < trials:
-        batch = min(trials_per_subspace, trials - done)
+        batch = min(TRIALS_PER_SUBSPACE, trials - done)
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(batch_index,)))
         G = rng.standard_normal((n, q))
         G -= np.outer(ones, ones @ G)  # kill the mean direction before orthonormalizing
@@ -276,7 +260,7 @@ def subspace_distance_experiment(
         batch_index += 1
 
     return TailFrequencyReport(
-        thresholds=t_grid.copy(),
+        thresholds=t_grid,
         frequencies=counts / trials,
         bounds=4.0 * np.exp(-(t_grid**2) / 32.0),
         trials=int(trials),

@@ -1,5 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kernlr import (
     DegenerateDataError,
@@ -80,13 +84,13 @@ def test_kernel_values_in_unit_interval_and_decreasing_in_distance():
 
 def test_gram_single_point():
     g = gram_matrix(matern(1.5, 2.0), [[1.0, 2.0, 3.0]])
-    assert g.values.shape == (1, 1)
-    assert g.values[0, 0] == 1.0
+    assert g.shape == (1, 1)
+    assert g[0, 0] == 1.0
 
 
 def test_gram_two_points_at_bandwidth_distance():
     g = gram_matrix(matern(0.5, 5.0), [[0.0], [5.0]])
-    assert g.values[0, 1] == pytest.approx(np.exp(-1.0))
+    assert g[0, 1] == pytest.approx(np.exp(-1.0))
 
 
 def test_gram_exact_symmetry_and_unit_diagonal():
@@ -94,17 +98,17 @@ def test_gram_exact_symmetry_and_unit_diagonal():
     X = rng.standard_normal((60, 4))
     for k in (matern(0.5, 1.0), rbf(0.8), dot_product([0.5, 0.5, 0.1])):
         g = gram_matrix(k, X)
-        assert np.array_equal(g.values, g.values.T)  # bit-for-bit
+        assert np.array_equal(g, g.T)  # bit-for-bit
     g = gram_matrix(rbf(0.8), X)
-    assert np.all(np.diag(g.values) == 1.0)
-    assert np.all(g.values > 0.0) and np.all(g.values <= 1.0)
+    assert np.all(np.diag(g) == 1.0)
+    assert np.all(g > 0.0) and np.all(g <= 1.0)
 
 
 def test_gram_matches_pointwise_evaluate():
     rng = np.random.default_rng(1)
     X = rng.standard_normal((15, 3))
     for k in (matern(2.5, 1.4), dot_product([0.2, 1.0])):
-        g = gram_matrix(k, X).values
+        g = gram_matrix(k, X)
         for i in range(15):
             for j in range(15):
                 assert g[i, j] == pytest.approx(evaluate(k, X[i], X[j]), abs=1e-12)
@@ -114,14 +118,47 @@ def test_gram_numerically_psd_on_distinct_points():
     rng = np.random.default_rng(2)
     X = rng.standard_normal((120, 3))
     for k in (matern(0.5, 1.0), matern(1.5, 1.0), matern(2.5, 1.0), rbf(1.0)):
-        w = np.linalg.eigvalsh(gram_matrix(k, X).values)
+        w = np.linalg.eigvalsh(gram_matrix(k, X))
         assert w.min() >= -1e-8 * X.shape[0]
 
 
 def test_gram_is_immutable():
     g = gram_matrix(rbf(1.0), [[0.0], [1.0]])
     with pytest.raises(ValueError):
-        g.values[0, 1] = 0.0
+        g[0, 1] = 0.0
+
+
+def test_gram_converts_to_an_array_without_warnings():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        K = np.array(gram_matrix(rbf(1.0), [[0.0], [1.0]]))
+    assert K.flags.writeable  # np.array copies, so the copy may be written
+
+
+_KERNELS = st.one_of(
+    st.builds(matern, st.sampled_from([0.5, 1.5, 2.5]), st.floats(0.1, 10.0)),
+    st.builds(rbf, st.floats(0.1, 10.0)),
+    st.builds(dot_product, st.lists(st.floats(0.0, 2.0), min_size=1, max_size=5)),
+)
+
+
+@st.composite
+def _point_sets(draw):
+    # Rows drawn with replacement from a pool, so repeated points are common;
+    # a single point (n = 1) is allowed.
+    p = draw(st.integers(1, 4))
+    pool = draw(st.lists(st.lists(st.floats(-3.0, 3.0), min_size=p, max_size=p),
+                         min_size=1, max_size=30))
+    rows = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=30))
+    return np.array([pool[i] for i in rows])
+
+
+@settings(max_examples=150, deadline=None)
+@given(kernel=_KERNELS, X=_point_sets())
+def test_gram_is_bitwise_symmetric_on_drawn_points(kernel, X):
+    K = gram_matrix(kernel, X)
+    assert K.shape == (X.shape[0], X.shape[0])
+    assert np.array_equal(K, K.T)
 
 
 def test_median_heuristic_three_points():

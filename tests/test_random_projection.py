@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kernlr import (
     compare_methods,
@@ -56,6 +58,22 @@ def test_jl_output_is_symmetric_psd_and_low_rank():
         assert w.min() >= -1e-8 * max(w.max(), 1.0)
         s = np.linalg.svd(M, compute_uv=False)
         assert s[d:].max(initial=0.0) <= 1e-8 * s[0]
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_jl_is_bitwise_symmetric_and_seed_deterministic(data):
+    # A PSD matrix of drawn size and rank; the same drawn seed twice.
+    n = data.draw(st.integers(1, 30))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    G = rng.standard_normal((n, data.draw(st.integers(1, 2 * n))))
+    K = G @ G.T
+    factor = factor_psd(np.triu(K) + np.triu(K, 1).T)
+    d = data.draw(st.integers(1, n))
+    seed = data.draw(st.integers(0, 2**64 - 1))
+    A = jl_approximation(factor, d, seed)
+    assert np.array_equal(A, A.T)
+    assert np.array_equal(A, jl_approximation(factor, d, seed))
 
 
 def test_jl_rank_validation():

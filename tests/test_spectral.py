@@ -1,14 +1,23 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kernlr import (
+    GaussianRbfSpectrum,
+    bernoulli,
+    compare_methods,
     eigendecompose,
+    eigenvalue_deviation_report,
     error_sweep,
+    factor_psd,
     gaussian_synthetic,
     gram_matrix,
+    minor_decomposition,
     rbf,
+    subspace_distance_experiment,
     sup_norm_tail,
     tail_abs_sum,
     truncate,
@@ -242,6 +251,94 @@ def test_tail_abs_sum_equals_trace_for_psd():
     rng = np.random.default_rng(10)
     K = _random_psd(12, rng)
     assert tail_abs_sum(eigendecompose(K), 0) == pytest.approx(np.trace(K))
+
+
+# 4 x 4 Hadamard matrix over 2: orthogonal, with entries of equal magnitude.
+_H4 = np.array([[1.0, 1.0, 1.0, 1.0], [1.0, -1.0, 1.0, -1.0],
+                [1.0, 1.0, -1.0, -1.0], [1.0, -1.0, -1.0, 1.0]]) / 2.0
+
+
+@st.composite
+def _symmetric_matrices(draw):
+    # General symmetric matrices with n <= 30, plus two families whose
+    # eigenvectors have coordinates tied in magnitude, so the tie rule of the
+    # sign convention is exercised: [[a, b], [b, a]] and H4 diag(w) H4^T.
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    family = draw(st.sampled_from(["general", "pair", "hadamard"]))
+    if family == "pair":
+        a, b = rng.standard_normal(2)
+        return np.array([[a, b], [b, a]])
+    if family == "hadamard":
+        K = (_H4 * rng.standard_normal(4)) @ _H4.T
+        return np.triu(K) + np.triu(K, 1).T
+    return _random_symmetric(draw(st.integers(1, 30)), rng)
+
+
+@settings(max_examples=150, deadline=None)
+@given(K=_symmetric_matrices())
+def test_eigenvector_sign_convention_on_drawn_matrices(K):
+    U = eigendecompose(K).eigenvectors
+    for u in U.T:
+        first_largest = np.flatnonzero(np.abs(u) == np.abs(u).max())[0]
+        assert u[first_largest] > 0.0
+
+
+@settings(max_examples=100, deadline=None)
+@given(K=_symmetric_matrices(), data=st.data())
+def test_truncate_is_bitwise_symmetric_on_drawn_matrices(K, data):
+    eig = eigendecompose(K)
+    T = truncate(eig, data.draw(st.integers(0, eig.n)))
+    assert np.array_equal(T, T.T)
+
+
+# The array fields of every result type; the Gram matrix is the array itself.
+_ARRAY_FIELDS = {
+    "gram_matrix": None,
+    "EigenDecomposition": ["eigenvalues", "eigenvectors"],
+    "RankSweepResult": ["ranks", "max_entry_error", "frobenius_error", "spectral_error",
+                        "tail_abs_sum", "sup_norm_tail"],
+    "PsdFactor": ["root"],
+    "MethodComparison": ["ranks", "spectral_max_error", "jl_median_max_error", "jl_rate_shape"],
+    "MinorDecomposition": ["coupling", "eigenvalues", "eigenvectors"],
+    "EigenvalueDeviationReport": ["indices", "sample", "analytic", "abs_deviation",
+                                  "rel_deviation"],
+    "TailFrequencyReport": ["thresholds", "frequencies", "bounds"],
+}
+
+
+@pytest.fixture(scope="module")
+def results():
+    K = gram_matrix(rbf(1.0), gaussian_synthetic(12, 1, sigma=1.0, seed=3))
+    eig = eigendecompose(K)
+    return {
+        "gram_matrix": K,
+        "EigenDecomposition": eig,
+        "RankSweepResult": error_sweep(K, eig, [0, 2, 12]),
+        "PsdFactor": factor_psd(K),
+        "MethodComparison": compare_methods(K, [1, 3], trials=2, seed=0),
+        "MinorDecomposition": minor_decomposition(K),
+        "EigenvalueDeviationReport": eigenvalue_deviation_report(
+            eig, GaussianRbfSpectrum(sigma=1.0, bandwidth=1.0), count=3),
+        "TailFrequencyReport": subspace_distance_experiment(
+            n=300, q=256, law=bernoulli(0.5), trials=1, seed=0),
+    }
+
+
+@pytest.mark.parametrize("name", list(_ARRAY_FIELDS))
+def test_result_arrays_reject_writes(results, name):
+    result, array_fields = results[name], _ARRAY_FIELDS[name]
+    if array_fields is None:
+        arrays = [result]
+    else:
+        assert [f.name for f in dataclasses.fields(result)
+                if isinstance(getattr(result, f.name), np.ndarray)] == array_fields
+        arrays = [getattr(result, f) for f in array_fields]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(result, array_fields[0], None)
+    for a in arrays:
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[(0,) * a.ndim] = 0.0
 
 
 def test_sup_norm_tail():
