@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaincc, gamma as gamma_fn
 
 from .errors import CapabilityError, HypothesisError
 
@@ -305,6 +304,8 @@ def exp_tail_bound(d: int, beta: float, gamma: float) -> float:
         raise ValueError(f"beta must be positive, got {beta!r}")
     if not 0 < gamma <= 1:
         raise ValueError(f"gamma must lie in (0, 1], got {gamma!r}")
+    # Imported here: scipy.special takes ~0.3 s to import, and only this function uses it.
+    from scipy.special import gammaincc, gamma as gamma_fn
     s = 1.0 / gamma
     x = beta * float(d) ** gamma
     return beta ** (-s) / gamma * float(gammaincc(s, x)) * float(gamma_fn(s))

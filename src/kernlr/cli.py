@@ -180,7 +180,7 @@ def _rank_grid(spec, n: int) -> list[int]:
         ranks = sorted(set(pts.tolist()) | {0, n})
     elif isinstance(spec, str):
         ranks = _parse_int_list(spec, "rank list")
-    elif all(isinstance(d, int) for d in spec):
+    elif all(isinstance(d, int) and not isinstance(d, bool) for d in spec):
         ranks = sorted(spec)
     else:
         raise ConfigError(f"ranks must be integers, got {spec!r}")

@@ -9,9 +9,13 @@ Supported kernel families:
 * ``dot_product``, a finite nonnegative power series in the inner product,
   positive-definite on the unit sphere.
 
-Gram matrices are computed once per unordered pair of points and mirrored, so
-``K[i, j]`` and ``K[j, i]`` are bit-for-bit identical regardless of
-floating-point non-associativity.
+Gram matrices are symmetric bit for bit. For matern/rbf kernels, Euclidean
+distances are computed in numpy one panel of rows at a time, by summing the
+squared coordinate differences in coordinate order and taking the square root
+(the order of ``scipy.spatial.distance.pdist``). As ``(a - b)**2 == (b - a)**2``
+in IEEE arithmetic, the distances from i to j and from j to i agree bit for
+bit, and a point is at distance exactly 0 from itself, which every radial
+kernel maps to exactly 1. Dot-product Gram matrices are mirrored.
 """
 
 from __future__ import annotations
@@ -20,13 +24,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import pdist, squareform
 
 from .errors import DegenerateDataError
 from .spectral import _mirror_upper
 
 _MATERN_NUS = (0.5, 1.5, 2.5)
-_HORNER_ROWS = 32  # rows per panel in the dot-product Gram build
+_PANEL_ROWS = 32  # rows per panel in the Gram and distance builds
 
 
 @dataclass(frozen=True)
@@ -131,11 +134,23 @@ def _poly(coeffs, s):
     return acc
 
 
+def _distance_panels(X: np.ndarray):
+    """Yield ``(i, D)`` per panel: the distances from ``X[i:i + _PANEL_ROWS]`` to every row."""
+    XT = X.T.copy()
+    for i in range(0, XT.shape[1], _PANEL_ROWS):
+        rows = XT[:, i:i + _PANEL_ROWS, None]
+        D = np.square(rows[0] - XT[0])
+        for r, x in zip(rows[1:], XT[1:]):
+            t = r - x
+            D += np.square(t, out=t)
+        yield i, np.sqrt(D, out=D)
+
+
 def gram_matrix(kernel: KernelSpec, points) -> np.ndarray:
     """Build the read-only ``n x n`` matrix of pairwise kernel evaluations.
 
-    Each unordered pair is evaluated once and mirrored, so the result is
-    exactly symmetric. For matern/rbf kernels the diagonal is exactly 1.
+    The result is exactly symmetric. For matern/rbf kernels the diagonal is
+    exactly 1, and the build holds one ``n x n`` array plus one panel of rows.
     """
     X = as_dataset(points)
     if kernel.family == "dot_product":
@@ -145,17 +160,15 @@ def gram_matrix(kernel: KernelSpec, points) -> np.ndarray:
         # panels keep each panel in cache across the coefficient passes.
         *rest, top = kernel.coefficients
         V = np.full_like(G, top)
-        for i in range(0, G.shape[0], _HORNER_ROWS):
-            v, g = V[i:i + _HORNER_ROWS], G[i:i + _HORNER_ROWS]
+        for i in range(0, G.shape[0], _PANEL_ROWS):
+            v, g = V[i:i + _PANEL_ROWS], G[i:i + _PANEL_ROWS]
             for b in reversed(rest):
                 v *= g
                 v += b
     else:
-        if X.shape[0] == 1:
-            V = np.ones((1, 1))
-        else:
-            V = squareform(_radial(kernel, pdist(X)))
-            np.fill_diagonal(V, 1.0)
+        V = np.empty((X.shape[0], X.shape[0]))
+        for i, D in _distance_panels(X):
+            V[i:i + len(D)] = _radial(kernel, D)
     V.setflags(write=False)
     return V
 
@@ -170,7 +183,9 @@ def median_heuristic(points) -> float:
     X = as_dataset(points)
     if X.shape[0] < 2:
         raise ValueError("median heuristic needs at least two points")
-    med = float(np.median(pdist(X)))
+    cols = np.arange(X.shape[0])
+    upper = [D[cols > cols[i:i + len(D), None]] for i, D in _distance_panels(X)]
+    med = float(np.median(np.concatenate(upper), overwrite_input=True))
     if med <= 0.0:
         raise DegenerateDataError("median pairwise distance is zero (coincident points)")
     return med

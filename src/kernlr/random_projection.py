@@ -107,7 +107,9 @@ def compare_methods(gram, ranks, trials: int, seed) -> MethodComparison:
         errs = np.empty(trials)
         for t in range(trials):
             trial_seed = np.random.SeedSequence(entropy=seed, spawn_key=(j, t))
-            errs[t] = np.abs(jl_approximation(factor, d, trial_seed) - K).max()
+            E = jl_approximation(factor, d, trial_seed)
+            E -= K
+            errs[t] = max(E.max(), -E.min())
         jl_median.append(float(np.median(errs)))
 
     return MethodComparison(

@@ -115,7 +115,7 @@ def truncate(eig: EigenDecomposition, d: int) -> np.ndarray:
 
 
 def _check_rank(d, n) -> int:
-    if d != int(d) or not 0 <= int(d) <= n:
+    if isinstance(d, (bool, np.bool_)) or d != int(d) or not 0 <= int(d) <= n:
         raise ValueError(f"rank must be an integer in [0, {n}], got {d!r}")
     return int(d)
 
@@ -133,7 +133,7 @@ def tail_abs_sum(eig: EigenDecomposition, d: int) -> float:
 
 def sup_norm_tail(eig: EigenDecomposition, d: int) -> float:
     """Largest absolute eigenvector coordinate over the discarded tail."""
-    if not 0 <= d < eig.n:
+    if _check_rank(d, eig.n) == eig.n:
         raise ValueError(f"need 0 <= d < n={eig.n} (the tail must be non-empty), got {d!r}")
     return float(np.abs(eig.eigenvectors[:, int(d):]).max())
 

@@ -1,10 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import kernlr
 from kernlr import kernels
 from kernlr.cli import DEFAULT_CONFIG, main
 from kernlr.datasets import sphere_uniform
@@ -293,6 +298,7 @@ _SMALL = {"kind": "gaussian", "n": 20, "p": 1}
     ({"dataset": _SMALL, "kernels": [{"family": "matern", "nu": 0.7}]},
      "kernel 'matern': matern smoothness nu"),
     ({"dataset": _SMALL, "bandwidth": "abc"}, "config key 'bandwidth'"),
+    ({"dataset": _SMALL, "ranks": [True, 3]}, "ranks must be integers"),
 ])
 def test_bad_config_exits_2_with_one_line(tmp_path, capsys, config, needle):
     assert _run_config(tmp_path, config) == 2
@@ -417,3 +423,13 @@ def test_fuzzed_configs_keep_exit_contract(tmp_path, capsys, monkeypatch, config
     assert rc in (0, 1, 2)
     if rc == 2:
         _assert_one_error_line(capsys)
+
+
+def test_importing_the_package_and_cli_loads_no_scipy():
+    # scipy.special alone takes ~0.3 s to import; the CLI must not pay for it.
+    probe = ("import sys, kernlr, kernlr.cli; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = {**os.environ, "PYTHONPATH": str(Path(kernlr.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"

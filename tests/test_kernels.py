@@ -1,9 +1,11 @@
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial.distance import pdist, squareform
 
 from kernlr import (
     DegenerateDataError,
@@ -15,7 +17,7 @@ from kernlr import (
     rbf,
     standardize,
 )
-from kernlr.kernels import KernelSpec
+from kernlr.kernels import _PANEL_ROWS, KernelSpec, _radial
 
 
 def test_matern_half_closed_form():
@@ -159,6 +161,64 @@ def test_gram_is_bitwise_symmetric_on_drawn_points(kernel, X):
     K = gram_matrix(kernel, X)
     assert K.shape == (X.shape[0], X.shape[0])
     assert np.array_equal(K, K.T)
+
+
+_RADIAL = st.one_of(
+    st.builds(matern, st.sampled_from([0.5, 1.5, 2.5]), st.floats(1e-3, 1e3)),
+    st.builds(rbf, st.floats(1e-3, 1e3)),
+)
+
+
+@st.composite
+def _scaled_point_sets(draw):
+    # Rows drawn with replacement from a pool of Gaussian points, whose
+    # low-order bits make the summation order matter. n runs past one panel
+    # of rows (and need not be a multiple of it), and each coordinate gets its
+    # own scale, from 1e-8 to 1e8.
+    p = draw(st.integers(1, 4))
+    max_n = _PANEL_ROWS + 8
+    pool = np.random.default_rng(draw(st.integers(0, 2**32))).standard_normal((max_n, p))
+    rows = draw(st.lists(st.integers(0, max_n - 1), min_size=1, max_size=max_n))
+    scales = draw(st.lists(st.integers(-8, 8), min_size=p, max_size=p))
+    return pool[rows] * 10.0 ** np.array(scales, dtype=float)
+
+
+@settings(max_examples=200, deadline=None)
+@given(kernel=_RADIAL, X=_scaled_point_sets())
+def test_radial_gram_is_bitwise_the_scipy_reference(kernel, X):
+    ref = squareform(_radial(kernel, pdist(X)))
+    np.fill_diagonal(ref, 1.0)
+    K = gram_matrix(kernel, X)
+    assert np.array_equal(K, ref)
+    assert np.array_equal(K, K.T)
+    assert np.all(np.diag(K) == 1.0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(X=_scaled_point_sets())
+def test_median_heuristic_is_bitwise_the_scipy_median(X):
+    if X.shape[0] < 2:
+        with pytest.raises(ValueError):
+            median_heuristic(X)
+    elif np.median(pdist(X)) == 0.0:
+        with pytest.raises(DegenerateDataError):
+            median_heuristic(X)
+    else:
+        assert median_heuristic(X) == float(np.median(pdist(X)))
+
+
+@pytest.mark.parametrize("kernel", [matern(0.5, 1.0), matern(1.5, 1.0), matern(2.5, 1.0),
+                                    rbf(1.0)], ids=lambda k: k.label)
+def test_gram_peak_memory_is_one_matrix_plus_a_panel(kernel):
+    n = 2000
+    X = np.random.default_rng(5).standard_normal((n, 10))
+    tracemalloc.start()
+    try:
+        gram_matrix(kernel, X)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * n * n * 8
 
 
 def test_median_heuristic_three_points():

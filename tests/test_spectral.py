@@ -351,6 +351,14 @@ def test_sup_norm_tail():
     assert sup_norm_tail(one, 0) == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("d", [1.5, True, np.True_, -1, 4])
+def test_sup_norm_tail_rejects_a_rank_that_is_not_an_integer_below_n(d):
+    eig = eigendecompose(np.eye(4))
+    with pytest.raises(ValueError):
+        sup_norm_tail(eig, d)
+    assert sup_norm_tail(eig, np.int64(2)) == sup_norm_tail(eig, 2.0) == sup_norm_tail(eig, 2)
+
+
 def test_sup_norm_tail_random_orthogonal_basis_is_delocalised():
     # a Haar-random orthonormal basis has sup-norm around sqrt(2 ln n / n)
     rng = np.random.default_rng(11)
