@@ -43,7 +43,7 @@ print(f"50-term expansion vs kernel, uniform error on [-2,2]^2: {err:.2e}\n")
 n = 1500
 X = gaussian_synthetic(n, 1, sigma=1.0, seed=0)
 eig = eigendecompose(gram_matrix(rbf(1.0), X))
-report = eigenvalue_deviation_report(eig, spec, count=5)
+report = eigenvalue_deviation_report(eig.eigenvalues, spec, count=5)
 print(f"{'i':>3} {'sample/n':>12} {'analytic':>12} {'rel dev':>10}")
 for i, s, a, r in zip(report.indices, report.sample, report.analytic, report.rel_deviation):
     print(f"{i:>3} {s:>12.6f} {a:>12.6f} {r:>10.4f}")

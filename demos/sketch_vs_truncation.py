@@ -12,10 +12,11 @@ import numpy as np
 
 from kernlr import (
     compare_methods,
+    eigendecompose,
+    factor_from_eigendecomposition,
     gaussian_synthetic,
     gram_matrix,
     jl_approximation,
-    factor_psd,
     median_heuristic,
     rbf,
 )
@@ -35,6 +36,6 @@ slope = np.polyfit(np.log(result.ranks), np.log(result.jl_median_max_error), 1)[
 print(f"\nsketch error log-log slope vs rank: {slope:.3f} (theory: -1/2)")
 
 # the sketch is unbiased and reproducible: same seed, same matrix
-f = factor_psd(gram)
+f = factor_from_eigendecomposition(eigendecompose(gram))
 same = np.array_equal(jl_approximation(f, 16, seed=0), jl_approximation(f, 16, seed=0))
 print(f"sketch reproducible bit-for-bit given the seed: {same}")

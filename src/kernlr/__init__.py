@@ -5,6 +5,8 @@ entrywise/Frobenius/spectral errors, compare against randomized-projection
 approximations, evaluate analytic spectra and decay-rate predictions, and
 numerically verify the spectral identities and concentration phenomena that
 underpin the error analysis.
+
+The public API is the set of names imported below.
 """
 
 from .analytic import (
@@ -18,7 +20,6 @@ from .analytic import (
     exponential_decay,
     gaussian_rbf_eigenfunction,
     gaussian_rbf_eigenvalue,
-    hypothesis_quantities,
     largest_tail_gap,
     poly_tail_bound,
     polynomial_decay,
@@ -31,7 +32,6 @@ from .datasets import (
     gaussian_synthetic,
     gmm_synthetic,
     load_csv,
-    save_csv,
     sphere_uniform,
     subsample,
 )
@@ -51,7 +51,7 @@ from .random_projection import (
     MethodComparison,
     PsdFactor,
     compare_methods,
-    factor_psd,
+    factor_from_eigendecomposition,
     jl_approximation,
     jl_error_bound,
 )
@@ -77,73 +77,6 @@ from .verification import (
     minor_identity_check,
     scaled,
     subspace_distance_experiment,
-    uniform01,
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "CapabilityError",
-    "DecayHypothesis",
-    "DegenerateDataError",
-    "EigenDecomposition",
-    "EigensolverError",
-    "EntryLaw",
-    "GaussianRbfSpectrum",
-    "HypothesisError",
-    "KernelSpec",
-    "MethodComparison",
-    "MinorDecomposition",
-    "MinorIdentityReport",
-    "PsdFactor",
-    "RankSweepResult",
-    "SphereSpectrumParams",
-    "TailFrequencyReport",
-    "as_dataset",
-    "bernoulli",
-    "beta_from_upsilon",
-    "compare_methods",
-    "delocalisation_report",
-    "dot_product",
-    "eigendecompose",
-    "weighted_hermite",
-    "eigenvalue_deviation_report",
-    "entrywise_error_rate",
-    "error_sweep",
-    "evaluate",
-    "exp_tail_bound",
-    "exponential_decay",
-    "factor_psd",
-    "gaussian_rbf_eigenfunction",
-    "gaussian_rbf_eigenvalue",
-    "gaussian_synthetic",
-    "gmm_synthetic",
-    "gram_matrix",
-    "hypothesis_quantities",
-    "interlacing_check",
-    "jl_approximation",
-    "jl_error_bound",
-    "largest_tail_gap",
-    "load_csv",
-    "matern",
-    "median_heuristic",
-    "minor_decomposition",
-    "minor_identity_check",
-    "poly_tail_bound",
-    "polynomial_decay",
-    "rbf",
-    "required_rank",
-    "save_csv",
-    "scaled",
-    "sphere_decay_hypothesis",
-    "sphere_harmonic_count",
-    "sphere_uniform",
-    "standardize",
-    "subsample",
-    "subspace_distance_experiment",
-    "sup_norm_tail",
-    "tail_abs_sum",
-    "tensor_spectrum",
-    "truncate",
-    "uniform01",
-]

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapabilityError, HypothesisError
+from .spectral import _check_int
 
 HERMITE_ORDER_CAP = 60
 
@@ -44,8 +45,7 @@ class GaussianRbfSpectrum:
             raise ValueError(f"sigma must be a positive real, got {self.sigma!r}")
         if not (self.bandwidth > 0 and math.isfinite(self.bandwidth)):
             raise ValueError(f"bandwidth must be a positive real, got {self.bandwidth!r}")
-        if self.p < 1 or self.p != int(self.p):
-            raise ValueError(f"dimension p must be an integer >= 1, got {self.p!r}")
+        object.__setattr__(self, "p", _check_int(self.p, "dimension p", 1))
 
     @property
     def upsilon(self) -> float:
@@ -82,9 +82,7 @@ def gaussian_rbf_eigenvalue(i: int, spec: GaussianRbfSpectrum) -> float:
     """Univariate eigenvalue ``base * ratio**i``, i >= 0. Requires p = 1."""
     if spec.p != 1:
         raise ValueError("univariate eigenvalues require p = 1; use tensor_spectrum for p > 1")
-    if i < 0 or i != int(i):
-        raise ValueError(f"index must be an integer >= 0, got {i!r}")
-    return spec.base * spec.ratio ** int(i)
+    return spec.base * spec.ratio ** _check_int(i, "index", 0)
 
 
 def _hermite_normalized(i: int, t: np.ndarray) -> np.ndarray:
@@ -113,8 +111,7 @@ def gaussian_rbf_eigenfunction(i: int, x, spec: GaussianRbfSpectrum):
     """
     if spec.p != 1:
         raise ValueError("univariate eigenfunctions require p = 1")
-    if i < 0 or i != int(i):
-        raise ValueError(f"index must be an integer >= 0, got {i!r}")
+    i = _check_int(i, "index", 0)
     if i > HERMITE_ORDER_CAP:
         raise CapabilityError(f"eigenfunction order {i} exceeds the supported cap {HERMITE_ORDER_CAP}")
     x = np.asarray(x, dtype=float)
@@ -122,7 +119,7 @@ def gaussian_rbf_eigenfunction(i: int, x, spec: GaussianRbfSpectrum):
     root = math.sqrt(1.0 + 2.0 * u)
     t = (0.25 + 0.5 * u) ** 0.25 * x / spec.sigma
     envelope = np.exp(-(x * x) * (root - 1.0) / (4.0 * spec.sigma**2))
-    value = (1.0 + 2.0 * u) ** 0.125 * envelope * _hermite_normalized(int(i), t)
+    value = (1.0 + 2.0 * u) ** 0.125 * envelope * _hermite_normalized(i, t)
     return value if value.ndim else float(value)
 
 
@@ -136,10 +133,9 @@ def weighted_hermite(i: int, t):
     than this full Gaussian weight, so their sup norm grows with the order
     (geometrically, at a rate below half the eigenvalue decay rate).
     """
-    if i < 0 or i != int(i):
-        raise ValueError(f"order must be an integer >= 0, got {i!r}")
+    i = _check_int(i, "order", 0)
     t = np.asarray(t, dtype=float)
-    value = np.exp(-t * t) * _hermite_normalized(int(i), t)
+    value = np.exp(-t * t) * _hermite_normalized(i, t)
     return value if value.ndim else float(value)
 
 
@@ -149,9 +145,7 @@ def tensor_spectrum(spec: GaussianRbfSpectrum, count: int) -> np.ndarray:
     A multi-index of total degree i contributes ``base**p * ratio**i``; the
     number of such multi-indices is ``C(i + p - 1, p - 1)``.
     """
-    if count < 1 or count != int(count):
-        raise ValueError(f"count must be an integer >= 1, got {count!r}")
-    count = int(count)
+    count = _check_int(count, "count", 1)
     level = spec.base**spec.p
     out: list[float] = []
     degree = 0
@@ -169,11 +163,8 @@ def sphere_harmonic_count(degree: int, p: int) -> int:
     Exact integer arithmetic: ``(2l + p - 2) / l * C(l + p - 3, p - 2)`` for
     l >= 1, and 1 for the constant harmonic l = 0.
     """
-    if degree < 0 or degree != int(degree):
-        raise ValueError(f"degree must be an integer >= 0, got {degree!r}")
-    if p < 3 or p != int(p):
-        raise ValueError(f"ambient dimension p must be an integer >= 3, got {p!r}")
-    degree, p = int(degree), int(p)
+    degree = _check_int(degree, "degree", 0)
+    p = _check_int(p, "ambient dimension p", 3)
     if degree == 0:
         return 1
     num = (2 * degree + p - 2) * math.comb(degree + p - 3, p - 2)
@@ -194,8 +185,7 @@ class SphereSpectrumParams:
     geometric_ratio: float | None = None
 
     def __post_init__(self):
-        if self.p < 3 or self.p != int(self.p):
-            raise ValueError(f"sphere setting needs integer p >= 3, got {self.p!r}")
+        object.__setattr__(self, "p", _check_int(self.p, "ambient dimension p", 3))
         if (self.coefficient_decay is None) == (self.geometric_ratio is None):
             raise ValueError("give exactly one of coefficient_decay or geometric_ratio")
         if self.coefficient_decay is not None:
@@ -283,8 +273,7 @@ def poly_tail_bound(d: int, alpha: float) -> float:
 
     Integral comparison: the sum over i > d is at most the integral from d.
     """
-    if d < 1 or d != int(d):
-        raise ValueError(f"d must be an integer >= 1, got {d!r}")
+    d = _check_int(d, "d", 1)
     if not alpha > 1:
         raise ValueError(f"tail of i**-alpha diverges unless alpha > 1, got {alpha!r}")
     return float(d) ** (1.0 - alpha) / (alpha - 1.0)
@@ -298,8 +287,7 @@ def exp_tail_bound(d: int, beta: float, gamma: float) -> float:
     ``beta**(-1/gamma) / gamma * Gamma(1/gamma, beta * d**gamma)``. For
     gamma = 1 this reduces to ``exp(-beta d) / beta``.
     """
-    if d < 1 or d != int(d):
-        raise ValueError(f"d must be an integer >= 1, got {d!r}")
+    d = _check_int(d, "d", 1)
     if not beta > 0:
         raise ValueError(f"beta must be positive, got {beta!r}")
     if not 0 < gamma <= 1:
@@ -317,8 +305,7 @@ def entrywise_error_rate(n: int, hyp: DecayHypothesis) -> float:
     ``n**(-(alpha - 1)/alpha) * log(n)`` under 'P', ``1/n`` under 'E'
     (natural logarithm; constants set to 1).
     """
-    if n < 2 or n != int(n):
-        raise ValueError(f"n must be an integer >= 2, got {n!r}")
+    n = _check_int(n, "n", 2)
     if hyp.kind == "P":
         return float(n) ** (-(hyp.alpha - 1.0) / hyp.alpha) * math.log(n)
     return 1.0 / float(n)
@@ -330,8 +317,7 @@ def required_rank(n: int, hyp: DecayHypothesis, c: float = 1.0) -> int:
     ``ceil(c * n**(1/alpha))`` under 'P'; under 'E' the strict threshold
     ``d > (log(n) / beta)**(1/gamma)`` is honored by flooring and adding one.
     """
-    if n < 2 or n != int(n):
-        raise ValueError(f"n must be an integer >= 2, got {n!r}")
+    n = _check_int(n, "n", 2)
     if not c > 0:
         raise ValueError(f"multiplier c must be positive, got {c!r}")
     if hyp.kind == "P":
@@ -343,29 +329,13 @@ def largest_tail_gap(eigenvalues, i: int) -> float:
     """Largest gap between consecutive eigenvalues at or after position i (1-based).
 
     Over a finite list this is a lower bound for the supremum over the full
-    spectrum.
+    spectrum. The gap is the one hypothesis quantity left to compute: the
+    residual of the constant function vanishes in both supported settings (the
+    squared-exponential kernel under a Gaussian measure, and dot-product kernels
+    on the sphere), as every eigenfunction beyond the constant integrates to zero.
     """
     w = np.asarray(eigenvalues, dtype=float)
     if w.ndim != 1 or w.shape[0] < 2:
         raise ValueError("need a 1-d list of at least two eigenvalues")
-    if i < 1 or i != int(i) or int(i) >= w.shape[0]:
-        raise ValueError(f"index must be an integer in [1, {w.shape[0] - 1}], got {i!r}")
-    return float(np.max(w[int(i) - 1:-1] - w[int(i):]))
-
-
-def hypothesis_quantities(eigenvalues, i: int, spectrum) -> tuple[float, float]:
-    """The (largest tail eigengap, constant-function residual) pair at index i.
-
-    The residual term is known analytically to vanish for the supported
-    spectra (Gaussian measure with the squared-exponential kernel, and
-    dot-product kernels on the sphere, both of whose eigenfunctions integrate
-    to zero beyond the constant); other spectra are refused rather than
-    approximated.
-    """
-    delta = largest_tail_gap(eigenvalues, i)
-    if isinstance(spectrum, (GaussianRbfSpectrum, SphereSpectrumParams)):
-        return delta, 0.0
-    raise CapabilityError(
-        "constant-function residual is only available for GaussianRbfSpectrum "
-        f"or SphereSpectrumParams, got {type(spectrum).__name__}"
-    )
+    i = _check_int(i, "index", 1, w.shape[0] - 1)
+    return float(np.max(w[i - 1:-1] - w[i:]))

@@ -32,18 +32,18 @@ import numpy as np
 
 from . import datasets, kernels, verification
 from .analytic import (
-    DecayHypothesis,
     GaussianRbfSpectrum,
     beta_from_upsilon,
     entrywise_error_rate,
     exponential_decay,
     gaussian_rbf_eigenvalue,
+    polynomial_decay,
     required_rank,
 )
 from .errors import EigensolverError
 from .kernels import KernelSpec, gram_matrix
 from .random_projection import compare_methods
-from .spectral import _mirror_upper, eigendecompose, error_sweep
+from .spectral import eigendecompose, error_sweep
 from .svgplot import line_plot
 
 ENV_OUT = "KERNLR_OUT"
@@ -281,7 +281,7 @@ def _check_identity(seed, quick):
     for n in (10, 50):
         for _ in range(5 if quick else 10):
             G = rng.standard_normal((2 * n, n))
-            K = _mirror_upper(G.T @ G / (2 * n))
+            K = G.T @ G / (2 * n)  # SYRK: symmetric bit for bit
             report = verification.minor_identity_check(K)
             worst = max(worst, report.max_discrepancy)
     return worst, 1e-6, "PSD instances, n in (10, 50)"
@@ -403,14 +403,14 @@ def cmd_spectrum(args) -> int:
     return 0
 
 
-def _hypothesis_from_args(args) -> DecayHypothesis:
+def _hypothesis_from_args(args):
     if args.hypothesis == "P":
         if args.alpha is None:
             raise ConfigError("hypothesis P needs --alpha")
-        return DecayHypothesis(kind="P", alpha=args.alpha, r=args.r)
+        return polynomial_decay(args.alpha, args.r)
     if args.beta is None:
         raise ConfigError("hypothesis E needs --beta")
-    return DecayHypothesis(kind="E", beta=args.beta, gamma=args.gamma, s=args.s)
+    return exponential_decay(args.beta, args.gamma, args.s)
 
 
 def cmd_rates(args) -> int:

@@ -2,8 +2,8 @@
 
 All generators are pure functions of their parameters and seed; identical
 calls produce identical arrays. CSV files use a comma delimiter by default,
-plain decimal text, UTF-8, and either LF or CRLF line endings; writing with
-17 significant digits round-trips float64 exactly.
+plain decimal text, UTF-8, and either LF or CRLF line endings; files written
+with 17 significant digits round-trip float64 exactly.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ import csv
 import numpy as np
 
 from .kernels import as_dataset
+from .spectral import _check_int
 
 
 def load_csv(path, delimiter: str = ",", has_header: bool = False, columns=None) -> np.ndarray:
@@ -60,17 +61,6 @@ def _is_number(cell: str) -> bool:
         return False
 
 
-def save_csv(path, data, header=None, delimiter: str = ",") -> None:
-    """Write an ``(n, p)`` array as decimal text with 17 significant digits."""
-    X = np.asarray(data, dtype=float)
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle, delimiter=delimiter)
-        if header is not None:
-            writer.writerow(header)
-        for row in X:
-            writer.writerow([f"{v:.17g}" for v in row])
-
-
 def gmm_synthetic(n: int = 1000, p: int = 10, components: int = 10,
                   mean_scale: float = 10.0, seed: int = 0) -> np.ndarray:
     """Gaussian mixture with unit isotropic covariances and axis-aligned means.
@@ -79,10 +69,8 @@ def gmm_synthetic(n: int = 1000, p: int = 10, components: int = 10,
     ``mean_scale`` times the j-th coordinate axis. Defaults give the
     1000-point, 10-dimensional, 10-component configuration.
     """
-    if n < 1 or p < 1:
-        raise ValueError(f"need n >= 1 and p >= 1, got n={n!r}, p={p!r}")
-    if not 1 <= components <= p:
-        raise ValueError(f"component count must lie in [1, p={p}], got {components!r}")
+    n, p = _check_int(n, "n", 1), _check_int(p, "p", 1)
+    components = _check_int(components, "components", 1, p)
     rng = np.random.default_rng(seed)
     labels = rng.integers(0, components, size=n)
     X = rng.standard_normal((n, p))
@@ -93,8 +81,7 @@ def gmm_synthetic(n: int = 1000, p: int = 10, components: int = 10,
 def gaussian_synthetic(n: int = 1000, p: int = 1, sigma: float = 1.0,
                        seed: int = 0) -> np.ndarray:
     """i.i.d. rows from N(0, sigma^2 I_p)."""
-    if n < 1 or p < 1:
-        raise ValueError(f"need n >= 1 and p >= 1, got n={n!r}, p={p!r}")
+    n, p = _check_int(n, "n", 1), _check_int(p, "p", 1)
     if sigma < 0:
         raise ValueError(f"sigma must be >= 0, got {sigma!r}")
     rng = np.random.default_rng(seed)
@@ -103,8 +90,7 @@ def gaussian_synthetic(n: int = 1000, p: int = 1, sigma: float = 1.0,
 
 def sphere_uniform(n: int = 1000, p: int = 3, seed: int = 0) -> np.ndarray:
     """Rows uniform on the unit sphere: normalized Gaussian vectors."""
-    if n < 1 or p < 2:
-        raise ValueError(f"need n >= 1 and p >= 2, got n={n!r}, p={p!r}")
+    n, p = _check_int(n, "n", 1), _check_int(p, "p", 2)
     rng = np.random.default_rng(seed)
     X = rng.standard_normal((n, p))
     return X / np.linalg.norm(X, axis=1, keepdims=True)
@@ -113,9 +99,7 @@ def sphere_uniform(n: int = 1000, p: int = 3, seed: int = 0) -> np.ndarray:
 def subsample(data, count: int, seed: int = 0) -> np.ndarray:
     """Uniform subsample without replacement, original row order preserved."""
     X = as_dataset(data)
-    n = X.shape[0]
-    if not 1 <= count <= n:
-        raise ValueError(f"count must lie in [1, {n}], got {count!r}")
+    count = _check_int(count, "count", 1, X.shape[0])
     rng = np.random.default_rng(seed)
-    keep = np.sort(rng.choice(n, size=int(count), replace=False))
+    keep = np.sort(rng.choice(X.shape[0], size=count, replace=False))
     return X[keep]

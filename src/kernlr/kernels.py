@@ -15,7 +15,9 @@ squared coordinate differences in coordinate order and taking the square root
 (the order of ``scipy.spatial.distance.pdist``). As ``(a - b)**2 == (b - a)**2``
 in IEEE arithmetic, the distances from i to j and from j to i agree bit for
 bit, and a point is at distance exactly 0 from itself, which every radial
-kernel maps to exactly 1. Dot-product Gram matrices are mirrored.
+kernel maps to exactly 1. Dot-product Gram matrices start from ``X @ X.T`` on
+the C-contiguous dataset, which numpy computes with SYRK (one triangle,
+copied), so no mirror pass is needed.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateDataError
-from .spectral import _mirror_upper
 
 _MATERN_NUS = (0.5, 1.5, 2.5)
 _PANEL_ROWS = 32  # rows per panel in the Gram and distance builds
@@ -86,8 +87,13 @@ def dot_product(coefficients) -> KernelSpec:
 
 
 def as_dataset(points) -> np.ndarray:
-    """Validate and return an ``(n, p)`` float array of row observations."""
-    X = np.asarray(points, dtype=float)
+    """Validate and return a C-contiguous ``(n, p)`` float array of row observations.
+
+    C order keeps ``X @ X.T`` on numpy's SYRK path, which is symmetric bit for
+    bit; on a strided view such as ``X[:, ::-1]`` numpy copies each operand
+    and uses GEMM, which is not.
+    """
+    X = np.asarray(points, dtype=float, order="C")
     if X.ndim != 2 or X.shape[0] < 1 or X.shape[1] < 1:
         raise ValueError(f"dataset must be a 2-d (n, p) array with n, p >= 1, got shape {X.shape}")
     if not np.all(np.isfinite(X)):
@@ -154,14 +160,15 @@ def gram_matrix(kernel: KernelSpec, points) -> np.ndarray:
     """
     X = as_dataset(points)
     if kernel.family == "dot_product":
-        G = _mirror_upper(X @ X.T)
-        # Horner in place, the same scheme as ``_poly``; elementwise on a
-        # symmetric input, so the result stays symmetric bit for bit. Row
-        # panels keep each panel in cache across the coefficient passes.
+        V = X @ X.T
+        # Horner in place, the same scheme as ``_poly``, one row panel at a
+        # time over a copy of the panel's inner products; elementwise on a
+        # symmetric input, so the result stays symmetric bit for bit.
         *rest, top = kernel.coefficients
-        V = np.full_like(G, top)
-        for i in range(0, G.shape[0], _PANEL_ROWS):
-            v, g = V[i:i + _PANEL_ROWS], G[i:i + _PANEL_ROWS]
+        for i in range(0, V.shape[0], _PANEL_ROWS):
+            v = V[i:i + _PANEL_ROWS]
+            g = v.copy()
+            v.fill(top)
             for b in reversed(rest):
                 v *= g
                 v += b
@@ -183,9 +190,15 @@ def median_heuristic(points) -> float:
     X = as_dataset(points)
     if X.shape[0] < 2:
         raise ValueError("median heuristic needs at least two points")
-    cols = np.arange(X.shape[0])
-    upper = [D[cols > cols[i:i + len(D), None]] for i, D in _distance_panels(X)]
-    med = float(np.median(np.concatenate(upper), overwrite_input=True))
+    n = X.shape[0]
+    cols = np.arange(n)
+    upper = np.empty(n * (n - 1) // 2)
+    end = 0
+    for i, D in _distance_panels(X):
+        part = D[cols > cols[i:i + len(D), None]]
+        upper[end:end + part.size] = part
+        end += part.size
+    med = float(np.median(upper, overwrite_input=True))
     if med <= 0.0:
         raise DegenerateDataError("median pairwise distance is zero (coincident points)")
     return med

@@ -13,7 +13,8 @@ import math
 
 import numpy as np
 
-from .spectral import EigenDecomposition, eigendecompose, error_sweep, _mirror_upper, _readonly
+from .spectral import (EigenDecomposition, eigendecompose, error_sweep, _check_int, _mirror_upper,
+                       _readonly)
 
 
 @_readonly
@@ -32,12 +33,8 @@ class PsdFactor:
         return self.root.shape[0]
 
 
-def factor_psd(gram) -> PsdFactor:
-    """Symmetric eigen square root of a symmetric (nominally PSD) matrix."""
-    return factor_from_eigendecomposition(eigendecompose(gram))
-
-
 def factor_from_eigendecomposition(eig: EigenDecomposition) -> PsdFactor:
+    """Symmetric square root ``U sqrt(max(w, 0)) U^T`` of a decomposed symmetric matrix."""
     w, U = eig.eigenvalues, eig.eigenvectors
     clipped = np.minimum(w, 0.0)
     s = np.sqrt(np.maximum(w, 0.0))
@@ -50,15 +47,14 @@ def jl_approximation(factor: PsdFactor, d: int, seed) -> np.ndarray:
 
     Deterministic given (factor, d, seed): the same seed reproduces the
     sketch bit for bit. ``seed`` may be anything ``numpy.random.default_rng``
-    accepts (an integer, a SeedSequence, or a Generator).
+    accepts (an integer, a SeedSequence, or a Generator). The sketch is
+    symmetric bit for bit: ``S @ S.T`` of the one C-contiguous array ``S``
+    goes through SYRK, which computes one triangle and copies it.
     """
-    n = factor.n
-    if not 1 <= d <= n or d != int(d):
-        raise ValueError(f"rank must be an integer in [1, {n}], got {d!r}")
+    d = _check_int(d, "rank", 1, factor.n)
     rng = np.random.default_rng(seed)
-    R = rng.standard_normal((n, int(d))) / math.sqrt(d)
-    S = factor.root @ R
-    return _mirror_upper(S @ S.T)
+    S = factor.root @ (rng.standard_normal((factor.n, d)) / math.sqrt(d))
+    return S @ S.T
 
 
 def jl_error_bound(n: int, d: int) -> float:
@@ -67,10 +63,7 @@ def jl_error_bound(n: int, d: int) -> float:
     The constant is set to 1 by convention; treat this as a scaling shape,
     not a certified bound.
     """
-    if n < 2 or n != int(n):
-        raise ValueError(f"n must be an integer >= 2, got {n!r}")
-    if d < 1 or d != int(d):
-        raise ValueError(f"d must be an integer >= 1, got {d!r}")
+    n, d = _check_int(n, "n", 2), _check_int(d, "d", 1)
     return math.sqrt(math.log(n) / d)
 
 
@@ -92,11 +85,10 @@ def compare_methods(gram, ranks, trials: int, seed) -> MethodComparison:
     draws; per-trial seeds are derived from ``seed`` by counter, so the result
     is deterministic and independent of evaluation order.
     """
-    if trials < 1 or trials != int(trials):
-        raise ValueError(f"trials must be an integer >= 1, got {trials!r}")
+    trials = _check_int(trials, "trials", 1)
     K = np.asarray(gram, dtype=float)
     eig = eigendecompose(gram)
-    ranks = [int(d) for d in ranks]
+    ranks = [_check_int(d, "rank", 1, eig.n) for d in ranks]
     sweep = error_sweep(gram, eig, sorted(set(ranks)))
     spectral = dict(zip(sweep.ranks.tolist(), sweep.max_entry_error.tolist()))
     factor = factor_from_eigendecomposition(eig)
@@ -117,5 +109,5 @@ def compare_methods(gram, ranks, trials: int, seed) -> MethodComparison:
         spectral_max_error=np.array([spectral[d] for d in ranks]),
         jl_median_max_error=np.array(jl_median),
         jl_rate_shape=np.array([jl_error_bound(n, d) for d in ranks]),
-        trials=int(trials),
+        trials=trials,
     )

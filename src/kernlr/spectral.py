@@ -15,6 +15,8 @@ for individual vectors.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -23,8 +25,29 @@ from .errors import EigensolverError
 
 
 def _mirror_upper(M: np.ndarray) -> np.ndarray:
-    """Copy the upper triangle onto the lower one: exact symmetry."""
+    """Copy the upper triangle onto the lower one: exact symmetry.
+
+    Needed after a product ``A @ B.T`` of two different operands, which BLAS
+    computes with GEMM. A product ``A @ A.T`` of one C-contiguous array needs
+    no mirror: numpy computes it with SYRK and copies the triangle.
+    """
     return np.triu(M) + np.triu(M, 1).T
+
+
+def _check_int(value, name: str, lo, hi=math.inf) -> int:
+    """``value`` as an ``int``, if it is an integer in ``[lo, hi]``.
+
+    This is the one place the rule for integer arguments is written. Python
+    and numpy integers and integral floats pass; ``bool``/``np.bool_``,
+    fractions, nan, infinities, non-numbers and values out of range raise
+    ``ValueError``.
+    """
+    integral = isinstance(value, numbers.Integral) or (
+        isinstance(value, numbers.Real) and math.isfinite(value) and value == int(value))
+    if isinstance(value, (bool, np.bool_)) or not integral or not lo <= value <= hi:
+        span = f">= {lo}" if hi == math.inf else f"in [{lo}, {hi}]"
+        raise ValueError(f"{name} must be an integer {span}, got {value!r}")
+    return int(value)
 
 
 def _readonly(cls):
@@ -109,15 +132,9 @@ def eigendecompose(gram) -> EigenDecomposition:
 
 def truncate(eig: EigenDecomposition, d: int) -> np.ndarray:
     """Rank-d reconstruction: the sum of the first d eigenvalue/vector terms."""
-    d = _check_rank(d, eig.n)
+    d = _check_int(d, "rank", 0, eig.n)
     U = eig.eigenvectors[:, :d]
     return _mirror_upper((U * eig.eigenvalues[:d]) @ U.T)
-
-
-def _check_rank(d, n) -> int:
-    if isinstance(d, (bool, np.bool_)) or d != int(d) or not 0 <= int(d) <= n:
-        raise ValueError(f"rank must be an integer in [0, {n}], got {d!r}")
-    return int(d)
 
 
 def _tail_abs_sums(w: np.ndarray) -> np.ndarray:
@@ -127,13 +144,13 @@ def _tail_abs_sums(w: np.ndarray) -> np.ndarray:
 
 def tail_abs_sum(eig: EigenDecomposition, d: int) -> float:
     """Sum of absolute eigenvalues discarded by a rank-d truncation."""
-    d = _check_rank(d, eig.n)
+    d = _check_int(d, "rank", 0, eig.n)
     return float(_tail_abs_sums(eig.eigenvalues)[d])
 
 
 def sup_norm_tail(eig: EigenDecomposition, d: int) -> float:
     """Largest absolute eigenvector coordinate over the discarded tail."""
-    if _check_rank(d, eig.n) == eig.n:
+    if _check_int(d, "rank", 0, eig.n) == eig.n:
         raise ValueError(f"need 0 <= d < n={eig.n} (the tail must be non-empty), got {d!r}")
     return float(np.abs(eig.eigenvectors[:, int(d):]).max())
 
@@ -158,7 +175,7 @@ def error_sweep(gram, eig: EigenDecomposition, ranks) -> RankSweepResult:
     n = eig.n
     if K.shape[0] != n:
         raise ValueError(f"matrix size {K.shape[0]} does not match decomposition size {n}")
-    ranks = [_check_rank(d, n) for d in ranks]
+    ranks = [_check_int(d, "rank", 0, n) for d in ranks]
     if ranks != sorted(ranks):
         raise ValueError("ranks must be sorted ascending")
 

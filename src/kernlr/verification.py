@@ -21,7 +21,7 @@ from typing import Callable
 import numpy as np
 
 from .analytic import GaussianRbfSpectrum, tensor_spectrum
-from .spectral import EigenDecomposition, _readonly, eigendecompose, sup_norm_tail
+from .spectral import EigenDecomposition, _check_int, _readonly, eigendecompose, sup_norm_tail
 
 MINOR_GAP_GUARD = 1e-6  # eigenvalue gaps below this make the minor identity degenerate
 TAIL_THRESHOLDS = (8.0, 10.0, 12.0, 16.0)  # the 4 exp(-t^2 / 32) bound means something for t >= 8
@@ -131,23 +131,19 @@ class EigenvalueDeviationReport:
 def eigenvalue_deviation_report(eigenvalues, spectrum: GaussianRbfSpectrum, count: int) -> EigenvalueDeviationReport:
     """Compare the top sample eigenvalues over n against the analytic spectrum.
 
-    ``eigenvalues`` is a full descending sample spectrum (or an
-    :class:`EigenDecomposition`); the report carries deviations only, with no
-    pass/fail judgement.
+    ``eigenvalues`` is a full descending sample spectrum, a 1-d array; the
+    report carries deviations only, with no pass/fail judgement.
     """
-    if isinstance(eigenvalues, EigenDecomposition):
-        eigenvalues = eigenvalues.eigenvalues
     w = np.asarray(eigenvalues, dtype=float)
     if w.ndim != 1:
         raise ValueError("expected a 1-d array of eigenvalues")
     n = w.shape[0]
-    if not 1 <= count <= n:
-        raise ValueError(f"count must lie in [1, {n}], got {count!r}")
-    analytic = tensor_spectrum(spectrum, int(count))
-    sample = w[: int(count)] / n
+    count = _check_int(count, "count", 1, n)
+    analytic = tensor_spectrum(spectrum, count)
+    sample = w[:count] / n
     abs_dev = np.abs(sample - analytic)
     return EigenvalueDeviationReport(
-        indices=np.arange(1, int(count) + 1),
+        indices=np.arange(1, count + 1),
         sample=sample,
         analytic=analytic,
         abs_deviation=abs_dev,
@@ -160,7 +156,6 @@ class EntryLaw:
     """An i.i.d. entry distribution supported on [0, 1]."""
 
     name: str
-    mean: float
     variance: float
     sample: Callable[[np.random.Generator, tuple], np.ndarray]
 
@@ -171,19 +166,8 @@ def bernoulli(p0: float) -> EntryLaw:
         raise ValueError(f"bernoulli parameter must lie in (0, 1), got {p0!r}")
     return EntryLaw(
         name=f"bernoulli({p0:g})",
-        mean=p0,
         variance=p0 * (1.0 - p0),
         sample=lambda rng, shape: (rng.random(shape) < p0).astype(float),
-    )
-
-
-def uniform01() -> EntryLaw:
-    """Entries uniform on [0, 1]."""
-    return EntryLaw(
-        name="uniform01",
-        mean=0.5,
-        variance=1.0 / 12.0,
-        sample=lambda rng, shape: rng.random(shape),
     )
 
 
@@ -193,7 +177,6 @@ def scaled(lo: float, hi: float) -> EntryLaw:
         raise ValueError(f"need 0 <= lo < hi <= 1, got lo={lo!r}, hi={hi!r}")
     return EntryLaw(
         name=f"scaled({lo:g},{hi:g})",
-        mean=(lo + hi) / 2.0,
         variance=(hi - lo) ** 2 / 12.0,
         sample=lambda rng, shape: lo + (hi - lo) * rng.random(shape),
     )
@@ -228,16 +211,15 @@ def subspace_distance_experiment(n: int, q: int, law: EntryLaw, trials: int, see
     Frequencies are reported at the thresholds ``TAIL_THRESHOLDS``; the
     theoretical comparison value at threshold t is ``4 exp(-t^2 / 32)``.
     """
-    if n < 2 or q < 1 or q >= n:
-        raise ValueError(f"need 1 <= q < n with n >= 2, got n={n!r}, q={q!r}")
+    n = _check_int(n, "n", 2)
+    q = _check_int(q, "q", 1, n - 1)
+    trials = _check_int(trials, "trials", 1)
     q_min = 64.0 / law.variance
     if q < q_min:
         raise ValueError(
             f"subspace dimension q = {q} is below the required minimum "
             f"64 / sigma^2 = {q_min:g} for {law.name}"
         )
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials!r}")
 
     t_grid = np.array(TAIL_THRESHOLDS)
     target = law.variance**0.5 * math.sqrt(q)
@@ -263,9 +245,9 @@ def subspace_distance_experiment(n: int, q: int, law: EntryLaw, trials: int, see
         thresholds=t_grid,
         frequencies=counts / trials,
         bounds=4.0 * np.exp(-(t_grid**2) / 32.0),
-        trials=int(trials),
-        n=int(n),
-        q=int(q),
+        trials=trials,
+        n=n,
+        q=q,
         sigma2=law.variance,
         seed=int(seed),
     )

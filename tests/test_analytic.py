@@ -16,7 +16,6 @@ from kernlr import (
     exponential_decay,
     gaussian_rbf_eigenfunction,
     gaussian_rbf_eigenvalue,
-    hypothesis_quantities,
     largest_tail_gap,
     poly_tail_bound,
     polynomial_decay,
@@ -284,14 +283,3 @@ def test_largest_tail_gap_validation():
         largest_tail_gap([1.0], 1)
     with pytest.raises(ValueError):
         largest_tail_gap([3.0, 1.0], 2)
-
-
-def test_hypothesis_quantities_gamma_support():
-    w = [3.0, 1.0, 0.5, 0.1]
-    delta, gamma = hypothesis_quantities(w, 1, SPEC1)
-    assert delta == pytest.approx(2.0)
-    assert gamma == 0.0
-    _, gamma = hypothesis_quantities(w, 2, SphereSpectrumParams(p=3, geometric_ratio=0.3))
-    assert gamma == 0.0
-    with pytest.raises(CapabilityError):
-        hypothesis_quantities(w, 1, "somewhere else")

@@ -291,14 +291,21 @@ _SMALL = {"kind": "gaussian", "n": 20, "p": 1}
     ({"dataset": _SMALL, "jl_trials": "5"}, "jl_trials"),
     ({"dataset": _SMALL, "jl_trials": True}, "jl_trials"),
     # values the library constructors reject: the message names the entry
-    ({"dataset": {"kind": "gmm", "n": 0}}, "dataset 'gmm': need n >= 1"),
-    ({"dataset": {**_SMALL, "subsample": 50}}, "dataset subsample: count must lie"),
+    ({"dataset": {"kind": "gmm", "n": 0}}, "dataset 'gmm': n must be an integer >= 1, got 0"),
+    ({"dataset": {**_SMALL, "subsample": 50}},
+     "dataset subsample: count must be an integer in [1, 20], got 50"),
     ({"dataset": _SMALL, "kernels": [{"family": "rbf", "bandwidth": "abc"}]},
      "kernel 'rbf': could not convert"),
     ({"dataset": _SMALL, "kernels": [{"family": "matern", "nu": 0.7}]},
      "kernel 'matern': matern smoothness nu"),
     ({"dataset": _SMALL, "bandwidth": "abc"}, "config key 'bandwidth'"),
     ({"dataset": _SMALL, "ranks": [True, 3]}, "ranks must be integers"),
+    # integer fields of the dataset generators: fractions and bools are refused
+    ({"dataset": {"kind": "gmm", "n": 40, "components": 2.5}},
+     "dataset 'gmm': components must be an integer in [1, 10], got 2.5"),
+    ({"dataset": {"kind": "gmm", "n": 40, "subsample": True}},
+     "dataset subsample: count must be an integer in [1, 40], got True"),
+    ({"dataset": {"kind": "sphere", "n": 30.5}}, "dataset 'sphere': n must be an integer >= 1"),
 ])
 def test_bad_config_exits_2_with_one_line(tmp_path, capsys, config, needle):
     assert _run_config(tmp_path, config) == 2

@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 
 from kernlr import (
     compare_methods,
-    factor_psd,
+    eigendecompose,
+    factor_from_eigendecomposition,
     gaussian_synthetic,
     gram_matrix,
     jl_approximation,
@@ -16,18 +17,18 @@ from kernlr import (
 
 
 def test_factor_identity():
-    f = factor_psd(np.eye(4))
+    f = factor_from_eigendecomposition(eigendecompose(np.eye(4)))
     assert f.root == pytest.approx(np.eye(4), abs=1e-12)
     assert f.clip_mass == 0.0
 
 
 def test_factor_diagonal():
-    f = factor_psd(np.diag([4.0, 9.0]))
+    f = factor_from_eigendecomposition(eigendecompose(np.diag([4.0, 9.0])))
     assert f.root == pytest.approx(np.diag([2.0, 3.0]), abs=1e-12)
 
 
 def test_factor_clips_negative_roundoff():
-    f = factor_psd(np.diag([1.0, -1e-12]))
+    f = factor_from_eigendecomposition(eigendecompose(np.diag([1.0, -1e-12])))
     assert f.root == pytest.approx(np.diag([1.0, 0.0]), abs=1e-12)
     assert f.clip_mass == pytest.approx(1e-12)
 
@@ -35,12 +36,12 @@ def test_factor_clips_negative_roundoff():
 def test_factor_squares_back_to_input():
     X = gaussian_synthetic(40, 3, sigma=1.0, seed=0)
     K = np.asarray(gram_matrix(rbf(1.0), X), dtype=float)
-    f = factor_psd(K)
+    f = factor_from_eigendecomposition(eigendecompose(K))
     assert np.abs(f.root @ f.root.T - K).max() <= 1e-6 * np.abs(K).max() + f.clip_mass
 
 
 def test_jl_deterministic_given_seed():
-    f = factor_psd(np.eye(6))
+    f = factor_from_eigendecomposition(eigendecompose(np.eye(6)))
     a = jl_approximation(f, 2, seed=42)
     b = jl_approximation(f, 2, seed=42)
     assert np.array_equal(a, b)
@@ -50,7 +51,7 @@ def test_jl_deterministic_given_seed():
 
 def test_jl_output_is_symmetric_psd_and_low_rank():
     X = gaussian_synthetic(30, 2, sigma=1.0, seed=1)
-    f = factor_psd(gram_matrix(rbf(1.0), X))
+    f = factor_from_eigendecomposition(eigendecompose(gram_matrix(rbf(1.0), X)))
     for d in (1, 3, 10):
         M = jl_approximation(f, d, seed=d)
         assert np.array_equal(M, M.T)
@@ -68,7 +69,7 @@ def test_jl_is_bitwise_symmetric_and_seed_deterministic(data):
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     G = rng.standard_normal((n, data.draw(st.integers(1, 2 * n))))
     K = G @ G.T
-    factor = factor_psd(np.triu(K) + np.triu(K, 1).T)
+    factor = factor_from_eigendecomposition(eigendecompose(np.triu(K) + np.triu(K, 1).T))
     d = data.draw(st.integers(1, n))
     seed = data.draw(st.integers(0, 2**64 - 1))
     A = jl_approximation(factor, d, seed)
@@ -77,7 +78,7 @@ def test_jl_is_bitwise_symmetric_and_seed_deterministic(data):
 
 
 def test_jl_rank_validation():
-    f = factor_psd(np.eye(5))
+    f = factor_from_eigendecomposition(eigendecompose(np.eye(5)))
     for bad in (0, 6, -1):
         with pytest.raises(ValueError):
             jl_approximation(f, bad, seed=0)
@@ -88,7 +89,7 @@ def test_jl_unbiasedness():
     # every entry within three standard errors of the target
     X = gaussian_synthetic(12, 2, sigma=1.0, seed=9)
     K = np.asarray(gram_matrix(rbf(1.0), X), dtype=float)
-    f = factor_psd(K)
+    f = factor_from_eigendecomposition(eigendecompose(K))
     acc = np.zeros_like(K)
     acc2 = np.zeros_like(K)
     trials = 2000

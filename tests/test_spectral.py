@@ -7,20 +7,38 @@ from hypothesis import strategies as st
 
 from kernlr import (
     GaussianRbfSpectrum,
+    SphereSpectrumParams,
     bernoulli,
     compare_methods,
+    delocalisation_report,
     eigendecompose,
     eigenvalue_deviation_report,
+    entrywise_error_rate,
     error_sweep,
-    factor_psd,
+    exp_tail_bound,
+    exponential_decay,
+    factor_from_eigendecomposition,
+    gaussian_rbf_eigenfunction,
+    gaussian_rbf_eigenvalue,
     gaussian_synthetic,
+    gmm_synthetic,
     gram_matrix,
+    jl_approximation,
+    jl_error_bound,
+    largest_tail_gap,
     minor_decomposition,
+    poly_tail_bound,
     rbf,
+    required_rank,
+    sphere_harmonic_count,
+    sphere_uniform,
+    subsample,
     subspace_distance_experiment,
     sup_norm_tail,
     tail_abs_sum,
+    tensor_spectrum,
     truncate,
+    weighted_hermite,
 )
 
 K2 = np.array([[2.0, 1.0], [1.0, 2.0]])
@@ -314,11 +332,11 @@ def results():
         "gram_matrix": K,
         "EigenDecomposition": eig,
         "RankSweepResult": error_sweep(K, eig, [0, 2, 12]),
-        "PsdFactor": factor_psd(K),
+        "PsdFactor": factor_from_eigendecomposition(eigendecompose(K)),
         "MethodComparison": compare_methods(K, [1, 3], trials=2, seed=0),
         "MinorDecomposition": minor_decomposition(K),
         "EigenvalueDeviationReport": eigenvalue_deviation_report(
-            eig, GaussianRbfSpectrum(sigma=1.0, bandwidth=1.0), count=3),
+            eig.eigenvalues, GaussianRbfSpectrum(sigma=1.0, bandwidth=1.0), count=3),
         "TailFrequencyReport": subspace_distance_experiment(
             n=300, q=256, law=bernoulli(0.5), trials=1, seed=0),
     }
@@ -351,12 +369,69 @@ def test_sup_norm_tail():
     assert sup_norm_tail(one, 0) == pytest.approx(1.0)
 
 
-@pytest.mark.parametrize("d", [1.5, True, np.True_, -1, 4])
+@pytest.mark.parametrize("d", [1.5, True, np.True_, -1, 4, np.nan, np.inf])
 def test_sup_norm_tail_rejects_a_rank_that_is_not_an_integer_below_n(d):
     eig = eigendecompose(np.eye(4))
     with pytest.raises(ValueError):
         sup_norm_tail(eig, d)
     assert sup_norm_tail(eig, np.int64(2)) == sup_norm_tail(eig, 2.0) == sup_norm_tail(eig, 2)
+
+
+_EIG4 = eigendecompose(np.diag([4.0, 3.0, 2.0, 1.0]))
+_SPEC = GaussianRbfSpectrum(sigma=1.0, bandwidth=1.0)
+_X = np.arange(20.0).reshape(10, 2)
+
+# Every public integer parameter besides sup_norm_tail's rank (tested above):
+# a call taking the value, and a value just below the parameter's range.
+_INTEGER_PARAMETERS = {
+    "truncate d": (lambda v: truncate(_EIG4, v), -1),
+    "tail_abs_sum d": (lambda v: tail_abs_sum(_EIG4, v), -1),
+    "error_sweep ranks": (lambda v: error_sweep(np.diag(_EIG4.eigenvalues), _EIG4, [v]), -1),
+    "delocalisation_report d": (lambda v: delocalisation_report(_EIG4, v), -1),
+    "GaussianRbfSpectrum p": (lambda v: GaussianRbfSpectrum(1.0, 1.0, v), 0),
+    "gaussian_rbf_eigenvalue i": (lambda v: gaussian_rbf_eigenvalue(v, _SPEC), -1),
+    "gaussian_rbf_eigenfunction i": (lambda v: gaussian_rbf_eigenfunction(v, 0.5, _SPEC), -1),
+    "weighted_hermite i": (lambda v: weighted_hermite(v, 0.5), -1),
+    "tensor_spectrum count": (lambda v: tensor_spectrum(_SPEC, v), 0),
+    "sphere_harmonic_count degree": (lambda v: sphere_harmonic_count(v, 3), -1),
+    "sphere_harmonic_count p": (lambda v: sphere_harmonic_count(2, v), 2),
+    "SphereSpectrumParams p": (lambda v: SphereSpectrumParams(p=v, geometric_ratio=0.5), 2),
+    "poly_tail_bound d": (lambda v: poly_tail_bound(v, 2.0), 0),
+    "exp_tail_bound d": (lambda v: exp_tail_bound(v, 1.0, 1.0), 0),
+    "entrywise_error_rate n": (lambda v: entrywise_error_rate(v, exponential_decay(1.0)), 1),
+    "required_rank n": (lambda v: required_rank(v, exponential_decay(1.0)), 1),
+    "largest_tail_gap i": (lambda v: largest_tail_gap([3.0, 2.0, 1.0], v), 0),
+    "jl_approximation d": (lambda v: jl_approximation(
+        factor_from_eigendecomposition(_EIG4), v, 0), 0),
+    "jl_error_bound n": (lambda v: jl_error_bound(v, 1), 1),
+    "jl_error_bound d": (lambda v: jl_error_bound(10, v), 0),
+    "compare_methods trials": (lambda v: compare_methods(np.eye(4), [1], v, 0), 0),
+    "compare_methods ranks": (lambda v: compare_methods(np.eye(4), [v, 2], 1, 0), 0),
+    "eigenvalue_deviation_report count": (
+        lambda v: eigenvalue_deviation_report(_EIG4.eigenvalues, _SPEC, v), 0),
+    "subspace_distance_experiment n": (
+        lambda v: subspace_distance_experiment(v, 256, bernoulli(0.5), 1, 0), 1),
+    "subspace_distance_experiment q": (
+        lambda v: subspace_distance_experiment(300, v, bernoulli(0.5), 1, 0), 0),
+    "subspace_distance_experiment trials": (
+        lambda v: subspace_distance_experiment(300, 256, bernoulli(0.5), v, 0), 0),
+    "gmm_synthetic n": (lambda v: gmm_synthetic(n=v), 0),
+    "gmm_synthetic p": (lambda v: gmm_synthetic(n=5, p=v), 0),
+    "gmm_synthetic components": (lambda v: gmm_synthetic(n=5, components=v), 0),
+    "gaussian_synthetic n": (lambda v: gaussian_synthetic(n=v), 0),
+    "gaussian_synthetic p": (lambda v: gaussian_synthetic(n=5, p=v), 0),
+    "sphere_uniform n": (lambda v: sphere_uniform(n=v), 0),
+    "sphere_uniform p": (lambda v: sphere_uniform(n=5, p=v), 1),
+    "subsample count": (lambda v: subsample(_X, v), 0),
+}
+
+
+@pytest.mark.parametrize("parameter", list(_INTEGER_PARAMETERS))
+def test_integer_parameters_refuse_bools_fractions_non_finite_and_out_of_range(parameter):
+    call, below = _INTEGER_PARAMETERS[parameter]
+    for value in (True, np.True_, 1.5, np.nan, np.inf, below):
+        with pytest.raises(ValueError, match="must be an integer"):
+            call(value)
 
 
 def test_sup_norm_tail_random_orthogonal_basis_is_delocalised():
