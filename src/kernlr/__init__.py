@@ -66,7 +66,6 @@ from .spectral import (
 )
 from .verification import (
     EntryLaw,
-    MinorDecomposition,
     MinorIdentityReport,
     TailFrequencyReport,
     bernoulli,

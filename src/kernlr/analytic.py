@@ -248,23 +248,21 @@ def exponential_decay(beta: float, gamma: float = 1.0, s: float = 0.0) -> DecayH
     return DecayHypothesis(kind="E", beta=float(beta), gamma=float(gamma), s=float(s))
 
 
-def sphere_decay_hypothesis(params: SphereSpectrumParams, constant: float = 1.0) -> DecayHypothesis:
+def sphere_decay_hypothesis(params: SphereSpectrumParams) -> DecayHypothesis:
     """Decay hypothesis implied by a dot-product kernel on the sphere.
 
     Polynomially decaying coefficients give the 'P' hypothesis with
     ``alpha = (2a + p - 3) / (p - 2)`` and sup-norm exponent ``r = (p - 2) / 2``
     (the harmonic sup-norm bound). Geometrically decaying coefficients give
     the 'E' hypothesis with ``gamma = 1 / (p - 1)`` and
-    ``beta = (p - 1)! * log(1 / r) / constant``; the universal constant is a
-    caller-supplied convention, default 1.
+    ``beta = (p - 1)! * log(1 / r) / C`` with the universal constant C set
+    to 1 by convention.
     """
     p = params.p
     if params.coefficient_decay is not None:
         alpha = (2.0 * params.coefficient_decay + p - 3.0) / (p - 2.0)
         return DecayHypothesis(kind="P", alpha=alpha, r=(p - 2.0) / 2.0)
-    if not constant > 0:
-        raise ValueError(f"constant must be positive, got {constant!r}")
-    beta = math.factorial(p - 1) * math.log(1.0 / params.geometric_ratio) / constant
+    beta = math.factorial(p - 1) * math.log(1.0 / params.geometric_ratio)
     return DecayHypothesis(kind="E", beta=beta, gamma=1.0 / (p - 1.0))
 
 

@@ -443,15 +443,13 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON config file; omitted fields use defaults")
         p.add_argument("--seed", type=int, help="master seed (overrides config)")
         p.add_argument("--out", help=f"output directory (overrides config and ${ENV_OUT})")
+
+    for name, func, help_text in (("sweep", cmd_sweep, "per-rank truncation errors for each kernel"),
+                                  ("compare", cmd_compare, "spectral truncation vs random projection")):
+        p = sub.add_parser(name, help=help_text)
+        common(p)
         p.add_argument("--ranks", help='rank grid: "auto" or comma-separated integers')
-
-    p = sub.add_parser("sweep", help="per-rank truncation errors for each kernel")
-    common(p)
-    p.set_defaults(func=cmd_sweep)
-
-    p = sub.add_parser("compare", help="spectral truncation vs random projection")
-    common(p)
-    p.set_defaults(func=cmd_compare)
+        p.set_defaults(func=func)
 
     p = sub.add_parser("verify", help="numerical checks of the spectral identities")
     common(p)
@@ -487,8 +485,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except EigensolverError as exc:
-        print(f"numerical failure in stage eigendecompose: {exc}", file=sys.stderr)
+    except (EigensolverError, np.linalg.LinAlgError) as exc:  # LinAlgError is a ValueError
+        print(f"numerical failure: {exc}", file=sys.stderr)
         return 1
     except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -13,8 +13,7 @@ import math
 
 import numpy as np
 
-from .spectral import (EigenDecomposition, eigendecompose, error_sweep, _check_int, _mirror_upper,
-                       _readonly)
+from .spectral import EigenDecomposition, eigendecompose, error_sweep, _check_int, _readonly
 
 
 @_readonly
@@ -34,12 +33,14 @@ class PsdFactor:
 
 
 def factor_from_eigendecomposition(eig: EigenDecomposition) -> PsdFactor:
-    """Symmetric square root ``U sqrt(max(w, 0)) U^T`` of a decomposed symmetric matrix."""
+    """Symmetric square root ``U sqrt(max(w, 0)) U^T`` of a decomposed symmetric matrix.
+
+    Formed as ``B @ B.T`` with ``B = U max(w, 0)^(1/4)``: one SYRK, so the
+    root is symmetric bit for bit.
+    """
     w, U = eig.eigenvalues, eig.eigenvectors
-    clipped = np.minimum(w, 0.0)
-    s = np.sqrt(np.maximum(w, 0.0))
-    X = _mirror_upper((U * s) @ U.T)
-    return PsdFactor(root=X, clip_mass=float(-clipped.sum()))
+    B = U * np.maximum(w, 0.0) ** 0.25
+    return PsdFactor(root=B @ B.T, clip_mass=float(-np.minimum(w, 0.0).sum()))
 
 
 def jl_approximation(factor: PsdFactor, d: int, seed) -> np.ndarray:

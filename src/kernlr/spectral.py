@@ -24,16 +24,6 @@ import numpy as np
 from .errors import EigensolverError
 
 
-def _mirror_upper(M: np.ndarray) -> np.ndarray:
-    """Copy the upper triangle onto the lower one: exact symmetry.
-
-    Needed after a product ``A @ B.T`` of two different operands, which BLAS
-    computes with GEMM. A product ``A @ A.T`` of one C-contiguous array needs
-    no mirror: numpy computes it with SYRK and copies the triangle.
-    """
-    return np.triu(M) + np.triu(M, 1).T
-
-
 def _check_int(value, name: str, lo, hi=math.inf) -> int:
     """``value`` as an ``int``, if it is an integer in ``[lo, hi]``.
 
@@ -131,10 +121,22 @@ def eigendecompose(gram) -> EigenDecomposition:
 
 
 def truncate(eig: EigenDecomposition, d: int) -> np.ndarray:
-    """Rank-d reconstruction: the sum of the first d eigenvalue/vector terms."""
+    """Rank-d reconstruction: the sum of the first d eigenvalue/vector terms.
+
+    Formed as ``P @ P.T - N @ N.T``, where P and N are the kept eigenvectors
+    scaled by ``sqrt(max(w, 0))`` and ``sqrt(max(-w, 0))``; the second term is
+    computed only if a kept eigenvalue is negative. Each product of one array
+    with its own transpose goes through SYRK, which computes one triangle and
+    copies it, so the result is symmetric bit for bit.
+    """
     d = _check_int(d, "rank", 0, eig.n)
-    U = eig.eigenvectors[:, :d]
-    return _mirror_upper((U * eig.eigenvalues[:d]) @ U.T)
+    w, U = eig.eigenvalues[:d], eig.eigenvectors[:, :d]
+    B = U * np.sqrt(np.maximum(w, 0.0))
+    T = B @ B.T
+    if d and w[-1] < 0.0:  # w is descending, so a negative kept value sits at the end
+        B = U * np.sqrt(np.maximum(-w, 0.0))
+        T -= B @ B.T
+    return T
 
 
 def _tail_abs_sums(w: np.ndarray) -> np.ndarray:

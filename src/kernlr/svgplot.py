@@ -62,25 +62,15 @@ def line_plot(path, curves, xlabel: str = "", ylabel: str = "", title: str = "")
     y_hi = max(p[1] for p in all_pts)
     if x_hi == x_lo:
         x_lo, x_hi = x_lo - 0.5, x_hi + 0.5
-    if log_y:
-        if y_hi == y_lo:
-            y_lo, y_hi = y_lo / 10.0, y_hi * 10.0
-        ly_lo, ly_hi = math.log10(y_lo), math.log10(y_hi)
+    if y_hi == y_lo:
+        y_lo, y_hi = (y_lo / 10.0, y_hi * 10.0) if log_y else (y_lo - 0.5, y_hi + 0.5)
+    scale = math.log10 if log_y else float
+    s_lo, s_hi = scale(y_lo), scale(y_hi)
+    y_ticks = (_log_ticks if log_y else _linear_ticks)(y_lo, y_hi)
 
-        def sy(y):
-            frac = (math.log10(y) - ly_lo) / (ly_hi - ly_lo)
-            return _HEIGHT - _BOTTOM - frac * (_HEIGHT - _TOP - _BOTTOM)
-
-        y_ticks = _log_ticks(y_lo, y_hi)
-    else:
-        if y_hi == y_lo:
-            y_lo, y_hi = y_lo - 0.5, y_hi + 0.5
-
-        def sy(y):
-            frac = (y - y_lo) / (y_hi - y_lo)
-            return _HEIGHT - _BOTTOM - frac * (_HEIGHT - _TOP - _BOTTOM)
-
-        y_ticks = _linear_ticks(y_lo, y_hi)
+    def sy(y):
+        frac = (scale(y) - s_lo) / (s_hi - s_lo)
+        return _HEIGHT - _BOTTOM - frac * (_HEIGHT - _TOP - _BOTTOM)
 
     def sx(x):
         frac = (x - x_lo) / (x_hi - x_lo)

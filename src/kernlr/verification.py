@@ -28,28 +28,12 @@ TAIL_THRESHOLDS = (8.0, 10.0, 12.0, 16.0)  # the 4 exp(-t^2 / 32) bound means so
 TRIALS_PER_SUBSPACE = 100
 
 
-@_readonly
-class MinorDecomposition:
-    """Corner entry, coupling column and eigensystem of the trailing minor."""
-
-    corner: float
-    coupling: np.ndarray
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
-def minor_decomposition(gram) -> MinorDecomposition:
-    """Split K into its (1,1) entry, first column tail, and decomposed minor."""
+def minor_decomposition(gram) -> EigenDecomposition:
+    """Eigendecomposition of the trailing principal minor ``K[1:, 1:]``."""
     K = np.asarray(gram, dtype=float)
     if K.shape[0] < 2:
         raise ValueError("minor decomposition needs n >= 2")
-    minor_eig = eigendecompose(K[1:, 1:])
-    return MinorDecomposition(
-        corner=float(K[0, 0]),
-        coupling=K[1:, 0].copy(),
-        eigenvalues=minor_eig.eigenvalues,
-        eigenvectors=minor_eig.eigenvectors,
-    )
+    return eigendecompose(K[1:, 1:])
 
 
 @dataclass(frozen=True)
@@ -76,7 +60,7 @@ def minor_identity_check(gram) -> MinorIdentityReport:
         raise ValueError("minor identity needs n >= 2")
     eig = eigendecompose(K)
     minor = minor_decomposition(K)
-    proj = minor.eigenvectors.T @ minor.coupling  # (minor_evec_j . y)
+    proj = minor.eigenvectors.T @ K[1:, 0]  # (minor_evec_j . y), y the coupling column
 
     worst = 0.0
     skipped = []
@@ -93,7 +77,7 @@ def minor_identity_check(gram) -> MinorIdentityReport:
     return MinorIdentityReport(max_discrepancy=worst, checked=checked, skipped=tuple(skipped))
 
 
-def interlacing_check(eig: EigenDecomposition, minor: MinorDecomposition) -> float:
+def interlacing_check(eig: EigenDecomposition, minor: EigenDecomposition) -> float:
     """Largest violation of minor-eigenvalue interlacing, 0 when it holds.
 
     With both spectra descending, each minor eigenvalue must sit between the

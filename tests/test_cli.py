@@ -376,6 +376,25 @@ def test_eigensolver_failure_exits_1_and_names_stage(tmp_path, capsys, monkeypat
     assert "numerical failure in stage eigendecompose (rbf)" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("suite, solver", [("eigdev", "eigvalsh"), ("subspace", "qr")])
+def test_linalg_failure_outside_eigendecompose_exits_1(tmp_path, capsys, monkeypatch,
+                                                       suite, solver):
+    # LinAlgError is a ValueError; it must not be reported as a usage error.
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("did not converge")
+
+    monkeypatch.setattr(np.linalg, solver, fail)
+    assert main(["verify", suite, "--quick", "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("numerical failure")
+
+
+def test_verify_rejects_ranks(tmp_path):
+    with pytest.raises(SystemExit) as info:
+        main(["verify", "identity", "--quick", "--ranks", "banana", "--out", str(tmp_path)])
+    assert info.value.code == 2
+
+
 # Fuzzing the 0/1/2 exit contract: a config that is valid but for at most one
 # field, drawn from the valid keys plus misspellings. Every dataset has 40
 # points or fewer.

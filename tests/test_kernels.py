@@ -10,12 +10,16 @@ from scipy.spatial.distance import pdist, squareform
 from kernlr import (
     DegenerateDataError,
     dot_product,
+    eigendecompose,
     evaluate,
+    factor_from_eigendecomposition,
+    gaussian_synthetic,
     gram_matrix,
     matern,
     median_heuristic,
     rbf,
     standardize,
+    truncate,
 )
 from kernlr.kernels import _PANEL_ROWS, KernelSpec, _radial
 
@@ -238,6 +242,24 @@ def test_gram_peak_memory_is_one_matrix_plus_a_panel(kernel):
     n = 2000
     X = np.random.default_rng(5).standard_normal((n, 10))
     assert _peak_bytes(gram_matrix, kernel, X) < 1.25 * n * n * 8
+
+
+@pytest.mark.parametrize("product", [factor_from_eigendecomposition, lambda eig: truncate(eig, eig.n)],
+                         ids=["root", "truncate"])
+def test_psd_products_peak_memory_is_result_plus_one_scaled_copy(product):
+    # One scaled copy of U and the n x n result: no GEMM temporary, no mirror.
+    n = 600
+    eig = eigendecompose(gram_matrix(rbf(1.0), gaussian_synthetic(n, 3)))
+    assert eig.eigenvalues[-1] >= 0.0  # PSD, so truncate has no negative part
+    assert _peak_bytes(product, eig) < 2.25 * n * n * 8
+
+
+def test_indefinite_truncate_peak_memory():
+    # The result, one scaled copy of U and the product of the negative part.
+    n = 600
+    A = np.random.default_rng(5).standard_normal((n, n))
+    eig = eigendecompose((A + A.T) / 2.0)
+    assert _peak_bytes(truncate, eig, n) < 3.25 * n * n * 8
 
 
 def test_median_heuristic_peak_memory_is_one_buffer_of_pairs():

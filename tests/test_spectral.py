@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kernlr import (
+    EigenDecomposition,
     GaussianRbfSpectrum,
     SphereSpectrumParams,
     bernoulli,
@@ -26,7 +27,6 @@ from kernlr import (
     jl_approximation,
     jl_error_bound,
     largest_tail_gap,
-    minor_decomposition,
     poly_tail_bound,
     rbf,
     required_rank,
@@ -309,6 +309,27 @@ def test_truncate_is_bitwise_symmetric_on_drawn_matrices(K, data):
     assert np.array_equal(T, T.T)
 
 
+def _eigenvector_layouts(n, seed):
+    # The same orthonormal U stored C-ordered, Fortran-ordered and as a view
+    # with a negative column stride: B @ B.T must reach SYRK from each.
+    U, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((n, n)))
+    return {"C": np.ascontiguousarray(U), "F": np.asfortranarray(U),
+            "reversed": np.ascontiguousarray(U[:, ::-1])[:, ::-1]}
+
+
+# GEMM products (A * w) @ A.T were asymmetric at sizes from 196 on with
+# n mod 8 in 4..7 (OpenBLAS 0.3.31), so these sizes would show a lost SYRK.
+@pytest.mark.parametrize("n", [204, 231, 300])
+@pytest.mark.parametrize("spectrum", ["psd", "indefinite"])
+def test_symmetric_products_are_bitwise_symmetric_for_every_layout(n, spectrum):
+    w = np.linspace(2.0, 0.0 if spectrum == "psd" else -1.0, n)
+    for layout, U in _eigenvector_layouts(n, seed=n).items():
+        eig = EigenDecomposition(eigenvalues=w.copy(), eigenvectors=U)
+        for name, M in (("truncate n/2", truncate(eig, n // 2)), ("truncate n", truncate(eig, n)),
+                        ("root", factor_from_eigendecomposition(eig).root)):
+            assert np.array_equal(M, M.T), (layout, name)
+
+
 # The array fields of every result type; the Gram matrix is the array itself.
 _ARRAY_FIELDS = {
     "gram_matrix": None,
@@ -317,7 +338,6 @@ _ARRAY_FIELDS = {
                         "tail_abs_sum", "sup_norm_tail"],
     "PsdFactor": ["root"],
     "MethodComparison": ["ranks", "spectral_max_error", "jl_median_max_error", "jl_rate_shape"],
-    "MinorDecomposition": ["coupling", "eigenvalues", "eigenvectors"],
     "EigenvalueDeviationReport": ["indices", "sample", "analytic", "abs_deviation",
                                   "rel_deviation"],
     "TailFrequencyReport": ["thresholds", "frequencies", "bounds"],
@@ -334,7 +354,6 @@ def results():
         "RankSweepResult": error_sweep(K, eig, [0, 2, 12]),
         "PsdFactor": factor_from_eigendecomposition(eigendecompose(K)),
         "MethodComparison": compare_methods(K, [1, 3], trials=2, seed=0),
-        "MinorDecomposition": minor_decomposition(K),
         "EigenvalueDeviationReport": eigenvalue_deviation_report(
             eig.eigenvalues, GaussianRbfSpectrum(sigma=1.0, bandwidth=1.0), count=3),
         "TailFrequencyReport": subspace_distance_experiment(

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from kernlr import (
+    EigenDecomposition,
     GaussianRbfSpectrum,
     bernoulli,
     delocalisation_report,
@@ -28,8 +29,7 @@ def _random_psd(n, rng, dof_factor=2):
 
 def test_minor_decomposition_fields():
     m = minor_decomposition(K2)
-    assert m.corner == 2.0
-    assert m.coupling.tolist() == [1.0]
+    assert isinstance(m, EigenDecomposition)
     assert m.eigenvalues == pytest.approx([2.0])
 
 
