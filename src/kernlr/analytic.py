@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapabilityError, HypothesisError
-from .spectral import _check_int
+from .spectral import _check_int, _check_real
 
 HERMITE_ORDER_CAP = 60
 
@@ -41,10 +41,8 @@ class GaussianRbfSpectrum:
     p: int = 1
 
     def __post_init__(self):
-        if not (self.sigma > 0 and math.isfinite(self.sigma)):
-            raise ValueError(f"sigma must be a positive real, got {self.sigma!r}")
-        if not (self.bandwidth > 0 and math.isfinite(self.bandwidth)):
-            raise ValueError(f"bandwidth must be a positive real, got {self.bandwidth!r}")
+        object.__setattr__(self, "sigma", _check_real(self.sigma, "sigma", "(0, inf)"))
+        object.__setattr__(self, "bandwidth", _check_real(self.bandwidth, "bandwidth", "(0, inf)"))
         object.__setattr__(self, "p", _check_int(self.p, "dimension p", 1))
 
     @property
@@ -73,8 +71,7 @@ def beta_from_upsilon(upsilon: float) -> float:
 
     Equals ``-log(ratio)``: eigenvalues decay like ``exp(-beta * i)``.
     """
-    if not (upsilon > 0 and math.isfinite(upsilon)):
-        raise ValueError(f"upsilon must be a positive real, got {upsilon!r}")
+    upsilon = _check_real(upsilon, "upsilon", "(0, inf)")
     return math.log((1.0 + upsilon + math.sqrt(1.0 + 2.0 * upsilon)) / upsilon)
 
 
@@ -189,15 +186,17 @@ class SphereSpectrumParams:
         if (self.coefficient_decay is None) == (self.geometric_ratio is None):
             raise ValueError("give exactly one of coefficient_decay or geometric_ratio")
         if self.coefficient_decay is not None:
+            a = _check_real(self.coefficient_decay, "coefficient_decay", "(0, inf)")
+            object.__setattr__(self, "coefficient_decay", a)
             floor = (self.p**2 - 4 * self.p + 5) / 2.0
-            if not self.coefficient_decay > floor:
+            if not a > floor:
                 raise HypothesisError(
-                    f"coefficient decay a = {self.coefficient_decay} must exceed "
+                    f"coefficient decay a = {a} must exceed "
                     f"(p^2 - 4p + 5)/2 = {floor} for p = {self.p}"
                 )
         else:
-            if not 0.0 < self.geometric_ratio < 1.0:
-                raise ValueError(f"geometric ratio must lie in (0, 1), got {self.geometric_ratio!r}")
+            r = _check_real(self.geometric_ratio, "geometric_ratio", "(0, 1)")
+            object.__setattr__(self, "geometric_ratio", r)
 
 
 @dataclass(frozen=True)
@@ -218,34 +217,27 @@ class DecayHypothesis:
     s: float = 0.0
 
     def __post_init__(self):
-        if self.kind == "P":
-            if self.alpha is None or not self.alpha > 1:
-                raise HypothesisError(f"polynomial decay needs alpha > 1, got {self.alpha!r}")
-            if self.r < 0:
-                raise HypothesisError(f"sup-norm exponent r must be >= 0, got {self.r!r}")
-            if not self.alpha > 2 * self.r + 1:
-                raise HypothesisError(
-                    f"admissibility alpha > 2r + 1 fails: alpha = {self.alpha}, r = {self.r}"
-                )
-        elif self.kind == "E":
-            if self.beta is None or not self.beta > 0:
-                raise HypothesisError(f"exponential decay needs beta > 0, got {self.beta!r}")
-            if self.gamma is None or not 0 < self.gamma <= 1:
-                raise HypothesisError(f"gamma must lie in (0, 1], got {self.gamma!r}")
-            if self.s < 0:
-                raise HypothesisError(f"sup-norm exponent s must be >= 0, got {self.s!r}")
-            if not self.beta > 2 * self.s:
-                raise HypothesisError(f"admissibility beta > 2s fails: beta = {self.beta}, s = {self.s}")
-        else:
+        intervals = {"P": {"alpha": "(1, inf)", "r": "[0, inf)"},
+                     "E": {"beta": "(0, inf)", "gamma": "(0, 1]", "s": "[0, inf)"}}
+        if self.kind not in intervals:
             raise ValueError(f"hypothesis kind must be 'P' or 'E', got {self.kind!r}")
+        try:
+            for name, interval in intervals[self.kind].items():
+                object.__setattr__(self, name, _check_real(getattr(self, name), name, interval))
+        except ValueError as exc:
+            raise HypothesisError(str(exc)) from None
+        if self.kind == "P" and not self.alpha > 2 * self.r + 1:
+            raise HypothesisError(f"admissibility alpha > 2r + 1 fails: alpha = {self.alpha}, r = {self.r}")
+        if self.kind == "E" and not self.beta > 2 * self.s:
+            raise HypothesisError(f"admissibility beta > 2s fails: beta = {self.beta}, s = {self.s}")
 
 
 def polynomial_decay(alpha: float, r: float = 0.0) -> DecayHypothesis:
-    return DecayHypothesis(kind="P", alpha=float(alpha), r=float(r))
+    return DecayHypothesis(kind="P", alpha=alpha, r=r)
 
 
 def exponential_decay(beta: float, gamma: float = 1.0, s: float = 0.0) -> DecayHypothesis:
-    return DecayHypothesis(kind="E", beta=float(beta), gamma=float(gamma), s=float(s))
+    return DecayHypothesis(kind="E", beta=beta, gamma=gamma, s=s)
 
 
 def sphere_decay_hypothesis(params: SphereSpectrumParams) -> DecayHypothesis:
@@ -272,8 +264,7 @@ def poly_tail_bound(d: int, alpha: float) -> float:
     Integral comparison: the sum over i > d is at most the integral from d.
     """
     d = _check_int(d, "d", 1)
-    if not alpha > 1:
-        raise ValueError(f"tail of i**-alpha diverges unless alpha > 1, got {alpha!r}")
+    alpha = _check_real(alpha, "alpha", "(1, inf)")  # the tail diverges for alpha <= 1
     return float(d) ** (1.0 - alpha) / (alpha - 1.0)
 
 
@@ -286,10 +277,8 @@ def exp_tail_bound(d: int, beta: float, gamma: float) -> float:
     gamma = 1 this reduces to ``exp(-beta d) / beta``.
     """
     d = _check_int(d, "d", 1)
-    if not beta > 0:
-        raise ValueError(f"beta must be positive, got {beta!r}")
-    if not 0 < gamma <= 1:
-        raise ValueError(f"gamma must lie in (0, 1], got {gamma!r}")
+    beta = _check_real(beta, "beta", "(0, inf)")
+    gamma = _check_real(gamma, "gamma", "(0, 1]")
     # Imported here: scipy.special takes ~0.3 s to import, and only this function uses it.
     from scipy.special import gammaincc, gamma as gamma_fn
     s = 1.0 / gamma
@@ -316,11 +305,13 @@ def required_rank(n: int, hyp: DecayHypothesis, c: float = 1.0) -> int:
     ``d > (log(n) / beta)**(1/gamma)`` is honored by flooring and adding one.
     """
     n = _check_int(n, "n", 2)
-    if not c > 0:
-        raise ValueError(f"multiplier c must be positive, got {c!r}")
-    if hyp.kind == "P":
-        return math.ceil(c * float(n) ** (1.0 / hyp.alpha))
-    return math.floor((math.log(n) / hyp.beta) ** (1.0 / hyp.gamma)) + 1
+    c = _check_real(c, "multiplier c", "(0, inf)")
+    try:
+        if hyp.kind == "P":
+            return math.ceil(c * float(n) ** (1.0 / hyp.alpha))
+        return math.floor((math.log(n) / hyp.beta) ** (1.0 / hyp.gamma)) + 1
+    except OverflowError:
+        raise CapabilityError(f"the required rank for n = {n} is too large for a float") from None
 
 
 def largest_tail_gap(eigenvalues, i: int) -> float:

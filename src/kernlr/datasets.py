@@ -13,7 +13,7 @@ import csv
 import numpy as np
 
 from .kernels import as_dataset
-from .spectral import _check_int
+from .spectral import _check_int, _check_real
 
 
 def load_csv(path, delimiter: str = ",", has_header: bool = False, columns=None) -> np.ndarray:
@@ -34,14 +34,13 @@ def load_csv(path, delimiter: str = ",", has_header: bool = False, columns=None)
                 continue
             if width is None:
                 width = len(record)
+                if columns is not None:
+                    columns = [_check_int(c, f"{path}: column", 0, width - 1) for c in columns]
             elif len(record) != width:
                 raise ValueError(f"{path}: ragged row at line {lineno}: "
                                  f"expected {width} fields, got {len(record)}")
             if columns is not None:
-                try:
-                    record = [record[c] for c in columns]
-                except IndexError:
-                    raise ValueError(f"{path}: line {lineno} has no column {max(columns)}") from None
+                record = [record[c] for c in columns]
             try:
                 rows.append([float(cell) for cell in record])
             except ValueError:
@@ -71,6 +70,7 @@ def gmm_synthetic(n: int = 1000, p: int = 10, components: int = 10,
     """
     n, p = _check_int(n, "n", 1), _check_int(p, "p", 1)
     components = _check_int(components, "components", 1, p)
+    mean_scale = _check_real(mean_scale, "mean_scale", "[0, inf)")
     rng = np.random.default_rng(seed)
     labels = rng.integers(0, components, size=n)
     X = rng.standard_normal((n, p))
@@ -82,8 +82,7 @@ def gaussian_synthetic(n: int = 1000, p: int = 1, sigma: float = 1.0,
                        seed: int = 0) -> np.ndarray:
     """i.i.d. rows from N(0, sigma^2 I_p)."""
     n, p = _check_int(n, "n", 1), _check_int(p, "p", 1)
-    if sigma < 0:
-        raise ValueError(f"sigma must be >= 0, got {sigma!r}")
+    sigma = _check_real(sigma, "sigma", "[0, inf)")
     rng = np.random.default_rng(seed)
     return sigma * rng.standard_normal((n, p))
 

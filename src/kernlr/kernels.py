@@ -28,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateDataError
+from .spectral import _check_real
 
 _MATERN_NUS = (0.5, 1.5, 2.5)
 _PANEL_ROWS = 32  # rows per panel in the Gram and distance builds
@@ -48,15 +49,14 @@ class KernelSpec:
 
     def __post_init__(self):
         if self.family in ("matern", "rbf"):
-            if self.bandwidth is None or not math.isfinite(self.bandwidth) or self.bandwidth <= 0:
-                raise ValueError(f"bandwidth must be a positive real, got {self.bandwidth!r}")
+            object.__setattr__(self, "bandwidth", _check_real(self.bandwidth, "bandwidth", "(0, inf)"))
             if self.family == "matern" and self.nu not in _MATERN_NUS:
                 raise ValueError(f"matern smoothness nu must be one of {_MATERN_NUS}, got {self.nu!r}")
         elif self.family == "dot_product":
             if not self.coefficients:
                 raise ValueError("dot_product kernel needs at least one coefficient")
-            if any(not math.isfinite(b) or b < 0 for b in self.coefficients):
-                raise ValueError("dot_product coefficients must be finite and >= 0")
+            coefficients = tuple(_check_real(b, "coefficient", "[0, inf)") for b in self.coefficients)
+            object.__setattr__(self, "coefficients", coefficients)
         else:
             raise ValueError(f"unknown kernel family {self.family!r}")
 
@@ -70,12 +70,12 @@ class KernelSpec:
 
 def matern(nu: float, bandwidth: float) -> KernelSpec:
     """Matern kernel with half-integer smoothness ``nu`` in {1/2, 3/2, 5/2}."""
-    return KernelSpec(family="matern", bandwidth=float(bandwidth), nu=float(nu))
+    return KernelSpec(family="matern", bandwidth=bandwidth, nu=nu)
 
 
 def rbf(bandwidth: float) -> KernelSpec:
     """Squared-exponential kernel ``exp(-r^2 / (2 w^2))``."""
-    return KernelSpec(family="rbf", bandwidth=float(bandwidth))
+    return KernelSpec(family="rbf", bandwidth=bandwidth)
 
 
 def dot_product(coefficients) -> KernelSpec:
@@ -83,7 +83,7 @@ def dot_product(coefficients) -> KernelSpec:
 
     The coefficient list is a finite truncation chosen by the caller.
     """
-    return KernelSpec(family="dot_product", coefficients=tuple(float(b) for b in coefficients))
+    return KernelSpec(family="dot_product", coefficients=tuple(coefficients))
 
 
 def as_dataset(points) -> np.ndarray:

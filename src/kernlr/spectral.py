@@ -40,6 +40,26 @@ def _check_int(value, name: str, lo, hi=math.inf) -> int:
     return int(value)
 
 
+def _check_real(value, name: str, interval: str) -> float:
+    """``value`` as a ``float``, if it is a finite real number in ``interval``.
+
+    This is the one place the rule for real arguments is written. ``interval``
+    reads as the message prints it, such as ``"(0, inf)"`` or ``"(0, 1]"``;
+    ``bool``/``np.bool_``, nan, infinities and non-numbers never pass.
+    """
+    lo, hi = (float(end) for end in interval[1:-1].split(", "))
+    real = isinstance(value, numbers.Real) and not isinstance(value, (bool, np.bool_))
+    try:
+        x = float(value) if real else math.nan
+    except OverflowError:  # an integer too large for a float
+        x = math.inf
+    above = lo <= x if interval[0] == "[" else lo < x
+    below = x <= hi if interval[-1] == "]" else x < hi
+    if not (math.isfinite(x) and above and below):
+        raise ValueError(f"{name} must be a real number in {interval}, got {value!r}")
+    return x
+
+
 def _readonly(cls):
     """Frozen dataclass whose array fields are made read-only on construction.
 

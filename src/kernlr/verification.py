@@ -21,7 +21,7 @@ from typing import Callable
 import numpy as np
 
 from .analytic import GaussianRbfSpectrum, tensor_spectrum
-from .spectral import EigenDecomposition, _check_int, _readonly, eigendecompose, sup_norm_tail
+from .spectral import EigenDecomposition, _check_int, _check_real, _readonly, eigendecompose, sup_norm_tail
 
 MINOR_GAP_GUARD = 1e-6  # eigenvalue gaps below this make the minor identity degenerate
 TAIL_THRESHOLDS = (8.0, 10.0, 12.0, 16.0)  # the 4 exp(-t^2 / 32) bound means something for t >= 8
@@ -146,8 +146,7 @@ class EntryLaw:
 
 def bernoulli(p0: float) -> EntryLaw:
     """Entries equal to 1 with probability p0, else 0."""
-    if not 0.0 < p0 < 1.0:
-        raise ValueError(f"bernoulli parameter must lie in (0, 1), got {p0!r}")
+    p0 = _check_real(p0, "bernoulli parameter p0", "(0, 1)")
     return EntryLaw(
         name=f"bernoulli({p0:g})",
         variance=p0 * (1.0 - p0),
@@ -157,8 +156,9 @@ def bernoulli(p0: float) -> EntryLaw:
 
 def scaled(lo: float, hi: float) -> EntryLaw:
     """Entries uniform on a subinterval [lo, hi] of [0, 1]."""
-    if not 0.0 <= lo < hi <= 1.0:
-        raise ValueError(f"need 0 <= lo < hi <= 1, got lo={lo!r}, hi={hi!r}")
+    lo, hi = _check_real(lo, "lo", "[0, 1]"), _check_real(hi, "hi", "[0, 1]")
+    if not lo < hi:
+        raise ValueError(f"need lo < hi, got lo={lo!r}, hi={hi!r}")
     return EntryLaw(
         name=f"scaled({lo:g},{hi:g})",
         variance=(hi - lo) ** 2 / 12.0,

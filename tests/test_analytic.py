@@ -252,6 +252,15 @@ def test_required_rank_honors_strict_threshold():
     assert required_rank(1000, exponential_decay(beta)) == 8
 
 
+@pytest.mark.parametrize("hyp, c", [
+    (exponential_decay(0.1, gamma=0.001), 1.0),  # (log(n) / beta)**1000 overflows
+    (polynomial_decay(2.0), 1e308),              # c * sqrt(n) is inf
+])
+def test_required_rank_overflow_is_a_capability_error(hyp, c):
+    with pytest.raises(CapabilityError, match="n = 1000"):
+        required_rank(1000, hyp, c=c)
+
+
 def test_decay_hypothesis_validation():
     with pytest.raises(HypothesisError):
         polynomial_decay(0.5)

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -175,6 +176,18 @@ def test_rates_invalid_hypothesis_exits_2(capsys):
     assert "alpha" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, needle", [
+    (["P", "--alpha", "2", "--c", "inf"], "multiplier c must be a real number in (0, inf), got inf"),
+    (["P", "--alpha", "2", "--c", "1e308", "--n", "100"], "required rank for n = 100"),
+    (["E", "--beta", "0.1", "--gamma", "0.001", "--n", "1000"], "required rank for n = 1000"),
+])
+def test_rates_bad_multiplier_or_overflowing_rank_exits_2(capsys, argv, needle):
+    assert main(["rates", "--hypothesis"] + argv) == 2
+    captured = capsys.readouterr()
+    assert len(captured.err.splitlines()) == 1 and needle in captured.err, captured.err
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("grid, needle", [
     ("", "--n must list at least one sample size"),
     (",", "--n must list at least one sample size"),
@@ -295,7 +308,7 @@ _SMALL = {"kind": "gaussian", "n": 20, "p": 1}
     ({"dataset": {**_SMALL, "subsample": 50}},
      "dataset subsample: count must be an integer in [1, 20], got 50"),
     ({"dataset": _SMALL, "kernels": [{"family": "rbf", "bandwidth": "abc"}]},
-     "kernel 'rbf': could not convert"),
+     "kernel 'rbf': bandwidth must be a real number in (0, inf), got 'abc'"),
     ({"dataset": _SMALL, "kernels": [{"family": "matern", "nu": 0.7}]},
      "kernel 'matern': matern smoothness nu"),
     ({"dataset": _SMALL, "bandwidth": "abc"}, "config key 'bandwidth'"),
@@ -306,6 +319,19 @@ _SMALL = {"kind": "gaussian", "n": 20, "p": 1}
     ({"dataset": {"kind": "gmm", "n": 40, "subsample": True}},
      "dataset subsample: count must be an integer in [1, 40], got True"),
     ({"dataset": {"kind": "sphere", "n": 30.5}}, "dataset 'sphere': n must be an integer >= 1"),
+    # real fields: bools, strings and non-finite values are refused
+    ({"dataset": _SMALL, "kernels": [{"family": "rbf", "bandwidth": True}]},
+     "kernel 'rbf': bandwidth must be a real number in (0, inf), got True"),
+    ({"dataset": {"kind": "sphere", "n": 20},
+      "kernels": [{"family": "dot_product", "coefficients": "12"}]},
+     "kernel 'dot_product': coefficient must be a real number in [0, inf), got '1'"),
+    ({"dataset": {"kind": "sphere", "n": 20},
+      "kernels": [{"family": "dot_product", "coefficients": [1, True]}]},
+     "kernel 'dot_product': coefficient must be a real number in [0, inf), got True"),
+    ({"dataset": {"kind": "gmm", "n": 20, "mean_scale": math.inf}},
+     "dataset 'gmm': mean_scale must be a real number in [0, inf), got inf"),
+    ({"dataset": {**_SMALL, "sigma": math.nan}},
+     "dataset 'gaussian': sigma must be a real number in [0, inf), got nan"),
 ])
 def test_bad_config_exits_2_with_one_line(tmp_path, capsys, config, needle):
     assert _run_config(tmp_path, config) == 2
@@ -355,8 +381,8 @@ def test_median_bandwidth_computed_once_and_only_when_needed(tmp_path, monkeypat
 
 
 @pytest.mark.parametrize("argv, needle", [
-    (["--upsilon", "-1"], "upsilon must be a positive"),
-    (["--upsilon", "0"], "upsilon must be a positive"),
+    (["--upsilon", "-1"], "upsilon must be a real number in (0, inf), got -1.0"),
+    (["--upsilon", "0"], "upsilon must be a real number in (0, inf), got 0.0"),
     (["--upsilon", "2", "--count", "0"], "--count"),
     (["--upsilon", "2", "--count", "-3"], "--count"),
 ])

@@ -23,6 +23,14 @@ def test_load_csv_header_and_columns(tmp_path):
     assert out.tolist() == [[3.0, 1.0], [6.0, 4.0]]
 
 
+@pytest.mark.parametrize("column", [-1, True, 1.5, 3])
+def test_load_csv_columns_are_integers_within_the_width(tmp_path, column):
+    path = tmp_path / "data.csv"
+    path.write_text("1,2,3\n4,5,6\n")
+    with pytest.raises(ValueError, match=r"data\.csv: column must be an integer in \[0, 2\]"):
+        load_csv(path, columns=[0, column])
+
+
 def test_load_csv_crlf_and_delimiter(tmp_path):
     path = tmp_path / "data.csv"
     path.write_bytes(b"1;2\r\n3;4\r\n")

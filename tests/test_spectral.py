@@ -6,12 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kernlr import (
+    DecayHypothesis,
     EigenDecomposition,
     GaussianRbfSpectrum,
+    KernelSpec,
     SphereSpectrumParams,
     bernoulli,
+    beta_from_upsilon,
     compare_methods,
     delocalisation_report,
+    dot_product,
     eigendecompose,
     eigenvalue_deviation_report,
     entrywise_error_rate,
@@ -27,9 +31,12 @@ from kernlr import (
     jl_approximation,
     jl_error_bound,
     largest_tail_gap,
+    matern,
     poly_tail_bound,
+    polynomial_decay,
     rbf,
     required_rank,
+    scaled,
     sphere_harmonic_count,
     sphere_uniform,
     subsample,
@@ -451,6 +458,51 @@ def test_integer_parameters_refuse_bools_fractions_non_finite_and_out_of_range(p
     for value in (True, np.True_, 1.5, np.nan, np.inf, below):
         with pytest.raises(ValueError, match="must be an integer"):
             call(value)
+
+
+# Each row: a call taking one real value, and a finite value just outside its interval.
+_REAL_PARAMETERS = {
+    "GaussianRbfSpectrum sigma": (lambda v: GaussianRbfSpectrum(v, 1.0), 0.0),
+    "GaussianRbfSpectrum bandwidth": (lambda v: GaussianRbfSpectrum(1.0, v), 0.0),
+    "beta_from_upsilon upsilon": (beta_from_upsilon, 0.0),
+    "SphereSpectrumParams coefficient_decay": (
+        lambda v: SphereSpectrumParams(p=3, coefficient_decay=v), 0.0),
+    "SphereSpectrumParams geometric_ratio": (
+        lambda v: SphereSpectrumParams(p=3, geometric_ratio=v), 1.0),
+    "DecayHypothesis alpha": (lambda v: DecayHypothesis("P", alpha=v), 1.0),
+    "DecayHypothesis r": (lambda v: DecayHypothesis("P", alpha=3.0, r=v), -0.01),
+    "DecayHypothesis beta": (lambda v: DecayHypothesis("E", beta=v, gamma=1.0), 0.0),
+    "DecayHypothesis gamma": (lambda v: DecayHypothesis("E", beta=1.0, gamma=v), 1.01),
+    "DecayHypothesis s": (lambda v: DecayHypothesis("E", beta=1.0, gamma=1.0, s=v), -0.01),
+    "poly_tail_bound alpha": (lambda v: poly_tail_bound(10, v), 1.0),
+    "exp_tail_bound beta": (lambda v: exp_tail_bound(10, v, 1.0), 0.0),
+    "exp_tail_bound gamma": (lambda v: exp_tail_bound(10, 1.0, v), 1.01),
+    "required_rank c": (lambda v: required_rank(100, polynomial_decay(2.0), c=v), 0.0),
+    "KernelSpec bandwidth": (lambda v: KernelSpec("rbf", bandwidth=v), 0.0),
+    "KernelSpec coefficient": (lambda v: KernelSpec("dot_product", coefficients=(1.0, v)), -0.01),
+    "rbf bandwidth": (rbf, 0.0),
+    "matern bandwidth": (lambda v: matern(1.5, v), 0.0),
+    "dot_product coefficient": (lambda v: dot_product([v, 1.0]), -0.01),
+    "gaussian_synthetic sigma": (lambda v: gaussian_synthetic(n=5, sigma=v), -0.01),
+    "gmm_synthetic mean_scale": (lambda v: gmm_synthetic(n=5, mean_scale=v), -0.01),
+    "bernoulli p0": (bernoulli, 1.0),
+    "scaled lo": (lambda v: scaled(v, 1.0), -0.01),
+    "scaled hi": (lambda v: scaled(0.0, v), 1.01),
+}
+
+
+@pytest.mark.parametrize("parameter", list(_REAL_PARAMETERS))
+def test_real_parameters_refuse_bools_non_finite_strings_and_out_of_range(parameter):
+    call, outside = _REAL_PARAMETERS[parameter]
+    for value in (True, np.True_, np.nan, np.inf, -np.inf, "0.5", outside):
+        with pytest.raises(ValueError, match="must be a real number"):
+            call(value)
+
+
+def test_real_parameters_are_stored_as_floats():
+    assert type(GaussianRbfSpectrum(np.float32(0.5), 2).bandwidth) is float
+    assert dot_product([1, np.int64(2)]).coefficients == (1.0, 2.0)
+    assert type(polynomial_decay(np.float64(4.0), 1).r) is float
 
 
 def test_sup_norm_tail_random_orthogonal_basis_is_delocalised():
