@@ -69,10 +69,17 @@ class GaussianRbfSpectrum:
 def beta_from_upsilon(upsilon: float) -> float:
     """Exponential decay rate ``log((1 + u + sqrt(1 + 2u)) / u)`` of the spectrum.
 
-    Equals ``-log(ratio)``: eigenvalues decay like ``exp(-beta * i)``.
+    Equals ``-log(ratio)``: eigenvalues decay like ``exp(-beta * i)``. The
+    quotient overflows for tiny u and rounds to 1 for large u, so it is never
+    formed: ``log1p(u + sqrt(1 + 2u)) - log(u)`` adds two positive terms for
+    u < 1, and ``log1p(v + sqrt(v (2 + v)))`` with v = 1/u serves u >= 1.
+    Both stay accurate from the smallest subnormal to the largest float.
     """
-    upsilon = _check_real(upsilon, "upsilon", "(0, inf)")
-    return math.log((1.0 + upsilon + math.sqrt(1.0 + 2.0 * upsilon)) / upsilon)
+    u = _check_real(upsilon, "upsilon", "(0, inf)")
+    if u < 1.0:
+        return math.log1p(u + math.sqrt(1.0 + 2.0 * u)) - math.log(u)
+    v = 1.0 / u
+    return math.log1p(v + math.sqrt(v * (2.0 + v)))
 
 
 def gaussian_rbf_eigenvalue(i: int, spec: GaussianRbfSpectrum) -> float:

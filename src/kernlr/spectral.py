@@ -23,6 +23,8 @@ import numpy as np
 
 from .errors import EigensolverError
 
+_SIGN_PANEL_COLS = 32  # eigenvector columns per panel in the sign-convention pass
+
 
 def _check_int(value, name: str, lo, hi=math.inf) -> int:
     """``value`` as an ``int``, if it is an integer in ``[lo, hi]``.
@@ -133,10 +135,12 @@ def eigendecompose(gram) -> EigenDecomposition:
         raise EigensolverError(f"symmetric eigensolver did not converge: {exc}") from exc
     w = w[::-1].copy()
     U = U[:, ::-1].copy()
-    # Sign convention: largest-magnitude coordinate positive, first index wins ties.
-    lead = np.argmax(np.abs(U), axis=0)
-    flip = U[lead, np.arange(U.shape[1])] < 0
-    U[:, flip] *= -1.0
+    # Sign convention: largest-magnitude coordinate positive, first index wins
+    # ties. Taken over column panels, so no n x n temporary sits beside U.
+    for j in range(0, U.shape[1], _SIGN_PANEL_COLS):
+        P = U[:, j:j + _SIGN_PANEL_COLS]
+        lead = np.argmax(np.abs(P), axis=0)
+        P *= np.where(P[lead, np.arange(P.shape[1])] < 0, -1.0, 1.0)
     return EigenDecomposition(eigenvalues=w, eigenvectors=U)
 
 

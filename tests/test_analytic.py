@@ -60,6 +60,17 @@ def test_beta_value_and_identity():
         beta_from_upsilon(0.0)
 
 
+@pytest.mark.parametrize("upsilon, beta", [
+    (1e-308, 709.889355822726016),  # the quotient (1 + u + sqrt(1 + 2u)) / u overflows
+    (1e-300, 691.468675078773651),
+    (1e300, 1.41421356237309505e-150),  # the quotient rounds to 1
+    (1.0, 1.31695789692481671),
+])
+def test_beta_at_extreme_upsilon(upsilon, beta):
+    # reference values from 50-digit arithmetic
+    assert beta_from_upsilon(upsilon) == pytest.approx(beta, rel=1e-14)
+
+
 def test_eigenfunction_odd_orders_vanish_at_origin():
     assert gaussian_rbf_eigenfunction(1, 0.0, SPEC1) == 0.0
     assert gaussian_rbf_eigenfunction(3, 0.0, SPEC1) == 0.0

@@ -115,6 +115,15 @@ def test_verify_subspace_quick(tmp_path):
     assert main(["verify", "subspace", "--quick", "--out", str(tmp_path), "--seed", "2"]) == 0
 
 
+@pytest.mark.parametrize("seed", ["0", "1000003"])
+def test_verify_subspace_statistic_unchanged(tmp_path, seed):
+    # the value a Householder QR projection gives; the Cholesky route must match it
+    assert main(["verify", "subspace", "--quick", "--out", str(tmp_path), "--seed", seed]) == 0
+    with open(tmp_path / "verify.csv") as f:
+        row = f.read().splitlines()[1].split(",")
+    assert row[:2] == ["subspace", "-0.0013418505116100474"]
+
+
 def test_verify_eigdev_quick(tmp_path):
     assert main(["verify", "eigdev", "--quick", "--out", str(tmp_path), "--seed", "0"]) == 0
 
@@ -402,7 +411,7 @@ def test_eigensolver_failure_exits_1_and_names_stage(tmp_path, capsys, monkeypat
     assert "numerical failure in stage eigendecompose (rbf)" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("suite, solver", [("eigdev", "eigvalsh"), ("subspace", "qr")])
+@pytest.mark.parametrize("suite, solver", [("eigdev", "eigvalsh"), ("subspace", "cholesky")])
 def test_linalg_failure_outside_eigendecompose_exits_1(tmp_path, capsys, monkeypatch,
                                                        suite, solver):
     # LinAlgError is a ValueError; it must not be reported as a usage error.

@@ -254,6 +254,13 @@ def test_psd_products_peak_memory_is_result_plus_one_scaled_copy(product):
     assert _peak_bytes(product, eig) < 2.25 * n * n * 8
 
 
+def test_eigendecompose_peak_memory_is_two_matrices():
+    # eigh's U and its column-reversed copy; the sign pass adds one panel.
+    n = 600
+    K = gram_matrix(rbf(1.0), gaussian_synthetic(n, 3))
+    assert _peak_bytes(eigendecompose, K) < 2.25 * n * n * 8
+
+
 def test_indefinite_truncate_peak_memory():
     # The result, one scaled copy of U and the product of the negative part.
     n = 600

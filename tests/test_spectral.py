@@ -308,6 +308,16 @@ def test_eigenvector_sign_convention_on_drawn_matrices(K):
         assert u[first_largest] > 0.0
 
 
+def test_sign_convention_panels_match_whole_matrix_rule():
+    # n spans many column panels of the sign pass; the result must equal the
+    # rule applied to the whole matrix at once, bit for bit.
+    K = gram_matrix(rbf(1.0), gaussian_synthetic(600, 3))
+    U = np.linalg.eigh(K)[1][:, ::-1].copy()
+    flip = U[np.argmax(np.abs(U), axis=0), np.arange(600)] < 0
+    U[:, flip] *= -1.0
+    assert np.array_equal(eigendecompose(K).eigenvectors, U)
+
+
 @settings(max_examples=100, deadline=None)
 @given(K=_symmetric_matrices(), data=st.data())
 def test_truncate_is_bitwise_symmetric_on_drawn_matrices(K, data):

@@ -17,6 +17,7 @@ from kernlr import (
     scaled,
     subspace_distance_experiment,
 )
+from kernlr.verification import _projection_norms
 
 K2 = np.array([[2.0, 1.0], [1.0, 2.0]])
 
@@ -179,7 +180,20 @@ def test_subspace_experiment_other_laws():
     assert np.all(report.frequencies <= report.bounds)
 
 
+@pytest.mark.parametrize("n, q", [(1024, 256), (512, 256), (257, 256), (1024, 1023)])
+def test_projection_norms_match_householder_qr(n, q):
+    rng = np.random.default_rng(q)
+    G = rng.standard_normal((n, q))
+    G -= G.mean(axis=0)
+    Y = (rng.random((n, 100)) < 0.5).astype(float)
+    Q, _ = np.linalg.qr(G, mode="reduced")
+    expected = np.linalg.norm(Q.T @ Y, axis=0)
+    assert _projection_norms(G, Y) == pytest.approx(expected, rel=1e-9)
+
+
 def test_subspace_experiment_deterministic():
     a = subspace_distance_experiment(n=512, q=256, law=bernoulli(0.5), trials=300, seed=6)
     b = subspace_distance_experiment(n=512, q=256, law=bernoulli(0.5), trials=300, seed=6)
     assert np.array_equal(a.frequencies, b.frequencies)
+    # the value a Householder QR projection gives; the Cholesky route must match it
+    assert a.frequencies.tolist() == [0.0, 0.0, 0.0, 0.0]
