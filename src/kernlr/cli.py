@@ -30,7 +30,7 @@ import sys
 
 import numpy as np
 
-from . import datasets, kernels, verification
+from . import datasets, kernels
 from .analytic import (
     GaussianRbfSpectrum,
     beta_from_upsilon,
@@ -45,6 +45,7 @@ from .kernels import KernelSpec, gram_matrix
 from .random_projection import compare_methods
 from .spectral import eigendecompose, error_sweep
 from .svgplot import line_plot
+from .verification import CHECKS, run_check
 
 ENV_OUT = "KERNLR_OUT"
 
@@ -275,97 +276,18 @@ def cmd_compare(args) -> int:
 
 # --------------------------------------------------------------- verify
 
-def _check_identity(seed, quick):
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for n in (10, 50):
-        for _ in range(5 if quick else 10):
-            G = rng.standard_normal((2 * n, n))
-            K = G.T @ G / (2 * n)  # SYRK: symmetric bit for bit
-            report = verification.minor_identity_check(K)
-            worst = max(worst, report.max_discrepancy)
-    return worst, 1e-6, "PSD instances, n in (10, 50)"
-
-
-def _check_interlacing(seed, quick):
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for n in (10, 100):
-        for _ in range(5 if quick else 10):
-            A = rng.standard_normal((n, n))
-            K = (A + A.T) / 2.0
-            eig = eigendecompose(K)
-            minor = verification.minor_decomposition(K)
-            worst = max(worst, verification.interlacing_check(eig, minor))
-    return worst, 1e-10, "symmetric instances, n in (10, 100)"
-
-
-def _check_delocalisation(seed, quick):
-    n = 500 if quick else 2000
-    X = datasets.gaussian_synthetic(n, 1, sigma=1.0, seed=seed)
-    spec = GaussianRbfSpectrum(sigma=1.0, bandwidth=1.0)
-    d = required_rank(n, exponential_decay(spec.beta))
-    gram = gram_matrix(kernels.rbf(1.0), X)
-    eig = eigendecompose(gram)
-    stat = verification.delocalisation_report(eig, d)
-    return stat, 10.0, f"rbf Gram, n={n}, d={d}"
-
-
-def _check_subspace(seed, quick):
-    trials = 2000 if quick else 10000
-    report = verification.subspace_distance_experiment(
-        n=1024, q=256, law=verification.bernoulli(0.5), trials=trials, seed=seed)
-    excess = float(np.max(report.frequencies - report.bounds))
-    detail = "freq vs bound at t=" + ",".join(f"{t:g}" for t in report.thresholds)
-    return excess, 0.0, detail
-
-
-def _check_eigdev(seed, quick):
-    n = 1000 if quick else 4000
-    seeds = 3 if quick else 10
-    spec = GaussianRbfSpectrum(sigma=1.0, bandwidth=1.0)
-    devs = []
-    for k in range(seeds):
-        X = datasets.gaussian_synthetic(n, 1, sigma=1.0, seed=seed + k)
-        K = gram_matrix(kernels.rbf(1.0), X)
-        w = np.linalg.eigvalsh(K)[::-1]
-        report = verification.eigenvalue_deviation_report(w, spec, count=5)
-        devs.append(report.rel_deviation)
-    worst = float(np.max(np.median(np.array(devs), axis=0)))
-    return worst, 0.1, f"n={n}, median over {seeds} seeds, top 5 eigenvalues"
-
-
-_SUITES = {
-    "identity": (_check_identity, False),
-    "interlacing": (_check_interlacing, False),
-    "delocalisation": (_check_delocalisation, True),
-    "subspace": (_check_subspace, True),
-    "eigdev": (_check_eigdev, True),
-}
-
-
 def cmd_verify(args) -> int:
     config = _load_config(args)
-    seed = config["seed"]
-    names = list(_SUITES) if args.suite == "all" else [args.suite]
+    names = list(CHECKS) if args.suite == "all" else [args.suite]
     out = _ensure_out(config["out"])
 
     rows = []
-    all_ok = True
     for name in names:
-        check, statistical = _SUITES[name]
-        used_seed = seed
-        stat, threshold, detail = check(used_seed, args.quick)
-        ok = stat <= threshold
-        if not ok and statistical:
-            # Statistical assertions get exactly one seeded re-run.
-            used_seed = seed + 1000003
-            print(f"{name}: statistic {stat:.6g} exceeded {threshold:g}; "
-                  f"re-running once with seed {used_seed}")
-            stat, threshold, detail = check(used_seed, args.quick)
-            ok = stat <= threshold
-        rows.append((name, stat, threshold, ok, used_seed, detail))
-        all_ok &= ok
+        row, first = run_check(name, config["seed"], args.quick)
+        if first is not None:
+            print(f"{name}: statistic {first:.6g} exceeded {row[2]:g}; "
+                  f"re-running once with seed {row[4]}")
+        rows.append(row)
 
     width = max(len(name) for name, *_ in rows)
     for name, stat, threshold, ok, used_seed, detail in rows:
@@ -375,7 +297,7 @@ def cmd_verify(args) -> int:
     _write_csv(out, "verify.csv", ["check", "statistic", "threshold", "passed", "seed", "detail"],
                [(name, stat, threshold, int(ok), used_seed, detail)
                 for name, stat, threshold, ok, used_seed, detail in rows])
-    return 0 if all_ok else 1
+    return 0 if all(row[3] for row in rows) else 1
 
 
 # ------------------------------------------------------- spectrum, rates
@@ -453,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="numerical checks of the spectral identities")
     common(p)
-    p.add_argument("suite", choices=sorted(_SUITES) + ["all"])
+    p.add_argument("suite", choices=sorted(CHECKS) + ["all"])
     p.add_argument("--quick", action="store_true", help="smaller instances, smoke-test sizes")
     p.set_defaults(func=cmd_verify)
 

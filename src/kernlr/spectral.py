@@ -178,7 +178,8 @@ def sup_norm_tail(eig: EigenDecomposition, d: int) -> float:
     """Largest absolute eigenvector coordinate over the discarded tail."""
     if _check_int(d, "rank", 0, eig.n) == eig.n:
         raise ValueError(f"need 0 <= d < n={eig.n} (the tail must be non-empty), got {d!r}")
-    return float(np.abs(eig.eigenvectors[:, int(d):]).max())
+    T = eig.eigenvectors[:, int(d):]
+    return float(max(T.max(), -T.min()))
 
 
 def error_sweep(gram, eig: EigenDecomposition, ranks) -> RankSweepResult:
@@ -207,7 +208,7 @@ def error_sweep(gram, eig: EigenDecomposition, ranks) -> RankSweepResult:
 
     w, U = eig.eigenvalues, eig.eigenvectors
     abs_sums = _tail_abs_sums(w)
-    sup_norms = np.maximum.accumulate(np.abs(U).max(axis=0)[::-1])[::-1]
+    sup_norms = np.maximum.accumulate(np.maximum(U.max(axis=0), -U.min(axis=0))[::-1])[::-1]
     rows = []
     R = K.copy()
     done = 0

@@ -10,6 +10,10 @@ vectors into a measurable quantity:
 * deviations of sample eigenvalues from an analytic spectrum, and
 * a Monte Carlo tally of the concentration of the distance between a random
   vector and a subspace against its ``4 exp(-t^2 / 32)`` tail bound.
+
+``CHECKS`` holds the experiments of ``kernlr verify`` and the acceptance suite:
+each maps (seed, quick) to (statistic, threshold, detail) and passes when
+statistic <= threshold. ``run_check`` runs one under the re-run rule.
 """
 
 from __future__ import annotations
@@ -20,7 +24,9 @@ from typing import Callable
 
 import numpy as np
 
-from .analytic import GaussianRbfSpectrum, tensor_spectrum
+from .analytic import GaussianRbfSpectrum, exponential_decay, required_rank, tensor_spectrum
+from .datasets import gaussian_synthetic
+from .kernels import gram_matrix, rbf
 from .spectral import EigenDecomposition, _check_int, _check_real, _readonly, eigendecompose, sup_norm_tail
 
 MINOR_GAP_GUARD = 1e-6  # eigenvalue gaps below this make the minor identity degenerate
@@ -250,3 +256,82 @@ def subspace_distance_experiment(n: int, q: int, law: EntryLaw, trials: int, see
         sigma2=law.variance,
         seed=int(seed),
     )
+
+
+_SPEC1 = GaussianRbfSpectrum(sigma=1.0, bandwidth=1.0)  # rbf(1) on 1-D N(0, 1) data
+
+
+def _gauss1d_gram(n, seed):
+    return gram_matrix(rbf(1.0), gaussian_synthetic(n, 1, sigma=1.0, seed=seed))
+
+
+def _check_identity(seed, quick):
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for n in (10, 50):
+        for _ in range(5 if quick else 10):
+            G = rng.standard_normal((2 * n, n))
+            K = G.T @ G / (2 * n)  # SYRK: symmetric bit for bit
+            worst = max(worst, minor_identity_check(K).max_discrepancy)
+    return worst, 1e-6, "PSD instances, n in (10, 50)"
+
+
+def _check_interlacing(seed, quick):
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for n in (10, 100):
+        for _ in range(5 if quick else 10):
+            A = rng.standard_normal((n, n))
+            K = (A + A.T) / 2.0
+            worst = max(worst, interlacing_check(eigendecompose(K), minor_decomposition(K)))
+    return worst, 1e-10, "symmetric instances, n in (10, 100)"
+
+
+def _check_delocalisation(seed, quick):
+    n = 500 if quick else 2000
+    d = required_rank(n, exponential_decay(_SPEC1.beta))
+    stat = delocalisation_report(eigendecompose(_gauss1d_gram(n, seed)), d)
+    return stat, 10.0, f"rbf Gram, n={n}, d={d}"
+
+
+def _check_subspace(seed, quick):
+    trials = 2000 if quick else 10000
+    report = subspace_distance_experiment(n=1024, q=256, law=bernoulli(0.5), trials=trials, seed=seed)
+    excess = float(np.max(report.frequencies - report.bounds))
+    detail = "freq vs bound at t=" + ",".join(f"{t:g}" for t in report.thresholds)
+    return excess, 0.0, detail
+
+
+def _check_eigdev(seed, quick):
+    n = 1000 if quick else 4000
+    seeds = 3 if quick else 10
+    devs = []
+    for k in range(seeds):
+        w = np.linalg.eigvalsh(_gauss1d_gram(n, seed + k))[::-1]
+        devs.append(eigenvalue_deviation_report(w, _SPEC1, count=5).rel_deviation)
+    worst = float(np.max(np.median(np.array(devs), axis=0)))
+    return worst, 0.1, f"n={n}, median over {seeds} seeds, top 5 eigenvalues"
+
+
+CHECKS = {
+    "identity": _check_identity,
+    "interlacing": _check_interlacing,
+    "delocalisation": _check_delocalisation,
+    "subspace": _check_subspace,
+    "eigdev": _check_eigdev,
+}
+_STATISTICAL = ("delocalisation", "subspace", "eigdev")
+
+
+def run_check(name: str, seed: int, quick: bool) -> tuple[tuple, float | None]:
+    """Run ``CHECKS[name]``; a failing statistical check gets exactly one re-run, at a fixed seed offset.
+
+    Returns the row ``(name, statistic, threshold, passed, seed used, detail)``
+    and the first run's statistic if the check was re-run, else None.
+    """
+    stat, threshold, detail = CHECKS[name](seed, quick)
+    first = None
+    if not stat <= threshold and name in _STATISTICAL:
+        first, seed = stat, seed + 1000003
+        stat, threshold, detail = CHECKS[name](seed, quick)
+    return (name, stat, threshold, stat <= threshold, seed, detail), first

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import math
 import os
@@ -138,6 +139,22 @@ def test_verify_failing_check_exits_1_and_names_it(tmp_path, capsys):
     assert "FAIL delocalisation" in out
     assert "re-running once" in out
     assert (tmp_path / "verify.csv").exists()
+
+
+def _bench_oracle():
+    path = Path(__file__).resolve().parents[1] / "bench" / "oracle.py"
+    spec = importlib.util.spec_from_file_location("bench_oracle", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module, path.parent / "reference" / "verify-all"
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_verify_all_quick_matches_benchmark_reference(tmp_path, seed):
+    # The benchmark's verify-all workload, checked with its own oracle.
+    oracle, reference = _bench_oracle()
+    assert main(["verify", "all", "--quick", "--out", str(tmp_path), "--seed", str(seed)]) == 1
+    assert oracle.compare_outputs(tmp_path, reference / f"seed{seed}", ["verify.csv"]) == []
 
 
 def test_verify_unknown_suite_exits_2(tmp_path):

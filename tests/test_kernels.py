@@ -11,6 +11,7 @@ from kernlr import (
     DegenerateDataError,
     dot_product,
     eigendecompose,
+    error_sweep,
     evaluate,
     factor_from_eigendecomposition,
     gaussian_synthetic,
@@ -19,6 +20,7 @@ from kernlr import (
     median_heuristic,
     rbf,
     standardize,
+    sup_norm_tail,
     truncate,
 )
 from kernlr.kernels import _PANEL_ROWS, KernelSpec, _radial
@@ -267,6 +269,23 @@ def test_indefinite_truncate_peak_memory():
     A = np.random.default_rng(5).standard_normal((n, n))
     eig = eigendecompose((A + A.T) / 2.0)
     assert _peak_bytes(truncate, eig, n) < 3.25 * n * n * 8
+
+
+@pytest.mark.parametrize("d", [0, 5])
+def test_sup_norm_tail_peak_memory_is_no_matrix(d):
+    # max |u| is read as max(T.max(), -T.min()); no |U| temporary.
+    n = 600
+    eig = eigendecompose(gram_matrix(rbf(1.0), gaussian_synthetic(n, 3)))
+    assert _peak_bytes(sup_norm_tail, eig, d) < 0.25 * n * n * 8
+
+
+def test_error_sweep_peak_memory_is_residual_plus_one_product():
+    # The residual R and the product of one rank interval; the column maxima of
+    # |U| and the max entry of |R| are read without an n x n temporary.
+    n = 600
+    K = gram_matrix(rbf(1.0), gaussian_synthetic(n, 3))
+    eig = eigendecompose(K)
+    assert _peak_bytes(error_sweep, K, eig, [0, 1, 5, 50, n]) < 2.25 * n * n * 8
 
 
 def test_median_heuristic_peak_memory_is_one_buffer_of_pairs():

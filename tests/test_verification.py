@@ -16,8 +16,10 @@ from kernlr import (
     rbf,
     scaled,
     subspace_distance_experiment,
+    tensor_spectrum,
+    verification,
 )
-from kernlr.verification import _projection_norms
+from kernlr.verification import _projection_norms, run_check
 
 K2 = np.array([[2.0, 1.0], [1.0, 2.0]])
 
@@ -197,3 +199,33 @@ def test_subspace_experiment_deterministic():
     assert np.array_equal(a.frequencies, b.frequencies)
     # the value a Householder QR projection gives; the Cholesky route must match it
     assert a.frequencies.tolist() == [0.0, 0.0, 0.0, 0.0]
+
+
+def _swap_first_two_vectors(eig):
+    # Eigenvectors paired with the wrong eigenvalues.
+    U = eig.eigenvectors[:, [1, 0, *range(2, eig.n)]]
+    return EigenDecomposition(eigenvalues=eig.eigenvalues, eigenvectors=U)
+
+
+def _second_minor_value_past_first(minor):
+    v = minor.eigenvalues.copy()
+    v[1] = 2.0 * v[0] - v[1]  # reflected past its neighbour v[0]
+    return EigenDecomposition(eigenvalues=v, eigenvectors=minor.eigenvectors)
+
+
+def _spectrum_at_double_bandwidth(spec, count):
+    return tensor_spectrum(GaussianRbfSpectrum(sigma=spec.sigma, bandwidth=2.0 * spec.bandwidth), count)
+
+
+@pytest.mark.parametrize("name, target, fault", [
+    ("identity", "eigendecompose", lambda f: lambda K: _swap_first_two_vectors(f(K))),
+    ("interlacing", "minor_decomposition", lambda f: lambda K: _second_minor_value_past_first(f(K))),
+    ("eigdev", "tensor_spectrum", lambda f: _spectrum_at_double_bandwidth),
+], ids=["identity", "interlacing", "eigdev"])
+def test_verify_check_fails_on_planted_fault(monkeypatch, name, target, fault):
+    # The fault is planted in a library function the check calls, so it runs
+    # through the code path of `kernlr verify`.
+    assert run_check(name, 0, True)[0][3]  # passes without the fault
+    monkeypatch.setattr(verification, target, fault(getattr(verification, target)))
+    (_, stat, threshold, passed, _, _), _ = run_check(name, 0, True)
+    assert not passed and stat > threshold
