@@ -163,15 +163,15 @@ def truncate(eig: EigenDecomposition, d: int) -> np.ndarray:
     return T
 
 
-def _tail_abs_sums(w: np.ndarray) -> np.ndarray:
-    # Entry d is the sum of |w[d:]|, added from the smallest end; entry n is 0.
-    return np.append(np.cumsum(np.abs(w[::-1]))[::-1], 0.0)
+def _suffix_sums(x: np.ndarray) -> np.ndarray:
+    # Entry d is the sum of x[d:], added from the end; entry n is 0.
+    return np.append(np.cumsum(x[::-1])[::-1], 0.0)
 
 
 def tail_abs_sum(eig: EigenDecomposition, d: int) -> float:
     """Sum of absolute eigenvalues discarded by a rank-d truncation."""
     d = _check_int(d, "rank", 0, eig.n)
-    return float(_tail_abs_sums(eig.eigenvalues)[d])
+    return float(_suffix_sums(np.abs(eig.eigenvalues))[d])
 
 
 def sup_norm_tail(eig: EigenDecomposition, d: int) -> float:
@@ -185,16 +185,22 @@ def sup_norm_tail(eig: EigenDecomposition, d: int) -> float:
 def error_sweep(gram, eig: EigenDecomposition, ranks) -> RankSweepResult:
     """Residual error metrics of the rank-d truncation on a grid of ranks.
 
-    The residual ``R = K - truncate(eig, d)`` is updated once per interval
-    ``[a, b)`` between requested ranks, by one matrix product over the block of
-    eigenpairs it adds, ``R -= (U[:, a:b] * w[a:b]) @ U[:, a:b].T``, and measured:
+    * ``max_entry_error``: largest absolute entry of the residual
+      ``R = K - truncate(eig, d) = sum_{l>=d} w_l u_l u_l^T``. If R is PSD, its 2x2
+      principal minors are >= 0, so ``R_ij**2 <= R_ii R_jj``: the answer is the
+      largest ``R_ii = sum_{l>=d} w_l u_l(i)**2``, the paper's quantity. The
+      diagonal starts at ``diag(K)`` and loses ``sum_l w_l u_l(i)**2`` over each
+      interval ``[a, b)`` between requested ranks, O(n * max rank) in all.
+    * ``frobenius_error``: square roots of suffix sums of ``w**2``;
+    * ``spectral_error``: largest-magnitude discarded eigenvalue;
+    * ``tail_abs_sum`` and ``sup_norm_tail``: suffix sums of ``|w|`` and suffix
+      maxima of the column maxima of ``|U|``.
 
-    * ``max_entry_error``: largest absolute entry of the residual,
-    * ``frobenius_error``: Frobenius norm of the residual,
-    * ``spectral_error``: largest-magnitude discarded eigenvalue,
-    * ``tail_abs_sum`` and ``sup_norm_tail`` of the discarded eigenpairs, read
-      from suffix sums of ``|w|`` and suffix maxima of the column maxima of
-      ``|U|``, computed once for all ranks.
+    Fallback: if ``max_i sum_{w_l<0} |w_l| u_l(i)**2 > n * eps * max|w|``
+    (judged at rank 0; later tails hold fewer negative values), the largest
+    entry may lie off the diagonal, and the n x n residual is kept instead,
+    updated by ``R -= (U[:, a:b] * w[a:b]) @ U[:, a:b].T``. Kernel Gram matrices
+    are PSD up to round-off and never take it; indefinite matrices do.
 
     ``ranks`` must be sorted ascending, all within [0, n]; repeats are allowed.
     """
@@ -207,10 +213,13 @@ def error_sweep(gram, eig: EigenDecomposition, ranks) -> RankSweepResult:
         raise ValueError("ranks must be sorted ascending")
 
     w, U = eig.eigenvalues, eig.eigenvectors
-    abs_sums = _tail_abs_sums(w)
+    abs_sums, frobenius = _suffix_sums(np.abs(w)), np.sqrt(_suffix_sums(w * w))
     sup_norms = np.maximum.accumulate(np.maximum(U.max(axis=0), -U.min(axis=0))[::-1])[::-1]
+    k = np.count_nonzero(w >= 0.0)  # w is descending, so w[k:] holds its negative values
+    negative = np.einsum("ij,ij,j->i", U[:, k:], U[:, k:], -w[k:])
+    dense = negative.max(initial=0.0) > n * np.finfo(float).eps * np.abs(w).max(initial=0.0)
+    R = K.copy() if dense else np.diag(K).copy()
     rows = []
-    R = K.copy()
     done = 0
     for d in ranks:
         if d == n:  # nothing discarded: errors are zero by definition
@@ -218,10 +227,10 @@ def error_sweep(gram, eig: EigenDecomposition, ranks) -> RankSweepResult:
             continue
         if d > done:
             V = U[:, done:d]
-            R -= (V * w[done:d]) @ V.T
+            R -= (V * w[done:d]) @ V.T if dense else np.einsum("ij,ij,j->i", V, V, w[done:d])
             done = d
         # w is descending, so the extreme magnitudes of w[d:] sit at its ends.
-        rows.append((max(R.max(), -R.min()), np.linalg.norm(R), max(abs(w[d]), abs(w[-1])),
+        rows.append((max(R.max(), -R.min()), frobenius[d], max(abs(w[d]), abs(w[-1])),
                      abs_sums[d], sup_norms[d]))
     columns = np.array(rows, dtype=float).reshape(len(ranks), 5).T.copy()
     return RankSweepResult(np.array(ranks, dtype=int), *columns)

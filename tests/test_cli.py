@@ -141,20 +141,32 @@ def test_verify_failing_check_exits_1_and_names_it(tmp_path, capsys):
     assert (tmp_path / "verify.csv").exists()
 
 
-def _bench_oracle():
-    path = Path(__file__).resolve().parents[1] / "bench" / "oracle.py"
-    spec = importlib.util.spec_from_file_location("bench_oracle", path)
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def _bench_oracle(workload):
+    spec = importlib.util.spec_from_file_location("bench_oracle", BENCH / "oracle.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module, path.parent / "reference" / "verify-all"
+    return module, BENCH / "reference" / workload
 
 
 @pytest.mark.parametrize("seed", [0, 1])
 def test_verify_all_quick_matches_benchmark_reference(tmp_path, seed):
     # The benchmark's verify-all workload, checked with its own oracle.
-    oracle, reference = _bench_oracle()
+    oracle, reference = _bench_oracle("verify-all")
     assert main(["verify", "all", "--quick", "--out", str(tmp_path), "--seed", str(seed)]) == 1
     assert oracle.compare_outputs(tmp_path, reference / f"seed{seed}", ["verify.csv"]) == []
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_sweep_matches_benchmark_reference(tmp_path, seed):
+    # The benchmark's sweep-gmm workload, checked with its own oracle.
+    oracle, reference = _bench_oracle("sweep-gmm")
+    config = str(BENCH / "configs" / "sweep-gmm.json")
+    assert main(["sweep", "--config", config, "--out", str(tmp_path), "--seed", str(seed)]) == 0
+    names = [f"sweep_{k}.csv" for k in ("matern12", "matern32", "matern52", "rbf")]
+    assert oracle.compare_outputs(tmp_path, reference / f"seed{seed}", names) == []
 
 
 def test_verify_unknown_suite_exits_2(tmp_path):

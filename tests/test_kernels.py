@@ -288,6 +288,15 @@ def test_error_sweep_peak_memory_is_residual_plus_one_product():
     assert _peak_bytes(error_sweep, K, eig, [0, 1, 5, 50, n]) < 2.25 * n * n * 8
 
 
+def test_error_sweep_peak_memory_on_a_psd_gram_is_no_matrix():
+    # A PSD residual's largest entry is on its diagonal, so only a length-n
+    # diagonal is updated: no residual and no product is formed.
+    n = 600
+    K = gram_matrix(rbf(1.0), gaussian_synthetic(n, 3))
+    eig = eigendecompose(K)
+    assert _peak_bytes(error_sweep, K, eig, [0, 1, 5, 50, n]) < 0.25 * n * n * 8
+
+
 def test_median_heuristic_peak_memory_is_one_buffer_of_pairs():
     # The n (n - 1) / 2 distances are about half an n x n array.
     n = 2000

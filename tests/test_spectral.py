@@ -233,6 +233,62 @@ def test_error_sweep_matches_direct_residual_and_tail_statistics(case):
     assert np.all(np.diff(sweep.tail_abs_sum) <= 0.0)
 
 
+@st.composite
+def _kernel_gram_and_ranks(draw):
+    # A kernel Gram matrix (PSD up to round-off) and a rank grid with at least
+    # one rank in [n/2, n], where the smooth kernels' spectra are round-off.
+    n = draw(st.integers(1, 200))
+    seed = draw(st.integers(0, 2**32 - 1))
+    family = draw(st.sampled_from(["rbf", "matern", "dot_product"]))
+    if family == "dot_product":
+        X = sphere_uniform(n, draw(st.integers(2, 4)), seed=seed)
+        kernel = dot_product([0.5**i for i in range(draw(st.integers(1, 40)))])
+    else:
+        X = gaussian_synthetic(n, draw(st.integers(1, 4)), seed=seed)
+        bandwidth = draw(st.sampled_from([0.3, 1.0, 3.0]))
+        kernel = (rbf(bandwidth) if family == "rbf"
+                  else matern(draw(st.sampled_from([0.5, 1.5, 2.5])), bandwidth))
+    ranks = sorted(draw(st.lists(st.integers(0, n), max_size=4))
+                   + draw(st.lists(st.integers(n // 2, n), min_size=1, max_size=4)))
+    return gram_matrix(kernel, X), ranks
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_kernel_gram_and_ranks())
+def test_error_sweep_on_kernel_grams_matches_direct_residual(case):
+    K, ranks = case
+    eig = eigendecompose(K)
+    w, U = eig.eigenvalues, eig.eigenvectors
+    # The negative part is below the fallback threshold: the diagonal path runs.
+    negative = -((U * U) @ np.minimum(w, 0.0)).min()
+    assert negative <= K.shape[0] * np.finfo(float).eps * np.abs(w).max()
+    sweep = error_sweep(K, eig, ranks)
+    tol = 1e-12 * np.linalg.norm(K)
+    for i, d in enumerate(ranks):
+        direct = K - truncate(eig, d)
+        assert abs(sweep.max_entry_error[i] - np.abs(direct).max()) <= tol
+        assert abs(sweep.frobenius_error[i] - np.linalg.norm(direct)) <= tol
+
+
+def test_error_sweep_falls_back_on_an_off_diagonal_maximum():
+    # K has a zero diagonal, so the diagonal of its residual at rank 0 is 0;
+    # its negative eigenvalue -1 sends error_sweep to the dense residual.
+    K = np.array([[0.0, 1.0], [1.0, 0.0]])
+    assert error_sweep(K, eigendecompose(K), [0]).max_entry_error[0] == 1.0
+
+
+def test_error_sweep_falls_back_on_a_larger_indefinite_matrix():
+    K = _random_symmetric(40, np.random.default_rng(11))
+    np.fill_diagonal(K, 0.0)
+    eig = eigendecompose(K)
+    ranks = [0, 1, 2, 3]
+    sweep = error_sweep(K, eig, ranks)
+    for i, d in enumerate(ranks):
+        R = np.abs(K - truncate(eig, d))
+        assert R.max() > np.diag(R).max()  # the largest entry is off the diagonal
+        assert sweep.max_entry_error[i] == pytest.approx(R.max(), rel=1e-12)
+
+
 def test_spectral_error_matches_power_iteration():
     rng = np.random.default_rng(8)
     K = _random_symmetric(25, rng)
