@@ -41,23 +41,17 @@ def load_csv(path, delimiter: str = ",", has_header: bool = False, columns=None)
                                  f"expected {width} fields, got {len(record)}")
             if columns is not None:
                 record = [record[c] for c in columns]
-            try:
-                rows.append([float(cell) for cell in record])
-            except ValueError:
-                bad = next(i for i, cell in enumerate(record) if not _is_number(cell))
-                raise ValueError(f"{path}: non-numeric cell at line {lineno}, column {bad + 1}: "
-                                 f"{record[bad]!r}") from None
+            row = []
+            for column, cell in enumerate(record, start=1):
+                try:
+                    row.append(float(cell))
+                except ValueError:
+                    raise ValueError(f"{path}: non-numeric cell at line {lineno}, column {column}: "
+                                     f"{cell!r}") from None
+            rows.append(row)
     if not rows:
         raise ValueError(f"{path}: no data rows")
     return as_dataset(np.array(rows))
-
-
-def _is_number(cell: str) -> bool:
-    try:
-        float(cell)
-        return True
-    except ValueError:
-        return False
 
 
 def gmm_synthetic(n: int = 1000, p: int = 10, components: int = 10,

@@ -28,10 +28,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateDataError
-from .spectral import _check_real
+from .spectral import _PANEL_ROWS, _check_real
 
 _MATERN_NUS = (0.5, 1.5, 2.5)
-_PANEL_ROWS = 32  # rows per panel in the Gram and distance builds
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import EigensolverError
 
-_SIGN_PANEL_COLS = 32  # eigenvector columns per panel in the sign-convention pass
+_PANEL_ROWS = 32  # rows (or columns) per panel wherever an n x n array is walked in panels
 
 
 def _check_int(value, name: str, lo, hi=math.inf) -> int:
@@ -113,10 +113,13 @@ def _as_symmetric(gram) -> np.ndarray:
     K = np.asarray(gram, dtype=float)
     if K.ndim != 2 or K.shape[0] != K.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {K.shape}")
-    if not np.all(np.isfinite(K)):
+    # max and min propagate nan and +-inf, and form no n x n temporary.
+    if not (math.isfinite(K.max(initial=0.0)) and math.isfinite(K.min(initial=0.0))):
         raise ValueError("matrix contains non-finite entries")
-    if not np.array_equal(K, K.T):
-        raise ValueError("matrix is not exactly symmetric; symmetrize it first")
+    # One row panel against the matching column panel, so each pair is compared once.
+    for i in range(0, K.shape[0], _PANEL_ROWS):
+        if not np.array_equal(K[i:i + _PANEL_ROWS, i:], K[i:, i:i + _PANEL_ROWS].T):
+            raise ValueError("matrix is not exactly symmetric; symmetrize it first")
     return K
 
 
@@ -133,12 +136,11 @@ def eigendecompose(gram) -> EigenDecomposition:
         w, U = np.linalg.eigh(K)
     except np.linalg.LinAlgError as exc:
         raise EigensolverError(f"symmetric eigensolver did not converge: {exc}") from exc
-    w = w[::-1].copy()
-    U = U[:, ::-1].copy()
+    w, U = w[::-1], U[:, ::-1]  # descending order as views of eigh's arrays
     # Sign convention: largest-magnitude coordinate positive, first index wins
-    # ties. Taken over column panels, so no n x n temporary sits beside U.
-    for j in range(0, U.shape[1], _SIGN_PANEL_COLS):
-        P = U[:, j:j + _SIGN_PANEL_COLS]
+    # ties. Taken in place over column panels, so no n x n temporary sits beside U.
+    for j in range(0, U.shape[1], _PANEL_ROWS):
+        P = U[:, j:j + _PANEL_ROWS]
         lead = np.argmax(np.abs(P), axis=0)
         P *= np.where(P[lead, np.arange(P.shape[1])] < 0, -1.0, 1.0)
     return EigenDecomposition(eigenvalues=w, eigenvectors=U)
@@ -163,23 +165,34 @@ def truncate(eig: EigenDecomposition, d: int) -> np.ndarray:
     return T
 
 
-def _suffix_sums(x: np.ndarray) -> np.ndarray:
-    # Entry d is the sum of x[d:], added from the end; entry n is 0.
-    return np.append(np.cumsum(x[::-1])[::-1], 0.0)
+def _tails(eig: EigenDecomposition):
+    """Statistics of the pairs ``w[d:]``, ``U[:, d:]`` discarded at each rank d = 0..n.
+
+    This is the one place the discarded tail is read. It returns four arrays
+    of length n + 1, each a suffix reduction added or maximised from the end,
+    with entry n = 0 for the empty tail: the sum of ``w**2``, the max of
+    ``|w|``, the sum of ``|w|`` and the max over columns of ``|u|``.
+    """
+    w, U = eig.eigenvalues, eig.eigenvectors
+
+    def suffix(ufunc, x):
+        return np.append(ufunc.accumulate(x[::-1])[::-1], 0.0)
+
+    abs_w = np.abs(w)
+    return (suffix(np.add, w * w), suffix(np.maximum, abs_w), suffix(np.add, abs_w),
+            suffix(np.maximum, np.maximum(U.max(axis=0), -U.min(axis=0))))
 
 
 def tail_abs_sum(eig: EigenDecomposition, d: int) -> float:
     """Sum of absolute eigenvalues discarded by a rank-d truncation."""
-    d = _check_int(d, "rank", 0, eig.n)
-    return float(_suffix_sums(np.abs(eig.eigenvalues))[d])
+    return float(_tails(eig)[2][_check_int(d, "rank", 0, eig.n)])
 
 
 def sup_norm_tail(eig: EigenDecomposition, d: int) -> float:
     """Largest absolute eigenvector coordinate over the discarded tail."""
     if _check_int(d, "rank", 0, eig.n) == eig.n:
         raise ValueError(f"need 0 <= d < n={eig.n} (the tail must be non-empty), got {d!r}")
-    T = eig.eigenvectors[:, int(d):]
-    return float(max(T.max(), -T.min()))
+    return float(_tails(eig)[3][int(d)])
 
 
 def error_sweep(gram, eig: EigenDecomposition, ranks) -> RankSweepResult:
@@ -191,10 +204,10 @@ def error_sweep(gram, eig: EigenDecomposition, ranks) -> RankSweepResult:
       largest ``R_ii = sum_{l>=d} w_l u_l(i)**2``, the paper's quantity. The
       diagonal starts at ``diag(K)`` and loses ``sum_l w_l u_l(i)**2`` over each
       interval ``[a, b)`` between requested ranks, O(n * max rank) in all.
-    * ``frobenius_error``: square roots of suffix sums of ``w**2``;
-    * ``spectral_error``: largest-magnitude discarded eigenvalue;
-    * ``tail_abs_sum`` and ``sup_norm_tail``: suffix sums of ``|w|`` and suffix
-      maxima of the column maxima of ``|U|``.
+    * ``frobenius_error``, ``spectral_error``, ``tail_abs_sum`` and
+      ``sup_norm_tail``: read at the requested ranks from the suffix tables
+      of :func:`_tails` (the square root of the sum of ``w**2``, the max of
+      ``|w|``, the sum of ``|w|``, the max of ``|u|`` over the discarded pairs).
 
     Fallback: if ``max_i sum_{w_l<0} |w_l| u_l(i)**2 > n * eps * max|w|``
     (judged at rank 0; later tails hold fewer negative values), the largest
@@ -213,24 +226,19 @@ def error_sweep(gram, eig: EigenDecomposition, ranks) -> RankSweepResult:
         raise ValueError("ranks must be sorted ascending")
 
     w, U = eig.eigenvalues, eig.eigenvectors
-    abs_sums, frobenius = _suffix_sums(np.abs(w)), np.sqrt(_suffix_sums(w * w))
-    sup_norms = np.maximum.accumulate(np.maximum(U.max(axis=0), -U.min(axis=0))[::-1])[::-1]
+    squares, spectral, abs_sums, sup_norms = _tails(eig)
     k = np.count_nonzero(w >= 0.0)  # w is descending, so w[k:] holds its negative values
     negative = np.einsum("ij,ij,j->i", U[:, k:], U[:, k:], -w[k:])
     dense = negative.max(initial=0.0) > n * np.finfo(float).eps * np.abs(w).max(initial=0.0)
     R = K.copy() if dense else np.diag(K).copy()
-    rows = []
+    max_entry = np.zeros(len(ranks))  # rank n discards nothing, so its error is zero
     done = 0
-    for d in ranks:
-        if d == n:  # nothing discarded: errors are zero by definition
-            rows.append((0.0, 0.0, 0.0, 0.0, 0.0))
-            continue
+    for i, d in enumerate(d for d in ranks if d < n):  # ranks are sorted: a prefix
         if d > done:
             V = U[:, done:d]
             R -= (V * w[done:d]) @ V.T if dense else np.einsum("ij,ij,j->i", V, V, w[done:d])
             done = d
-        # w is descending, so the extreme magnitudes of w[d:] sit at its ends.
-        rows.append((max(R.max(), -R.min()), frobenius[d], max(abs(w[d]), abs(w[-1])),
-                     abs_sums[d], sup_norms[d]))
-    columns = np.array(rows, dtype=float).reshape(len(ranks), 5).T.copy()
-    return RankSweepResult(np.array(ranks, dtype=int), *columns)
+        max_entry[i] = max(R.max(), -R.min())
+    ranks = np.array(ranks, dtype=int)
+    return RankSweepResult(ranks, max_entry, np.sqrt(squares[ranks]), spectral[ranks],
+                           abs_sums[ranks], sup_norms[ranks])

@@ -233,18 +233,14 @@ def subspace_distance_experiment(n: int, q: int, law: EntryLaw, trials: int, see
     target = law.variance**0.5 * math.sqrt(q)
 
     counts = np.zeros(t_grid.shape[0])
-    done = 0
-    batch_index = 0
-    while done < trials:
-        batch = min(TRIALS_PER_SUBSPACE, trials - done)
+    for batch_index, start in enumerate(range(0, trials, TRIALS_PER_SUBSPACE)):
+        batch = min(TRIALS_PER_SUBSPACE, trials - start)
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(batch_index,)))
         G = rng.standard_normal((n, q))
         G -= G.mean(axis=0)  # kill the mean direction
         Y = law.sample(rng, (n, batch))
         dev = np.abs(_projection_norms(G, Y) - target)
         counts += (dev[None, :] >= t_grid[:, None]).sum(axis=1)
-        done += batch
-        batch_index += 1
 
     return TailFrequencyReport(
         thresholds=t_grid,

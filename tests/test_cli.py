@@ -169,6 +169,15 @@ def test_sweep_matches_benchmark_reference(tmp_path, seed):
     assert oracle.compare_outputs(tmp_path, reference / f"seed{seed}", names) == []
 
 
+@pytest.mark.parametrize("seed", [0, 1])
+def test_compare_matches_benchmark_reference(tmp_path, seed):
+    # The benchmark's compare-gmm workload, checked with its own oracle.
+    oracle, reference = _bench_oracle("compare-gmm")
+    config = str(BENCH / "configs" / "compare-gmm.json")
+    assert main(["compare", "--config", config, "--out", str(tmp_path), "--seed", str(seed)]) == 0
+    assert oracle.compare_outputs(tmp_path, reference / f"seed{seed}", ["compare_matern12.csv"]) == []
+
+
 def test_verify_unknown_suite_exits_2(tmp_path):
     with pytest.raises(SystemExit) as info:
         main(["verify", "nonsense", "--out", str(tmp_path)])

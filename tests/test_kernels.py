@@ -24,6 +24,7 @@ from kernlr import (
     truncate,
 )
 from kernlr.kernels import _PANEL_ROWS, KernelSpec, _radial
+from kernlr.spectral import _as_symmetric
 
 
 def test_matern_half_closed_form():
@@ -256,11 +257,19 @@ def test_psd_products_peak_memory_is_result_plus_one_scaled_copy(product):
     assert _peak_bytes(product, eig) < 2.25 * n * n * 8
 
 
-def test_eigendecompose_peak_memory_is_two_matrices():
-    # eigh's U and its column-reversed copy; the sign pass adds one panel.
+def test_eigendecompose_peak_memory_is_one_matrix():
+    # eigh's U alone: the descending order is a view, the sign pass works in
+    # place on one panel, and the validation adds one panel.
     n = 600
     K = gram_matrix(rbf(1.0), gaussian_synthetic(n, 3))
-    assert _peak_bytes(eigendecompose, K) < 2.25 * n * n * 8
+    assert _peak_bytes(eigendecompose, K) < 1.25 * n * n * 8
+
+
+def test_symmetry_validation_peak_memory_is_one_panel():
+    # Finiteness is read from max and min, symmetry one row panel at a time.
+    n = 600
+    K = gram_matrix(rbf(1.0), gaussian_synthetic(n, 3))
+    assert _peak_bytes(_as_symmetric, K) < 0.1 * n * n * 8
 
 
 def test_indefinite_truncate_peak_memory():
@@ -280,11 +289,14 @@ def test_sup_norm_tail_peak_memory_is_no_matrix(d):
 
 
 def test_error_sweep_peak_memory_is_residual_plus_one_product():
-    # The residual R and the product of one rank interval; the column maxima of
-    # |U| and the max entry of |R| are read without an n x n temporary.
+    # An indefinite matrix takes the dense fallback: the residual R and the
+    # product of one rank interval; the column maxima of |U| and the max entry
+    # of |R| are read without an n x n temporary.
     n = 600
-    K = gram_matrix(rbf(1.0), gaussian_synthetic(n, 3))
+    A = np.random.default_rng(5).standard_normal((n, n))
+    K = (A + A.T) / 2.0
     eig = eigendecompose(K)
+    assert eig.eigenvalues[-1] < -1.0  # far from PSD, so the fallback is taken
     assert _peak_bytes(error_sweep, K, eig, [0, 1, 5, 50, n]) < 2.25 * n * n * 8
 
 

@@ -105,6 +105,24 @@ def test_eigendecompose_rejects_asymmetric_and_nonfinite():
         eigendecompose(np.array([[np.inf, 0.0], [0.0, 1.0]]))
 
 
+@pytest.mark.parametrize("i, j", [(0, 1), (31, 32), (32, 31), (40, 70), (99, 98), (5, 99)])
+def test_symmetry_check_finds_one_ulp_in_any_panel(i, j):
+    # The check walks row panels; an asymmetry on either side of the diagonal
+    # and across a panel boundary is found, and a non-finite entry is named as
+    # such even where it sits symmetrically.
+    K = _random_symmetric(100, np.random.default_rng(3))
+    eigendecompose(K)
+    K[i, j] = np.nextafter(K[i, j], np.inf)
+    with pytest.raises(ValueError, match="not exactly symmetric"):
+        eigendecompose(K)
+    K[i, j] = K[j, i] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        eigendecompose(K)
+    K[i, j] = np.inf
+    with pytest.raises(ValueError, match="non-finite"):
+        eigendecompose(K)
+
+
 def test_truncate_full_rank_reconstructs():
     rng = np.random.default_rng(1)
     K = _random_symmetric(12, rng)

@@ -220,8 +220,9 @@ def _spectrum_at_double_bandwidth(spec, count):
 @pytest.mark.parametrize("name, target, fault", [
     ("identity", "eigendecompose", lambda f: lambda K: _swap_first_two_vectors(f(K))),
     ("interlacing", "minor_decomposition", lambda f: lambda K: _second_minor_value_past_first(f(K))),
+    ("subspace", "_projection_norms", lambda f: lambda G, Y: 3.0 * f(G, Y)),
     ("eigdev", "tensor_spectrum", lambda f: _spectrum_at_double_bandwidth),
-], ids=["identity", "interlacing", "eigdev"])
+], ids=["identity", "interlacing", "subspace", "eigdev"])
 def test_verify_check_fails_on_planted_fault(monkeypatch, name, target, fault):
     # The fault is planted in a library function the check calls, so it runs
     # through the code path of `kernlr verify`.
