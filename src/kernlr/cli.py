@@ -43,7 +43,7 @@ from .analytic import (
 from .errors import EigensolverError
 from .kernels import KernelSpec, gram_matrix
 from .random_projection import compare_methods
-from .spectral import eigendecompose, error_sweep
+from .spectral import _check_int, eigendecompose, error_sweep
 from .svgplot import line_plot
 from .verification import CHECKS, run_check
 
@@ -140,6 +140,33 @@ def _construct(what: str, table: dict, key: str, entry, **supplied):
     return _call(f"{what} {name!r}", table[name], fields, **supplied)
 
 
+# n x n float64 arrays a sweep or compare run holds at once at its peak: the
+# Gram matrix, plus eigh's eigenvectors and its 2 n^2 workspace (or, in compare,
+# the eigenvectors, their scaled copy and the PSD root).
+_SQUARE_ARRAYS = 4
+
+
+def _physical_memory() -> int:
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
+def _preflight(n) -> None:
+    """Refuse, before any n x n array exists, a run whose working set exceeds memory.
+
+    An ``n`` that is not a valid size is left to the generator, which names it.
+    """
+    try:
+        n = _check_int(n, "n", 1)
+    except ValueError:
+        return
+    memory = _physical_memory()
+    fits = math.isqrt(memory // (8 * _SQUARE_ARRAYS))
+    if n > fits:
+        raise ConfigError(f"dataset n={n} needs {_SQUARE_ARRAYS} n x n arrays, "
+                          f"{_SQUARE_ARRAYS * 8 * n * n / 2**30:.3g} GiB, against "
+                          f"{memory / 2**30:.3g} GiB of memory; the largest n that fits is {fits}")
+
+
 def _build_dataset(config) -> np.ndarray:
     spec = dict(config["dataset"])
     seed = config["seed"]
@@ -149,10 +176,15 @@ def _build_dataset(config) -> np.ndarray:
     # dataset.kind names a generator; its keyword arguments are the fields.
     kinds = {"csv": datasets.load_csv, "gmm": datasets.gmm_synthetic,
              "gaussian": datasets.gaussian_synthetic, "sphere": datasets.sphere_uniform}
+    kind = spec.get("kind")
+    generator = kinds.get(kind) if isinstance(kind, str) else None
+    if generator not in (None, datasets.load_csv):  # a generator's rows are known up front
+        _preflight(spec.get("n", inspect.signature(generator).parameters["n"].default))
     X = _construct("dataset", kinds, "kind", spec, seed=lambda: seed)
     if count is not None:
         X = _call("dataset subsample", datasets.subsample,
                   {"data": X, "count": count, "seed": seed + 1})
+    _preflight(X.shape[0])  # a csv file's rows are known once it is loaded
     if config["standardize"]:
         X = kernels.standardize(X)
     return X
@@ -314,14 +346,20 @@ def cmd_spectrum(args) -> int:
             raise ConfigError("give either --upsilon or both --sigma and --omega")
         spec = GaussianRbfSpectrum(sigma=args.sigma, bandwidth=args.omega)
         upsilon = spec.upsilon
-    values = [gaussian_rbf_eigenvalue(i, spec) for i in range(args.count)]
+
+    def values():  # streamed, so --count may exceed memory
+        return (gaussian_rbf_eigenvalue(i, spec) for i in range(args.count))
+
     print(f"upsilon = {upsilon:g}")
     print(f"beta = {beta_from_upsilon(upsilon):.7f}")
     print(f"ratio = {spec.ratio:.7f}")
-    print("eigenvalues: " + ", ".join(f"{v:.7f}" for v in values))
+    print("eigenvalues: ", end="")
+    for i, v in enumerate(values()):
+        print(f", {v:.7f}" if i else f"{v:.7f}", end="")
+    print()
     if args.out:
         _write_csv(_ensure_out(args.out), "spectrum.csv", ["index", "eigenvalue"],
-                   list(enumerate(values)))
+                   enumerate(values()))
     return 0
 
 
@@ -410,7 +448,7 @@ def main(argv=None) -> int:
     except (EigensolverError, np.linalg.LinAlgError) as exc:  # LinAlgError is a ValueError
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 1
-    except (ConfigError, ValueError, OSError) as exc:
+    except (ConfigError, ValueError, OSError, MemoryError) as exc:  # an array too large to allocate
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -13,7 +13,8 @@ import math
 
 import numpy as np
 
-from .spectral import EigenDecomposition, eigendecompose, error_sweep, _check_int, _readonly
+from .spectral import (EigenDecomposition, eigendecompose, error_sweep, _check_int, _PANEL_ROWS,
+                       _readonly)
 
 
 @_readonly
@@ -43,6 +44,33 @@ def factor_from_eigendecomposition(eig: EigenDecomposition) -> PsdFactor:
     return PsdFactor(root=B @ B.T, clip_mass=float(-np.minimum(w, 0.0).sum()))
 
 
+def _sketch_factor(factor: PsdFactor, d: int, seed) -> np.ndarray:
+    """The n x d factor ``S = root @ R`` of one sketch, R with i.i.d. N(0, 1/d) entries.
+
+    This is the one place a seed becomes a sketch: R is the first n x d
+    standard normals of ``numpy.random.default_rng(seed)``, divided by sqrt(d).
+    """
+    d = _check_int(d, "rank", 1, factor.n)
+    R = np.random.default_rng(seed).standard_normal((factor.n, d))
+    R /= math.sqrt(d)
+    return factor.root @ R
+
+
+def _max_entry_error(S: np.ndarray, K: np.ndarray) -> float:
+    """``max |S @ S.T - K|`` for a symmetric K, without forming an n x n array.
+
+    Walks the upper triangle in row panels: ``S[i:i+P] @ S[i:].T`` minus
+    ``K[i:i+P, i:]``, keeping a running max and min. That is n^2 d flops, as
+    for the SYRK ``S @ S.T``, and each panel stays in cache.
+    """
+    hi, lo = -math.inf, math.inf
+    for i in range(0, S.shape[0], _PANEL_ROWS):
+        B = S[i:i + _PANEL_ROWS] @ S[i:].T
+        B -= K[i:i + _PANEL_ROWS, i:]
+        hi, lo = max(hi, B.max()), min(lo, B.min())
+    return float(max(hi, -lo))
+
+
 def jl_approximation(factor: PsdFactor, d: int, seed) -> np.ndarray:
     """One seeded random-projection approximation of rank <= d.
 
@@ -52,9 +80,7 @@ def jl_approximation(factor: PsdFactor, d: int, seed) -> np.ndarray:
     symmetric bit for bit: ``S @ S.T`` of the one C-contiguous array ``S``
     goes through SYRK, which computes one triangle and copies it.
     """
-    d = _check_int(d, "rank", 1, factor.n)
-    rng = np.random.default_rng(seed)
-    S = factor.root @ (rng.standard_normal((factor.n, d)) / math.sqrt(d))
+    S = _sketch_factor(factor, d, seed)
     return S @ S.T
 
 
@@ -84,7 +110,14 @@ def compare_methods(gram, ranks, trials: int, seed) -> MethodComparison:
 
     For each rank the sketch error is the median over ``trials`` independent
     draws; per-trial seeds are derived from ``seed`` by counter, so the result
-    is deterministic and independent of evaluation order.
+    is deterministic and independent of evaluation order. Trial t at the j-th
+    rank d draws the sketch ``jl_approximation(factor, d, SeedSequence(entropy=seed,
+    spawn_key=(j, t)))``, but only its n x d factor is formed: the error is read
+    from that factor in row panels, so no n x n sketch or error matrix exists.
+    A panel GEMM may sum an entry of ``S @ S.T`` in another order than SYRK,
+    so an error can differ from the one read off that sketch in the last bit.
+    The peak above the input is three n x n arrays (the eigenvectors, their
+    scaled copy and the PSD root, while the root is formed).
     """
     trials = _check_int(trials, "trials", 1)
     K = np.asarray(gram, dtype=float)
@@ -93,6 +126,7 @@ def compare_methods(gram, ranks, trials: int, seed) -> MethodComparison:
     sweep = error_sweep(gram, eig, sorted(set(ranks)))
     spectral = dict(zip(sweep.ranks.tolist(), sweep.max_entry_error.tolist()))
     factor = factor_from_eigendecomposition(eig)
+    del eig  # the root is all the sketches read
 
     n = factor.n
     jl_median = []
@@ -100,9 +134,7 @@ def compare_methods(gram, ranks, trials: int, seed) -> MethodComparison:
         errs = np.empty(trials)
         for t in range(trials):
             trial_seed = np.random.SeedSequence(entropy=seed, spawn_key=(j, t))
-            E = jl_approximation(factor, d, trial_seed)
-            E -= K
-            errs[t] = max(E.max(), -E.min())
+            errs[t] = _max_entry_error(_sketch_factor(factor, d, trial_seed), K)
         jl_median.append(float(np.median(errs)))
 
     return MethodComparison(

@@ -1,9 +1,11 @@
+import contextlib
 import importlib.util
 import json
 import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +14,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import kernlr
-from kernlr import kernels
+from kernlr import cli, kernels
 from kernlr.cli import DEFAULT_CONFIG, main
 from kernlr.datasets import sphere_uniform
 from kernlr.kernels import dot_product, gram_matrix
@@ -189,6 +191,24 @@ def test_spectrum_values(capsys):
     out = capsys.readouterr().out
     assert "0.6180340, 0.2360680, 0.0901699" in out
     assert "0.9624237" in out
+
+
+def test_spectrum_streams_its_rows(tmp_path):
+    # A list of the values and of their formatted strings peaks at 12 MB at
+    # this count; streamed rows hold one value at a time, beside the parser
+    # and the file buffers.
+    with open(os.devnull, "w") as devnull, contextlib.redirect_stdout(devnull):
+        tracemalloc.start()
+        try:
+            rc = main(["spectrum", "--upsilon", "2", "--count", "100000",
+                       "--out", str(tmp_path)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert rc == 0
+    assert peak < 2**20
+    lines = (tmp_path / "spectrum.csv").read_text().splitlines()
+    assert len(lines) == 100001 and lines[-1].startswith("99999,")
 
 
 def test_spectrum_from_sigma_omega(capsys):
@@ -466,6 +486,65 @@ def test_verify_rejects_ranks(tmp_path):
     with pytest.raises(SystemExit) as info:
         main(["verify", "identity", "--quick", "--ranks", "banana", "--out", str(tmp_path)])
     assert info.value.code == 2
+
+
+def _memory_for(monkeypatch, n):
+    # Physical memory that holds the n x n working set of n points and no more.
+    monkeypatch.setattr(cli, "_physical_memory", lambda: 8 * cli._SQUARE_ARRAYS * n * n)
+
+
+def test_physical_memory_is_read():
+    assert cli._physical_memory() > 2**20
+
+
+@pytest.mark.parametrize("command", ["sweep", "compare"])
+@pytest.mark.parametrize("dataset", [{"kind": "gaussian", "n": 11755273248},
+                                     {"kind": "gmm", "n": 6.664094404587546e+16},
+                                     {"kind": "sphere", "n": 31}, {"kind": "gmm"}])
+def test_oversized_dataset_is_refused_before_it_is_generated(tmp_path, capsys, monkeypatch,
+                                                            command, dataset):
+    # 30 points fit; the generator is never called, so nothing is allocated.
+    _memory_for(monkeypatch, 30)
+    monkeypatch.setattr(np.random, "default_rng", None)
+    config = {"dataset": dataset, "kernels": [{"family": "rbf"}], "ranks": [1]}
+    assert _run_config(tmp_path, config, command) == 2
+    n, arrays = int(dataset.get("n", 1000)), cli._SQUARE_ARRAYS
+    assert _assert_one_error_line(capsys).rstrip() == (
+        f"error: dataset n={n} needs {arrays} n x n arrays, {8 * arrays * n * n / 2**30:.3g} GiB, "
+        f"against {8 * arrays * 30 * 30 / 2**30:.3g} GiB of memory; the largest n that fits is 30")
+
+
+def test_dataset_that_fits_runs(tmp_path, monkeypatch):
+    _memory_for(monkeypatch, 30)
+    config = {"dataset": {"kind": "sphere", "n": 30}, "kernels": [{"family": "rbf"}],
+              "ranks": [1], "jl_trials": 1}
+    assert _run_config(tmp_path, config, "compare") == 0
+
+
+def test_invalid_n_keeps_its_message_under_the_preflight(tmp_path, capsys, monkeypatch):
+    _memory_for(monkeypatch, 30)
+    config = {"dataset": {"kind": "gmm", "n": 0}, "kernels": [{"family": "rbf"}]}
+    assert _run_config(tmp_path, config) == 2
+    assert "n must be an integer >= 1, got 0" in _assert_one_error_line(capsys)
+
+
+def test_csv_dataset_is_refused_after_loading_and_subsampling(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "data.csv"
+    path.write_text("".join(f"{i},{i % 7}\n" for i in range(40)))
+    _memory_for(monkeypatch, 30)
+    config = {"dataset": {"kind": "csv", "path": str(path)}, "kernels": [{"family": "rbf"}],
+              "ranks": [1]}
+    assert _run_config(tmp_path, config) == 2
+    assert "n=40" in _assert_one_error_line(capsys)
+    config["dataset"]["subsample"] = 30
+    assert _run_config(tmp_path, config) == 0
+
+
+def test_unallocatable_dataset_exits_2(tmp_path, capsys):
+    # n fits; p makes the n x p data too large for numpy to even try to allocate.
+    config = {"dataset": {"kind": "gaussian", "n": 2, "p": 6.6e16}, "kernels": [{"family": "rbf"}]}
+    assert _run_config(tmp_path, config) == 2
+    assert "allocate" in _assert_one_error_line(capsys)
 
 
 # Fuzzing the 0/1/2 exit contract: a config that is valid but for at most one

@@ -9,6 +9,7 @@ from scipy.spatial.distance import pdist, squareform
 
 from kernlr import (
     DegenerateDataError,
+    compare_methods,
     dot_product,
     eigendecompose,
     error_sweep,
@@ -270,6 +271,17 @@ def test_symmetry_validation_peak_memory_is_one_panel():
     n = 600
     K = gram_matrix(rbf(1.0), gaussian_synthetic(n, 3))
     assert _peak_bytes(_as_symmetric, K) < 0.1 * n * n * 8
+
+
+def test_compare_methods_peak_memory_is_three_matrices():
+    # The eigenvectors, their scaled copy and the PSD root while the root is
+    # formed; each sketch trial then holds its n x d factor and one row panel,
+    # so no n x n sketch or error matrix exists. The first call imports
+    # numpy.ma for np.median, which is no array of the computation.
+    n = 600
+    K = gram_matrix(rbf(1.0), gaussian_synthetic(n, 3))
+    compare_methods(np.eye(2), [1], 1, 0)
+    assert _peak_bytes(compare_methods, K, [1, 5, 50, 300, n], 2, 0) <= 3.25 * n * n * 8
 
 
 def test_indefinite_truncate_peak_memory():

@@ -14,6 +14,8 @@ from kernlr import (
     median_heuristic,
     rbf,
 )
+from kernlr.random_projection import _max_entry_error
+from kernlr.spectral import _PANEL_ROWS
 
 
 def test_factor_identity():
@@ -75,6 +77,21 @@ def test_jl_is_bitwise_symmetric_and_seed_deterministic(data):
     A = jl_approximation(factor, d, seed)
     assert np.array_equal(A, A.T)
     assert np.array_equal(A, jl_approximation(factor, d, seed))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_max_entry_error_equals_the_dense_residual_max(data):
+    # Sizes cross the row-panel edges; K is indefinite, so the max may be
+    # either sign and off the diagonal.
+    n = data.draw(st.integers(1, 3 * _PANEL_ROWS + 7))
+    d = data.draw(st.integers(1, n))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    S = rng.standard_normal((n, d))
+    A = rng.standard_normal((n, n))
+    K = A + A.T
+    dense = np.abs(S @ S.T - K).max()
+    assert _max_entry_error(S, K) == pytest.approx(dense, rel=1e-12, abs=1e-12 * d)
 
 
 def test_jl_rank_validation():
@@ -141,6 +158,21 @@ def test_compare_methods_deterministic(rbf_gram_300):
     a = compare_methods(rbf_gram_300, [8, 32], trials=5, seed=21)
     b = compare_methods(rbf_gram_300, [8, 32], trials=5, seed=21)
     assert np.array_equal(a.jl_median_max_error, b.jl_median_max_error)
+
+
+def test_compare_methods_keeps_the_jl_approximation_stream():
+    # Trial t at the j-th rank is the sketch jl_approximation draws from
+    # SeedSequence(entropy=seed, spawn_key=(j, t)); compare_methods reads its
+    # error from the factor, and must give the same median.
+    X = gaussian_synthetic(70, 2, sigma=1.0, seed=4)
+    K = np.asarray(gram_matrix(rbf(median_heuristic(X)), X))
+    ranks, trials, seed = [9, 1, 70, 9], 5, 123
+    factor = factor_from_eigendecomposition(eigendecompose(K))
+    expected = [np.median([np.abs(jl_approximation(
+        factor, d, np.random.SeedSequence(entropy=seed, spawn_key=(j, t))) - K).max()
+        for t in range(trials)]) for j, d in enumerate(ranks)]
+    result = compare_methods(K, ranks, trials, seed)
+    assert result.jl_median_max_error == pytest.approx(expected, rel=1e-12)
 
 
 def test_compare_methods_full_rank_spectral_error_is_zero(rbf_gram_300):
