@@ -8,9 +8,14 @@ verify    numerical checks of the spectral identities and concentration
 spectrum  analytic eigenvalues and decay rate of the Gaussian/RBF setting
 rates     required rank and predicted error rate for a decay hypothesis
 
-All randomness flows from one seed; outputs are deterministic given
-(config, seed). CSV cells carry 17 significant digits so files are
-byte-reproducible and round-trip exactly. The output directory comes from
+All randomness flows from one seed. Reproducible means two things. For a
+fixed (config, seed, numpy/BLAS build, BLAS thread count) the output files
+are byte-identical; CSV cells carry 17 significant digits, so they also
+round-trip exactly. BLAS splits its sums by thread, so across thread counts
+the values agree only within the tolerance of ``bench/oracle.py``: 1e-6
+relative plus 1e-9 of the column's largest value. Between one and two
+OpenBLAS threads the largest gap measured is 8.8e-10 relative. The output
+directory comes from
 --out, the config, or the KERNLR_OUT environment variable, in that order of
 precedence.
 

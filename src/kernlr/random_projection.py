@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from .spectral import (EigenDecomposition, eigendecompose, error_sweep, _check_int, _PANEL_ROWS,
-                       _readonly)
+                       _readonly, _require_full)
 
 
 @_readonly
@@ -37,8 +37,10 @@ def factor_from_eigendecomposition(eig: EigenDecomposition) -> PsdFactor:
     """Symmetric square root ``U sqrt(max(w, 0)) U^T`` of a decomposed symmetric matrix.
 
     Formed as ``B @ B.T`` with ``B = U max(w, 0)^(1/4)``: one SYRK, so the
-    root is symmetric bit for bit.
+    root is symmetric bit for bit. Refuses a leading-k decomposition with
+    ``CapabilityError``.
     """
+    _require_full(eig)
     w, U = eig.eigenvalues, eig.eigenvectors
     B = U * np.maximum(w, 0.0) ** 0.25
     return PsdFactor(root=B @ B.T, clip_mass=float(-np.minimum(w, 0.0).sum()))

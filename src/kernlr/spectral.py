@@ -1,4 +1,4 @@
-"""Dense symmetric eigendecomposition, rank-d truncation and error sweeps.
+"""Symmetric eigendecomposition (full or leading-k), rank-d truncation and error sweeps.
 
 Eigenvalues are ordered by descending *algebraic* value and the truncation
 keeps the first d of them. For positive semi-definite kernel matrices this
@@ -21,9 +21,11 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import EigensolverError
+from .errors import CapabilityError, EigensolverError
 
 _PANEL_ROWS = 32  # rows (or columns) per panel wherever an n x n array is walked in panels
+LEADING_K_ITERATION_CAP = 50  # subspace iterations before the leading-k mode gives up
+LEADING_K_TOLERANCE = 1e-12  # stop when every kept residual is below this times |lambda_1|
 
 
 def _check_int(value, name: str, lo, hi=math.inf) -> int:
@@ -81,14 +83,30 @@ def _readonly(cls):
 
 @_readonly
 class EigenDecomposition:
-    """Descending eigenvalues with orthonormal eigenvectors, column l <-> value l."""
+    """Descending eigenvalues with orthonormal eigenvectors, column l <-> value l.
+
+    ``n`` is the order of the matrix. A leading-k decomposition holds k < n
+    pairs; see :func:`_require_full` for what refuses it.
+    """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
     @property
     def n(self) -> int:
-        return self.eigenvalues.shape[0]
+        return self.eigenvectors.shape[0]
+
+
+def _require_full(eig: EigenDecomposition) -> None:
+    """Raise ``CapabilityError`` unless ``eig`` holds all n pairs.
+
+    The discarded tail of a leading-k decomposition is unknown, so nothing
+    that reads it (the tail statistics, the error sweep, the PSD root) may
+    run on one.
+    """
+    if eig.eigenvalues.shape[0] < eig.n:
+        raise CapabilityError(f"needs the full decomposition, got the leading "
+                              f"{eig.eigenvalues.shape[0]} of {eig.n} pairs")
 
 
 @_readonly
@@ -123,20 +141,67 @@ def _as_symmetric(gram) -> np.ndarray:
     return K
 
 
-def eigendecompose(gram) -> EigenDecomposition:
-    """Full eigendecomposition of a symmetric matrix, descending order.
+def _leading_eigh(K: np.ndarray, k: int):
+    """The k algebraically largest pairs of K by randomized subspace iteration.
+
+    Halko, Martinsson & Tropp (2011), Alg. 4.4, with a Rayleigh-Ritz step:
+    from the Householder QR of a seeded n x b Gaussian block Q, b = 2k + 5,
+    each iteration forms ``Y = K Q``, takes the Ritz pairs from the ``eigh``
+    of ``Q.T Y`` and moves on to ``Q = qr(Y)``. KQ is ill-conditioned by
+    design, so Q comes from Householder QR and never from a Cholesky factor.
+    """
+    try:  # the start block comes from a fixed seed, so repeated calls agree bit for bit
+        Q = np.linalg.qr(np.random.default_rng(0).standard_normal((K.shape[0], 2 * k + 5)))[0]
+        for _ in range(LEADING_K_ITERATION_CAP):
+            Y = K @ Q
+            theta, V = np.linalg.eigh(Q.T @ Y)  # eigh reads one triangle of Q.T K Q
+            tol = LEADING_K_TOLERANCE * max(theta[-1], -theta[0])
+            if -theta[0] > theta[-k] + tol:
+                raise CapabilityError("the leading-k eigensolver needs the k largest eigenvalues "
+                                      "to dominate in magnitude; a negative eigenvalue competes")
+            theta, V = theta[:-k - 1:-1], V[:, :-k - 1:-1]  # the k largest, descending
+            U = Q @ V
+            R = Y @ V  # K u - theta u for each kept pair, as Y V - U theta
+            R -= U * theta
+            if np.sqrt(np.einsum("ij,ij->j", R, R)).max() <= tol:
+                return theta, U
+            Q = np.linalg.qr(Y)[0]
+    except np.linalg.LinAlgError as exc:
+        raise EigensolverError(f"leading-k eigensolver failed: {exc}") from exc
+    raise EigensolverError(f"leading {k} eigenpairs not converged in "
+                           f"{LEADING_K_ITERATION_CAP} subspace iterations")
+
+
+def eigendecompose(gram, k=None) -> EigenDecomposition:
+    """Eigendecomposition of a symmetric matrix, descending order.
 
     Accepts any exactly symmetric square array, such as the result of
-    :func:`~kernlr.kernels.gram_matrix`.
-    Raises :class:`EigensolverError` if the underlying solver fails to
-    converge within its iteration cap.
+    :func:`~kernlr.kernels.gram_matrix`. With ``k=None`` all n pairs come
+    from a dense ``eigh``. With an integer k in [1, n] only the leading k
+    pairs are returned, a partial decomposition that :func:`_require_full`
+    refuses. They come from :func:`_leading_eigh` with a block of
+    b = min(n, 2k + 5) columns, stopped once every kept pair has
+    ``||K u - lambda u|| <= LEADING_K_TOLERANCE * |lambda_1|``; when b = n
+    they are the first k pairs of the dense path. The block converges onto
+    the eigenvalues of largest magnitude, so the leading-k mode raises
+    :class:`CapabilityError` when a negative eigenvalue outweighs the k-th.
+
+    Raises :class:`EigensolverError` if ``eigh`` fails, or if the leading
+    pairs have not converged after ``LEADING_K_ITERATION_CAP`` iterations.
     """
     K = _as_symmetric(gram)
-    try:
-        w, U = np.linalg.eigh(K)
-    except np.linalg.LinAlgError as exc:
-        raise EigensolverError(f"symmetric eigensolver did not converge: {exc}") from exc
-    w, U = w[::-1], U[:, ::-1]  # descending order as views of eigh's arrays
+    if k is not None:
+        k = _check_int(k, "k", 1, K.shape[0])
+    if k is None or 2 * k + 5 >= K.shape[0]:
+        try:
+            w, U = np.linalg.eigh(K)
+        except np.linalg.LinAlgError as exc:
+            raise EigensolverError(f"symmetric eigensolver did not converge: {exc}") from exc
+        w, U = w[::-1], U[:, ::-1]  # descending order as views of eigh's arrays
+        if k is not None:  # copies, so the n x n eigenvectors are not kept alive
+            w, U = w[:k].copy(), U[:, :k].copy()
+    else:
+        w, U = _leading_eigh(K, k)
     # Sign convention: largest-magnitude coordinate positive, first index wins
     # ties. Taken in place over column panels, so no n x n temporary sits beside U.
     for j in range(0, U.shape[1], _PANEL_ROWS):
@@ -149,13 +214,14 @@ def eigendecompose(gram) -> EigenDecomposition:
 def truncate(eig: EigenDecomposition, d: int) -> np.ndarray:
     """Rank-d reconstruction: the sum of the first d eigenvalue/vector terms.
 
-    Formed as ``P @ P.T - N @ N.T``, where P and N are the kept eigenvectors
-    scaled by ``sqrt(max(w, 0))`` and ``sqrt(max(-w, 0))``; the second term is
-    computed only if a kept eigenvalue is negative. Each product of one array
+    d may not exceed the number of pairs held. Formed as ``P @ P.T - N @ N.T``,
+    where P and N are the kept eigenvectors scaled by ``sqrt(max(w, 0))`` and
+    ``sqrt(max(-w, 0))``; the second term is computed only if a kept
+    eigenvalue is negative. Each product of one array
     with its own transpose goes through SYRK, which computes one triangle and
     copies it, so the result is symmetric bit for bit.
     """
-    d = _check_int(d, "rank", 0, eig.n)
+    d = _check_int(d, "rank", 0, eig.eigenvalues.shape[0])
     w, U = eig.eigenvalues[:d], eig.eigenvectors[:, :d]
     B = U * np.sqrt(np.maximum(w, 0.0))
     T = B @ B.T
@@ -173,6 +239,7 @@ def _tails(eig: EigenDecomposition):
     with entry n = 0 for the empty tail: the sum of ``w**2``, the max of
     ``|w|``, the sum of ``|w|`` and the max over columns of ``|u|``.
     """
+    _require_full(eig)
     w, U = eig.eigenvalues, eig.eigenvectors
 
     def suffix(ufunc, x):

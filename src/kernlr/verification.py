@@ -118,19 +118,17 @@ class EigenvalueDeviationReport:
     rel_deviation: np.ndarray
 
 
-def eigenvalue_deviation_report(eigenvalues, spectrum: GaussianRbfSpectrum, count: int) -> EigenvalueDeviationReport:
-    """Compare the top sample eigenvalues over n against the analytic spectrum.
+def eigenvalue_deviation_report(eig: EigenDecomposition, spectrum: GaussianRbfSpectrum,
+                                count: int) -> EigenvalueDeviationReport:
+    """Compare the top ``count`` sample eigenvalues over n against the analytic spectrum.
 
-    ``eigenvalues`` is a full descending sample spectrum, a 1-d array; the
-    report carries deviations only, with no pass/fail judgement.
+    ``eig`` may be a leading-k decomposition holding at least ``count``
+    pairs; n is the order of the matrix, ``eig.n``. The report carries
+    deviations only, with no pass/fail judgement.
     """
-    w = np.asarray(eigenvalues, dtype=float)
-    if w.ndim != 1:
-        raise ValueError("expected a 1-d array of eigenvalues")
-    n = w.shape[0]
-    count = _check_int(count, "count", 1, n)
+    count = _check_int(count, "count", 1, eig.eigenvalues.shape[0])
     analytic = tensor_spectrum(spectrum, count)
-    sample = w[:count] / n
+    sample = eig.eigenvalues[:count] / eig.n
     abs_dev = np.abs(sample - analytic)
     return EigenvalueDeviationReport(
         indices=np.arange(1, count + 1),
@@ -302,9 +300,9 @@ def _check_eigdev(seed, quick):
     n = 1000 if quick else 4000
     seeds = 3 if quick else 10
     devs = []
-    for k in range(seeds):
-        w = np.linalg.eigvalsh(_gauss1d_gram(n, seed + k))[::-1]
-        devs.append(eigenvalue_deviation_report(w, _SPEC1, count=5).rel_deviation)
+    for i in range(seeds):
+        eig = eigendecompose(_gauss1d_gram(n, seed + i), k=5)
+        devs.append(eigenvalue_deviation_report(eig, _SPEC1, count=5).rel_deviation)
     worst = float(np.max(np.median(np.array(devs), axis=0)))
     return worst, 0.1, f"n={n}, median over {seeds} seeds, top 5 eigenvalues"
 

@@ -14,9 +14,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import kernlr
-from kernlr import cli, kernels
+from kernlr import cli, kernels, spectral, verification
 from kernlr.cli import DEFAULT_CONFIG, main
 from kernlr.datasets import sphere_uniform
+from kernlr.errors import EigensolverError
 from kernlr.kernels import dot_product, gram_matrix
 from kernlr.spectral import eigendecompose
 
@@ -178,6 +179,31 @@ def test_compare_matches_benchmark_reference(tmp_path, seed):
     config = str(BENCH / "configs" / "compare-gmm.json")
     assert main(["compare", "--config", config, "--out", str(tmp_path), "--seed", str(seed)]) == 0
     assert oracle.compare_outputs(tmp_path, reference / f"seed{seed}", ["compare_matern12.csv"]) == []
+
+
+def test_outputs_are_reproducible_within_and_across_blas_thread_counts(tmp_path):
+    # The reproducibility contract of kernlr.cli: byte-identical files at a
+    # fixed BLAS thread count, and within the benchmark oracle's tolerance
+    # between one thread and the library default. Only the child processes'
+    # thread count is set.
+    config = {"dataset": {"kind": "gmm", "n": 300, "p": 10, "components": 10, "mean_scale": 10.0},
+              "kernels": [{"family": "matern", "nu": 0.5}, {"family": "rbf"}], "jl_trials": 3}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    default = {k: v for k, v in os.environ.items() if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    default["PYTHONPATH"] = str(Path(kernlr.__file__).parents[1])
+    one = {**default, "OPENBLAS_NUM_THREADS": "1"}
+    for run, env in (("one", one), ("again", one), ("default", default)):
+        for command in ("sweep", "compare"):
+            subprocess.run([sys.executable, "-m", "kernlr.cli", command, "--config", str(cfg),
+                            "--out", str(tmp_path / run), "--seed", "0"],
+                           env=env, capture_output=True, check=True)
+    names = ["compare_matern12.csv", "sweep_matern12.csv", "sweep_rbf.csv"]
+    assert sorted(p.name for p in (tmp_path / "one").glob("*.csv")) == names
+    for name in names:
+        assert (tmp_path / "again" / name).read_bytes() == (tmp_path / "one" / name).read_bytes()
+    oracle, _ = _bench_oracle("sweep-gmm")
+    assert oracle.compare_outputs(tmp_path / "default", tmp_path / "one", names) == []
 
 
 def test_verify_unknown_suite_exits_2(tmp_path):
@@ -469,7 +495,7 @@ def test_eigensolver_failure_exits_1_and_names_stage(tmp_path, capsys, monkeypat
     assert "numerical failure in stage eigendecompose (rbf)" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("suite, solver", [("eigdev", "eigvalsh"), ("subspace", "cholesky")])
+@pytest.mark.parametrize("suite, solver", [("eigdev", "qr"), ("subspace", "cholesky")])
 def test_linalg_failure_outside_eigendecompose_exits_1(tmp_path, capsys, monkeypatch,
                                                        suite, solver):
     # LinAlgError is a ValueError; it must not be reported as a usage error.
@@ -480,6 +506,23 @@ def test_linalg_failure_outside_eigendecompose_exits_1(tmp_path, capsys, monkeyp
     assert main(["verify", suite, "--quick", "--out", str(tmp_path)]) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("numerical failure")
+
+
+def test_leading_k_iteration_cap_raises_and_verify_exits_1(tmp_path, capsys, monkeypatch):
+    # The n = 1000 eigdev Gram needs 3 subspace iterations for its top 5 pairs.
+    gram = verification._gauss1d_gram(1000, 0)
+    monkeypatch.setattr(spectral, "LEADING_K_ITERATION_CAP", 3)
+    assert eigendecompose(gram, k=5).eigenvalues.shape == (5,)
+    monkeypatch.setattr(spectral, "LEADING_K_ITERATION_CAP", 2)
+    with pytest.raises(EigensolverError, match="not converged in 2 subspace iterations"):
+        eigendecompose(gram, k=5)
+    monkeypatch.setattr(spectral, "LEADING_K_ITERATION_CAP", 1)
+    with pytest.raises(EigensolverError):
+        eigendecompose(gram, k=5)
+    capsys.readouterr()
+    assert main(["verify", "eigdev", "--quick", "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("numerical failure"), err
 
 
 def test_verify_rejects_ranks(tmp_path):

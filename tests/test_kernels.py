@@ -266,6 +266,14 @@ def test_eigendecompose_peak_memory_is_one_matrix():
     assert _peak_bytes(eigendecompose, K) < 1.25 * n * n * 8
 
 
+def test_leading_k_eigendecompose_peak_memory_is_no_matrix():
+    # The leading 5 pairs at n = 1000 hold n x b blocks (b = 15) and the
+    # validation's panel; no n x n array beside the input.
+    n = 1000
+    K = gram_matrix(rbf(1.0), gaussian_synthetic(n, 1, sigma=1.0, seed=0))
+    assert _peak_bytes(eigendecompose, K, 5) < 0.1 * n * n * 8
+
+
 def test_symmetry_validation_peak_memory_is_one_panel():
     # Finiteness is read from max and min, symmetry one row panel at a time.
     n = 600

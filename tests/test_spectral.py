@@ -1,4 +1,7 @@
 import dataclasses
+import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,8 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kernlr import (
+    CapabilityError,
     DecayHypothesis,
     EigenDecomposition,
+    EigensolverError,
     GaussianRbfSpectrum,
     KernelSpec,
     SphereSpectrumParams,
@@ -47,6 +52,8 @@ from kernlr import (
     truncate,
     weighted_hermite,
 )
+from kernlr import spectral
+from kernlr.spectral import LEADING_K_ITERATION_CAP, LEADING_K_TOLERANCE
 
 K2 = np.array([[2.0, 1.0], [1.0, 2.0]])
 
@@ -251,11 +258,8 @@ def test_error_sweep_matches_direct_residual_and_tail_statistics(case):
     assert np.all(np.diff(sweep.tail_abs_sum) <= 0.0)
 
 
-@st.composite
-def _kernel_gram_and_ranks(draw):
-    # A kernel Gram matrix (PSD up to round-off) and a rank grid with at least
-    # one rank in [n/2, n], where the smooth kernels' spectra are round-off.
-    n = draw(st.integers(1, 200))
+def _kernel_gram(draw, n):
+    # A kernel Gram matrix of order n, PSD up to round-off.
     seed = draw(st.integers(0, 2**32 - 1))
     family = draw(st.sampled_from(["rbf", "matern", "dot_product"]))
     if family == "dot_product":
@@ -266,9 +270,18 @@ def _kernel_gram_and_ranks(draw):
         bandwidth = draw(st.sampled_from([0.3, 1.0, 3.0]))
         kernel = (rbf(bandwidth) if family == "rbf"
                   else matern(draw(st.sampled_from([0.5, 1.5, 2.5])), bandwidth))
+    return gram_matrix(kernel, X)
+
+
+@st.composite
+def _kernel_gram_and_ranks(draw):
+    # A kernel Gram matrix and a rank grid with at least one rank in [n/2, n],
+    # where the smooth kernels' spectra are round-off.
+    n = draw(st.integers(1, 200))
+    K = _kernel_gram(draw, n)
     ranks = sorted(draw(st.lists(st.integers(0, n), max_size=4))
                    + draw(st.lists(st.integers(n // 2, n), min_size=1, max_size=4)))
-    return gram_matrix(kernel, X), ranks
+    return K, ranks
 
 
 @settings(max_examples=60, deadline=None)
@@ -286,6 +299,122 @@ def test_error_sweep_on_kernel_grams_matches_direct_residual(case):
         direct = K - truncate(eig, d)
         assert abs(sweep.max_entry_error[i] - np.abs(direct).max()) <= tol
         assert abs(sweep.frobenius_error[i] - np.linalg.norm(direct)) <= tol
+
+
+@st.composite
+def _kernel_gram_and_k(draw):
+    n = draw(st.integers(4, 200))
+    return _kernel_gram(draw, n), draw(st.integers(1, n // 4))
+
+
+def _iterations_predicted(w, k):
+    """Subspace iterations after which the spectrum w (descending) predicts the
+    k-th residual below the stop rule: lambda_k (|lambda_{b+1}| / lambda_k)^q
+    <= LEADING_K_TOLERANCE lambda_1, with b = 2k + 5."""
+    lead = w[k - 1]
+    rest = abs(w[2 * k + 5]) if 2 * k + 5 < w.shape[0] else 0.0
+    if lead <= LEADING_K_TOLERANCE * w[0] or rest == 0.0:
+        return 0.0
+    if rest >= lead:
+        return math.inf
+    return math.log(LEADING_K_TOLERANCE * w[0] / lead) / math.log(rest / lead)
+
+
+def _assert_leading_pairs(K, eig, k):
+    # The checks every leading-k result passes against np.linalg.eigvalsh.
+    w = np.linalg.eigvalsh(K)[::-1]
+    tol = LEADING_K_TOLERANCE * w[0]
+    U = eig.eigenvectors
+    assert eig.n == K.shape[0] and eig.eigenvalues.shape == (k,) and U.shape == (K.shape[0], k)
+    assert np.abs(eig.eigenvalues - w[:k]).max() <= tol
+    assert np.linalg.norm(K @ U - U * eig.eigenvalues, axis=0).max() <= tol
+    assert np.abs(U.T @ U - np.eye(k)).max() <= 1e-12
+    lead = np.argmax(np.abs(U), axis=0)
+    assert np.all(U[lead, np.arange(k)] > 0.0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=_kernel_gram_and_k())
+def test_leading_k_pairs_match_eigvalsh_on_kernel_grams(case):
+    # Where the spectrum's gap |lambda_{b+1}| / lambda_k predicts convergence
+    # well inside the cap, the leading-k mode must converge; observed counts
+    # exceed the prediction by at most 4. Flat spectra (near-identity Grams at
+    # a small bandwidth) may exhaust the cap, and must then raise, never
+    # return unconverged pairs.
+    K, k = case
+    predicted = _iterations_predicted(np.linalg.eigvalsh(K)[::-1], k)
+    try:
+        eig = eigendecompose(K, k=k)
+    except EigensolverError:
+        assert predicted > LEADING_K_ITERATION_CAP - 10
+        return
+    _assert_leading_pairs(K, eig, k)
+    again = eigendecompose(K, k=k)
+    assert np.array_equal(again.eigenvalues, eig.eigenvalues)
+    assert np.array_equal(again.eigenvectors, eig.eigenvectors)
+
+
+def test_leading_k_inside_a_harmonic_cluster_on_the_sphere():
+    # Dot-product kernel 0.5**i on S^2 at n = 2000: k = 38 falls inside the
+    # 13-fold degree-6 cluster (indices 36-48), where lambda_37 / lambda_38 is
+    # about 1.04, so the block of 81 must reach past the cluster.
+    K = gram_matrix(dot_product([0.5**i for i in range(54)]), sphere_uniform(2000, 3, seed=0))
+    _assert_leading_pairs(K, eigendecompose(K, k=38), 38)
+
+
+def test_leading_k_with_the_block_as_large_as_the_matrix_is_the_full_path():
+    # b = min(n, 2k + 5) = n: the first k pairs of the dense path, as copies.
+    K = _random_psd(20, np.random.default_rng(4))
+    full, head = eigendecompose(K), eigendecompose(K, k=8)
+    assert np.array_equal(head.eigenvalues, full.eigenvalues[:8])
+    assert np.array_equal(head.eigenvectors, full.eigenvectors[:, :8])
+    assert head.eigenvectors.base is None
+
+
+_K40 = gram_matrix(rbf(1.0), gaussian_synthetic(40, 1, seed=6))
+_LEADING = eigendecompose(_K40, k=3)  # b = 11 < 40: the subspace iteration runs
+
+
+@pytest.mark.parametrize("call", [
+    lambda eig: error_sweep(_K40, eig, [0, 1]),
+    lambda eig: tail_abs_sum(eig, 1),
+    lambda eig: sup_norm_tail(eig, 1),
+    lambda eig: delocalisation_report(eig, 1),
+    factor_from_eigendecomposition,
+], ids=["error_sweep", "tail_abs_sum", "sup_norm_tail", "delocalisation_report",
+        "factor_from_eigendecomposition"])
+def test_tail_readers_refuse_a_leading_k_decomposition(call):
+    assert _LEADING.n == 40 and _LEADING.eigenvalues.shape == (3,)
+    with pytest.raises(CapabilityError, match="full decomposition"):
+        call(_LEADING)
+
+
+def test_truncate_takes_a_leading_k_decomposition_up_to_k():
+    assert np.abs(truncate(_LEADING, 3) - truncate(eigendecompose(_K40), 3)).max() <= 1e-12
+    with pytest.raises(ValueError, match="rank must be an integer in"):
+        truncate(_LEADING, 4)
+
+
+def test_leading_k_refuses_a_negative_eigenvalue_that_outweighs_the_kth():
+    # The block would lock onto -10 and could miss positive eigenvalues; the
+    # same matrix with the sign flipped is PSD and passes.
+    Q = np.linalg.qr(np.random.default_rng(7).standard_normal((40, 40)))[0]
+    w = np.concatenate([[-10.0], 0.5 ** np.arange(39)])
+    K = (Q * w) @ Q.T
+    K = np.triu(K) + np.triu(K, 1).T
+    with pytest.raises(CapabilityError, match="negative eigenvalue"):
+        eigendecompose(K, k=3)
+    K = (Q * np.abs(w)) @ Q.T
+    K = np.triu(K) + np.triu(K, 1).T
+    _assert_leading_pairs(K, eigendecompose(K, k=3), 3)
+
+
+def test_only_spectral_calls_a_numpy_eigensolver():
+    # One eigen entry point: every other module goes through eigendecompose.
+    src = Path(spectral.__file__).parent
+    calls = {path.name for path in src.glob("*.py")
+             if re.search(r"linalg\.eig(h|valsh|vals)?\b", path.read_text())}
+    assert calls == {"spectral.py"}
 
 
 def test_error_sweep_falls_back_on_an_off_diagonal_maximum():
@@ -446,7 +575,7 @@ def results():
         "PsdFactor": factor_from_eigendecomposition(eigendecompose(K)),
         "MethodComparison": compare_methods(K, [1, 3], trials=2, seed=0),
         "EigenvalueDeviationReport": eigenvalue_deviation_report(
-            eig.eigenvalues, GaussianRbfSpectrum(sigma=1.0, bandwidth=1.0), count=3),
+            eig, GaussianRbfSpectrum(sigma=1.0, bandwidth=1.0), count=3),
         "TailFrequencyReport": subspace_distance_experiment(
             n=300, q=256, law=bernoulli(0.5), trials=1, seed=0),
     }
@@ -494,6 +623,7 @@ _X = np.arange(20.0).reshape(10, 2)
 # Every public integer parameter besides sup_norm_tail's rank (tested above):
 # a call taking the value, and a value just below the parameter's range.
 _INTEGER_PARAMETERS = {
+    "eigendecompose k": (lambda v: eigendecompose(np.eye(40), k=v), 0),
     "truncate d": (lambda v: truncate(_EIG4, v), -1),
     "tail_abs_sum d": (lambda v: tail_abs_sum(_EIG4, v), -1),
     "error_sweep ranks": (lambda v: error_sweep(np.diag(_EIG4.eigenvalues), _EIG4, [v]), -1),
@@ -518,7 +648,7 @@ _INTEGER_PARAMETERS = {
     "compare_methods trials": (lambda v: compare_methods(np.eye(4), [1], v, 0), 0),
     "compare_methods ranks": (lambda v: compare_methods(np.eye(4), [v, 2], 1, 0), 0),
     "eigenvalue_deviation_report count": (
-        lambda v: eigenvalue_deviation_report(_EIG4.eigenvalues, _SPEC, v), 0),
+        lambda v: eigenvalue_deviation_report(_EIG4, _SPEC, v), 0),
     "subspace_distance_experiment n": (
         lambda v: subspace_distance_experiment(v, 256, bernoulli(0.5), 1, 0), 1),
     "subspace_distance_experiment q": (

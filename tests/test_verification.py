@@ -107,21 +107,23 @@ def test_deviation_report_trace_sanity():
     eig = eigendecompose(gram_matrix(rbf(1.0), X))
     assert eig.eigenvalues.sum() / 200 == pytest.approx(1.0, rel=1e-10)
     spec = GaussianRbfSpectrum(sigma=1.0, bandwidth=1.0)
-    report = eigenvalue_deviation_report(eig.eigenvalues, spec, count=5)
+    report = eigenvalue_deviation_report(eig, spec, count=5)
     assert report.sample.sum() <= 1.0 + 1e-12
     assert report.analytic == pytest.approx(
         [spec.base * spec.ratio**i for i in range(5)])
     assert report.abs_deviation == pytest.approx(np.abs(report.sample - report.analytic))
 
 
-def test_deviation_report_accepts_plain_eigenvalues():
+def test_deviation_report_divides_a_leading_k_decomposition_by_the_matrix_order():
+    # Five pairs of a 300 x 300 Gram: the sample is lambda_i / 300, not / 5.
     spec = GaussianRbfSpectrum(sigma=1.0, bandwidth=1.0)
-    X = gaussian_synthetic(300, 1, sigma=1.0, seed=3)
-    w = np.linalg.eigvalsh(np.asarray(gram_matrix(rbf(1.0), X)))[::-1]
-    report = eigenvalue_deviation_report(w, spec, count=3)
+    K = gram_matrix(rbf(1.0), gaussian_synthetic(300, 1, sigma=1.0, seed=3))
+    w, eig = np.linalg.eigvalsh(K)[::-1], eigendecompose(K, k=5)
+    report = eigenvalue_deviation_report(eig, spec, count=3)
     assert report.rel_deviation.shape == (3,)
+    assert np.abs(report.sample - w[:3] / 300).max() <= 1e-12 * w[0] / 300
     with pytest.raises(ValueError):
-        eigenvalue_deviation_report(w, spec, count=301)
+        eigenvalue_deviation_report(eig, spec, count=6)
 
 
 def test_deviation_shrinks_with_sample_size():
@@ -132,8 +134,8 @@ def test_deviation_shrinks_with_sample_size():
         devs = []
         for s in range(3):
             X = gaussian_synthetic(n, 1, sigma=1.0, seed=10 + s)
-            w = np.linalg.eigvalsh(np.asarray(gram_matrix(rbf(1.0), X)))[::-1]
-            devs.append(eigenvalue_deviation_report(w, spec, count=1).rel_deviation[0])
+            eig = eigendecompose(gram_matrix(rbf(1.0), X), k=1)
+            devs.append(eigenvalue_deviation_report(eig, spec, count=1).rel_deviation[0])
         med[n] = np.median(devs)
     assert med[800] <= med[200] * 1.5  # non-increasing within noise
 
