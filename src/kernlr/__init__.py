@@ -14,13 +14,11 @@ from .analytic import (
     GaussianRbfSpectrum,
     SphereSpectrumParams,
     beta_from_upsilon,
-    weighted_hermite,
     entrywise_error_rate,
     exp_tail_bound,
     exponential_decay,
     gaussian_rbf_eigenfunction,
     gaussian_rbf_eigenvalue,
-    largest_tail_gap,
     poly_tail_bound,
     polynomial_decay,
     required_rank,
@@ -40,7 +38,6 @@ from .kernels import (
     KernelSpec,
     as_dataset,
     dot_product,
-    evaluate,
     gram_matrix,
     matern,
     median_heuristic,
@@ -61,7 +58,6 @@ from .spectral import (
     eigendecompose,
     error_sweep,
     sup_norm_tail,
-    tail_abs_sum,
     truncate,
 )
 from .verification import (
@@ -74,7 +70,6 @@ from .verification import (
     interlacing_check,
     minor_decomposition,
     minor_identity_check,
-    scaled,
     subspace_distance_experiment,
 )
 

@@ -24,6 +24,7 @@ from .errors import CapabilityError, HypothesisError
 from .spectral import _check_int, _check_real
 
 HERMITE_ORDER_CAP = 60
+_GAMMA_TERM_CAP = 1000  # terms of the incomplete gamma series or continued fraction
 
 
 @dataclass(frozen=True)
@@ -112,6 +113,11 @@ def gaussian_rbf_eigenfunction(i: int, x, spec: GaussianRbfSpectrum):
     ``upsilon`` and ``h_i`` the normalized Hermite polynomial. Orders above
     ``HERMITE_ORDER_CAP`` (60) are refused: beyond that the evaluation leaves
     the range where double precision keeps the normalization honest.
+
+    ``exp(-t^2) h_i(t)`` is classically bounded by 1.09 over every order, but
+    the envelope here decays more slowly than that weight, so the sup norm
+    grows geometrically with the order, at a rate below half the eigenvalue
+    decay rate.
     """
     if spec.p != 1:
         raise ValueError("univariate eigenfunctions require p = 1")
@@ -124,22 +130,6 @@ def gaussian_rbf_eigenfunction(i: int, x, spec: GaussianRbfSpectrum):
     t = (0.25 + 0.5 * u) ** 0.25 * x / spec.sigma
     envelope = np.exp(-(x * x) * (root - 1.0) / (4.0 * spec.sigma**2))
     value = (1.0 + 2.0 * u) ** 0.125 * envelope * _hermite_normalized(i, t)
-    return value if value.ndim else float(value)
-
-
-def weighted_hermite(i: int, t):
-    """Gaussian-weighted normalized Hermite value ``exp(-t^2) H_i(t) / sqrt(2^i i!)``.
-
-    Classically bounded by 1.09 uniformly in both the order and the argument,
-    which is what keeps the normalized recurrence overflow-free. Note the
-    eigenfunctions themselves are *not* uniformly bounded over orders: their
-    envelope ``exp(-x^2 (sqrt(1+2u) - 1) / (4 sigma^2))`` decays more slowly
-    than this full Gaussian weight, so their sup norm grows with the order
-    (geometrically, at a rate below half the eigenvalue decay rate).
-    """
-    i = _check_int(i, "order", 0)
-    t = np.asarray(t, dtype=float)
-    value = np.exp(-t * t) * _hermite_normalized(i, t)
     return value if value.ndim else float(value)
 
 
@@ -275,22 +265,68 @@ def poly_tail_bound(d: int, alpha: float) -> float:
     return float(d) ** (1.0 - alpha) / (alpha - 1.0)
 
 
+def _log_upper_gamma(s: float, x: float) -> float:
+    """``log Gamma(s, x)``, the upper incomplete gamma function, for s >= 1 and x > 0.
+
+    Numerical Recipes (Press et al.), section 6.2. Below x = s + 1 the series
+    ``gamma(s, x) = x**s e**-x sum_n x**n / (s (s + 1) ... (s + n))`` for the
+    lower part is taken from ``Gamma(s)``, of which at least ``e**-2`` is left
+    there; above it the modified Lentz continued fraction ``h`` gives
+    ``Gamma(s, x) = x**s e**-x h``. Logs keep ``x**s``, ``e**-x`` and
+    ``Gamma(s)`` from overflowing on their own. Either loop raises
+    ``CapabilityError`` if it has not converged in ``_GAMMA_TERM_CAP`` terms.
+    """
+    if x < s + 1.0:
+        term = total = 1.0 / s
+        for n in range(1, _GAMMA_TERM_CAP):
+            term *= x / (s + n)
+            if total + term == total:  # lower is gamma(s, x) / Gamma(s)
+                lower = math.exp(s * math.log(x) - x - math.lgamma(s)) * total
+                return math.lgamma(s) + math.log1p(-lower)
+            total += term
+    else:
+        tiny = 1e-300  # keeps the Lentz ratios away from zero
+        b = x + 1.0 - s
+        c, f = 1.0 / tiny, 1.0 / b
+        h = f
+        for n in range(1, _GAMMA_TERM_CAP):
+            a = n * (s - n)
+            b += 2.0
+            f = a * f + b
+            f = 1.0 / (f if abs(f) > tiny else tiny)
+            c = b + a / c
+            c = c if abs(c) > tiny else tiny
+            h *= c * f
+            if abs(c * f - 1.0) <= math.ulp(1.0):
+                return s * math.log(x) - x + math.log(h)
+    raise CapabilityError(f"the incomplete gamma function at s = {s}, x = {x} "
+                          f"did not converge in {_GAMMA_TERM_CAP} terms")
+
+
 def exp_tail_bound(d: int, beta: float, gamma: float) -> float:
     """Upper bound on the tail sum of ``exp(-beta * i**gamma)`` over i > d.
 
     Integral comparison again: the bound is the exact integral from d, which
     substitutes into an upper incomplete gamma function,
     ``beta**(-1/gamma) / gamma * Gamma(1/gamma, beta * d**gamma)``. For
-    gamma = 1 this reduces to ``exp(-beta d) / beta``.
+    gamma = 1 this reduces to ``exp(-beta d) / beta``. Like
+    :func:`required_rank`, it raises ``CapabilityError`` when the bound is out
+    of the float range.
     """
     d = _check_int(d, "d", 1)
     beta = _check_real(beta, "beta", "(0, inf)")
     gamma = _check_real(gamma, "gamma", "(0, 1]")
-    # Imported here: scipy.special takes ~0.3 s to import, and only this function uses it.
-    from scipy.special import gammaincc, gamma as gamma_fn
-    s = 1.0 / gamma
-    x = beta * float(d) ** gamma
-    return beta ** (-s) / gamma * float(gammaincc(s, x)) * float(gamma_fn(s))
+    try:
+        s, x = 1.0 / gamma, beta * float(d) ** gamma
+        if x == math.inf:  # e**-x underflows whatever the other factors are
+            return 0.0
+        bound = math.exp(_log_upper_gamma(s, x) - s * math.log(beta) - math.log(gamma))
+    except OverflowError:
+        bound = math.inf
+    if not math.isfinite(bound):
+        raise CapabilityError(f"the tail bound for d = {d}, beta = {beta}, gamma = {gamma} "
+                              "is out of floating-point range")
+    return bound
 
 
 def entrywise_error_rate(n: int, hyp: DecayHypothesis) -> float:
@@ -319,19 +355,3 @@ def required_rank(n: int, hyp: DecayHypothesis, c: float = 1.0) -> int:
         return math.floor((math.log(n) / hyp.beta) ** (1.0 / hyp.gamma)) + 1
     except OverflowError:
         raise CapabilityError(f"the required rank for n = {n} is too large for a float") from None
-
-
-def largest_tail_gap(eigenvalues, i: int) -> float:
-    """Largest gap between consecutive eigenvalues at or after position i (1-based).
-
-    Over a finite list this is a lower bound for the supremum over the full
-    spectrum. The gap is the one hypothesis quantity left to compute: the
-    residual of the constant function vanishes in both supported settings (the
-    squared-exponential kernel under a Gaussian measure, and dot-product kernels
-    on the sphere), as every eigenfunction beyond the constant integrates to zero.
-    """
-    w = np.asarray(eigenvalues, dtype=float)
-    if w.ndim != 1 or w.shape[0] < 2:
-        raise ValueError("need a 1-d list of at least two eigenvalues")
-    i = _check_int(i, "index", 1, w.shape[0] - 1)
-    return float(np.max(w[i - 1:-1] - w[i:]))

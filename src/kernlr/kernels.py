@@ -114,31 +114,6 @@ def _radial(kernel: KernelSpec, r):
     return (1.0 + t + t * t / 3.0) * np.exp(-t)
 
 
-def evaluate(kernel: KernelSpec, x, y) -> float:
-    """Evaluate ``k(x, y)`` for a single pair of points.
-
-    Symmetric in its arguments; matern/rbf kernels depend on the pair only
-    through the Euclidean distance and satisfy ``k(x, x) = 1``.
-    """
-    x = np.asarray(x, dtype=float).ravel()
-    y = np.asarray(y, dtype=float).ravel()
-    if x.shape != y.shape:
-        raise ValueError(f"dimension mismatch: {x.shape[0]} vs {y.shape[0]}")
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
-        raise ValueError("kernel arguments must be finite")
-    if kernel.family == "dot_product":
-        return _poly(kernel.coefficients, float(np.dot(x, y)))
-    return float(_radial(kernel, np.linalg.norm(x - y)))
-
-
-def _poly(coeffs, s):
-    # Horner on the inner product; coeffs are ascending in the power.
-    acc = 0.0
-    for b in reversed(coeffs):
-        acc = acc * s + b
-    return acc
-
-
 def _distance_panels(X: np.ndarray):
     """Yield ``(i, D)`` per panel: the distances from ``X[i:i + _PANEL_ROWS]`` to every row."""
     XT = X.T.copy()
@@ -160,7 +135,7 @@ def gram_matrix(kernel: KernelSpec, points) -> np.ndarray:
     X = as_dataset(points)
     if kernel.family == "dot_product":
         V = X @ X.T
-        # Horner in place, the same scheme as ``_poly``, one row panel at a
+        # Horner in place from the highest power down, one row panel at a
         # time over a copy of the panel's inner products; elementwise on a
         # symmetric input, so the result stays symmetric bit for bit.
         *rest, top = kernel.coefficients

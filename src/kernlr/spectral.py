@@ -154,22 +154,28 @@ def _leading_eigh(K: np.ndarray, k: int):
         Q = np.linalg.qr(np.random.default_rng(0).standard_normal((K.shape[0], 2 * k + 5)))[0]
         for _ in range(LEADING_K_ITERATION_CAP):
             Y = K @ Q
-            theta, V = np.linalg.eigh(Q.T @ Y)  # eigh reads one triangle of Q.T K Q
-            tol = LEADING_K_TOLERANCE * max(theta[-1], -theta[0])
-            if -theta[0] > theta[-k] + tol:
+            ritz, V = np.linalg.eigh(Q.T @ Y)  # eigh reads one triangle of Q.T K Q
+            scale = max(ritz[-1], -ritz[0])  # |lambda_1| as the block sees it
+            tol = LEADING_K_TOLERANCE * scale
+            if -ritz[0] > ritz[-k] + tol:
                 raise CapabilityError("the leading-k eigensolver needs the k largest eigenvalues "
                                       "to dominate in magnitude; a negative eigenvalue competes")
-            theta, V = theta[:-k - 1:-1], V[:, :-k - 1:-1]  # the k largest, descending
+            theta, V = ritz[:-k - 1:-1], V[:, :-k - 1:-1]  # the k largest, descending
             U = Q @ V
             R = Y @ V  # K u - theta u for each kept pair, as Y V - U theta
             R -= U * theta
-            if np.sqrt(np.einsum("ij,ij->j", R, R)).max() <= tol:
+            residual = np.sqrt(np.einsum("ij,ij->j", R, R)).max()
+            if residual <= tol:
                 return theta, U
             Q = np.linalg.qr(Y)[0]
     except np.linalg.LinAlgError as exc:
         raise EigensolverError(f"leading-k eigensolver failed: {exc}") from exc
-    raise EigensolverError(f"leading {k} eigenpairs not converged in "
-                           f"{LEADING_K_ITERATION_CAP} subspace iterations")
+    # Each iteration shrinks the residual by about |lambda_{b+1}| / lambda_k,
+    # which the block's smallest-magnitude Ritz value over theta_k estimates.
+    raise EigensolverError(f"leading {k} eigenpairs not converged in {LEADING_K_ITERATION_CAP} "
+                           f"subspace iterations: largest residual {residual / scale:.3g} x |lambda_1|"
+                           f" (stop at {LEADING_K_TOLERANCE:g}), convergence factor "
+                           f"{np.abs(ritz).min() / theta[-1]:.4f}")
 
 
 def eigendecompose(gram, k=None) -> EigenDecomposition:
@@ -248,11 +254,6 @@ def _tails(eig: EigenDecomposition):
     abs_w = np.abs(w)
     return (suffix(np.add, w * w), suffix(np.maximum, abs_w), suffix(np.add, abs_w),
             suffix(np.maximum, np.maximum(U.max(axis=0), -U.min(axis=0))))
-
-
-def tail_abs_sum(eig: EigenDecomposition, d: int) -> float:
-    """Sum of absolute eigenvalues discarded by a rank-d truncation."""
-    return float(_tails(eig)[2][_check_int(d, "rank", 0, eig.n)])
 
 
 def sup_norm_tail(eig: EigenDecomposition, d: int) -> float:

@@ -158,18 +158,6 @@ def bernoulli(p0: float) -> EntryLaw:
     )
 
 
-def scaled(lo: float, hi: float) -> EntryLaw:
-    """Entries uniform on a subinterval [lo, hi] of [0, 1]."""
-    lo, hi = _check_real(lo, "lo", "[0, 1]"), _check_real(hi, "hi", "[0, 1]")
-    if not lo < hi:
-        raise ValueError(f"need lo < hi, got lo={lo!r}, hi={hi!r}")
-    return EntryLaw(
-        name=f"scaled({lo:g},{hi:g})",
-        variance=(hi - lo) ** 2 / 12.0,
-        sample=lambda rng, shape: lo + (hi - lo) * rng.random(shape),
-    )
-
-
 @_readonly
 class TailFrequencyReport:
     """Empirical tail frequencies of the projection-distance statistic vs bound."""

@@ -13,7 +13,7 @@ with coefficients 0.5**i on the sphere S^2 with uniform data. Its
 eigenfunctions are spherical harmonics with ``||Y_l||_inf <= sqrt(2l + 1)``,
 a growth only polynomial in the order, so (E) holds for every s > 0. The
 Gaussian setting does not meet the premise: there the eigenfunctions' sup
-norm grows geometrically with the order (see ``weighted_hermite``).
+norm grows geometrically with the order (see ``gaussian_rbf_eigenfunction``).
 
 Criterion 5 takes its maximum only over tail eigenvectors that double
 precision resolves, those whose eigenvalue exceeds the numerical-rank floor

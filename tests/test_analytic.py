@@ -1,8 +1,11 @@
 import math
+import sys
 
 import numpy as np
 import pytest
 from numpy.polynomial.hermite import hermgauss
+from scipy.special import gammaincc, gammaln
+from scipy.special import gamma as gamma_fn
 
 from kernlr import (
     CapabilityError,
@@ -16,15 +19,14 @@ from kernlr import (
     exponential_decay,
     gaussian_rbf_eigenfunction,
     gaussian_rbf_eigenvalue,
-    largest_tail_gap,
     poly_tail_bound,
     polynomial_decay,
     required_rank,
     sphere_decay_hypothesis,
     sphere_harmonic_count,
     tensor_spectrum,
-    weighted_hermite,
 )
+from kernlr.analytic import _hermite_normalized
 
 SPEC1 = GaussianRbfSpectrum(sigma=1.0, bandwidth=1.0)  # upsilon = 2
 
@@ -120,7 +122,25 @@ def test_weighted_hermite_uniform_bound():
     # classical bound: |e^{-t^2} H_i(t)| <= 1.09 sqrt(2^i i!) for every order
     t = np.linspace(-30.0, 30.0, 24001)
     for i in range(41):
-        assert np.abs(weighted_hermite(i, t)).max() <= 1.09
+        assert np.abs(np.exp(-t * t) * _hermite_normalized(i, t)).max() <= 1.09
+
+
+def test_eigenfunction_sup_norm_grows_geometrically_with_the_order():
+    # The envelope decays more slowly than the weight behind the 1.09 bound,
+    # so the sup norm is unbounded over orders (the Gaussian setting misses
+    # (E) with s = 0). At upsilon = 2 the maxima sit within |x| < 12, well
+    # inside the grid. Measured: step ratios 1.583-1.611 and a log-linear fit
+    # of 1.605 per order, under exp(beta / 2) = 1.618, the half-decay-rate
+    # ceiling. The evaluation is elementwise on a fixed grid, so the only
+    # slack needed is the grid's: a spacing of 5e-4 reads each maximum within
+    # 6e-8 relative of a 1e-5 grid, far inside the 0.4% left below the
+    # ceiling and the 2% above 1.55.
+    x = np.linspace(-60.0, 60.0, 240001)
+    orders = np.arange(10, 61)
+    sup = np.array([np.abs(gaussian_rbf_eigenfunction(int(i), x, SPEC1)).max() for i in orders])
+    steps = sup[1:] / sup[:-1]
+    assert np.all(steps > 1.55) and np.all(steps < math.exp(SPEC1.beta / 2.0))
+    assert math.exp(np.polyfit(orders, np.log(sup), 1)[0]) == pytest.approx(1.605, abs=0.005)
 
 
 def test_tensor_spectrum_bivariate_hand_case():
@@ -219,6 +239,37 @@ def test_exp_tail_bound_values():
     assert true_tail <= exp_tail_bound(5, 1.0, 1.0)
 
 
+@pytest.mark.parametrize("gamma", np.linspace(0.05, 1.0, 96))
+def test_exp_tail_bound_matches_scipy_on_a_grid(gamma):
+    # beta**(-s) / gamma * gammaincc(s, x) * gamma(s) is the reference. Below
+    # the smallest normal float the reference's product underflows to 0 while
+    # the bound, formed from one exp, degrades gradually, so there the
+    # comparison is absolute.
+    gamma = float(gamma)
+    s = 1.0 / gamma
+    for beta in (0.01, 0.1, 0.5, 1.0, 2.0, 10.0):
+        for d in (1, 2, 5, 10, 50, 100, 1000):
+            x = beta * float(d) ** gamma
+            ref = beta ** (-s) / gamma * float(gammaincc(s, x)) * float(gamma_fn(s))
+            assert exp_tail_bound(d, beta, gamma) == pytest.approx(ref, rel=1e-12, abs=sys.float_info.min)
+
+
+def test_exp_tail_bound_out_of_float_range():
+    # beta**(-1/gamma) Gamma(1/gamma, beta) is about 1e772 here
+    with pytest.raises(CapabilityError, match="out of floating-point range"):
+        exp_tail_bound(1, 0.01, 0.005)
+    # Gamma(200, 10) overflows on its own, but the bound is about 7.9e174
+    log_bound = gammaln(200.0) + math.log(gammaincc(200.0, 10.0)) - 200.0 * math.log(10.0) - math.log(0.005)
+    assert exp_tail_bound(1, 10.0, 0.005) == pytest.approx(math.exp(log_bound), rel=1e-12)
+    assert exp_tail_bound(2, 1e308, 1.0) == 0.0  # beta * d overflows: e**-x is 0
+
+
+def test_exp_tail_bound_refuses_an_unconverged_incomplete_gamma():
+    # x = s = 20000 needs about 1200 series terms, beyond the cap
+    with pytest.raises(CapabilityError, match="did not converge in 1000 terms"):
+        exp_tail_bound(1, 2e4, 5e-5)
+
+
 def test_exp_tail_bound_decreasing_in_d():
     for beta in (0.5, 1.0):
         for gamma in (0.5, 1.0):
@@ -285,21 +336,3 @@ def test_decay_hypothesis_validation():
         exponential_decay(1.0, s=0.6)  # beta <= 2s
     with pytest.raises(ValueError):
         DecayHypothesis(kind="Q")
-
-
-def test_largest_tail_gap_hand_case():
-    assert largest_tail_gap([3.0, 1.0, 1.0], 1) == pytest.approx(2.0)
-
-
-def test_largest_tail_gap_geometric_first_gap_dominates():
-    c, q = SPEC1.base, SPEC1.ratio
-    w = [c * q**j for j in range(12)]
-    for i in (1, 2, 5):
-        assert largest_tail_gap(w, i) == pytest.approx(w[i - 1] - w[i])
-
-
-def test_largest_tail_gap_validation():
-    with pytest.raises(ValueError):
-        largest_tail_gap([1.0], 1)
-    with pytest.raises(ValueError):
-        largest_tail_gap([3.0, 1.0], 2)

@@ -654,3 +654,18 @@ def test_importing_the_package_and_cli_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_the_package_and_cli_run_with_scipy_blocked(tmp_path):
+    # numpy is the only runtime dependency: with scipy unimportable, the
+    # package, the CLI and the one special function (exp_tail_bound) work.
+    probe = ("import sys; sys.modules['scipy'] = None; "
+             "import kernlr, kernlr.cli; "
+             "print(repr(kernlr.exp_tail_bound(5, 1.0, 0.5))); "
+             "sys.exit(kernlr.cli.main(['rates', '--hypothesis', 'E', '--beta', '1']))")
+    env = {**os.environ, "PYTHONPATH": str(Path(kernlr.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", probe], cwd=tmp_path, env=env,
+                         capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert float(out.stdout.splitlines()[0]) == pytest.approx(kernlr.exp_tail_bound(5, 1.0, 0.5), rel=0)
+    assert "required_rank" in out.stdout

@@ -13,7 +13,6 @@ from kernlr import (
     dot_product,
     eigendecompose,
     error_sweep,
-    evaluate,
     factor_from_eigendecomposition,
     gaussian_synthetic,
     gram_matrix,
@@ -28,48 +27,53 @@ from kernlr.kernels import _PANEL_ROWS, KernelSpec, _radial
 from kernlr.spectral import _as_symmetric
 
 
+def _pair(kernel, x, y):
+    # k(x, y) as the off-diagonal entry of a two-point Gram matrix.
+    return gram_matrix(kernel, [x, y])[0, 1]
+
+
 def test_matern_half_closed_form():
     # distance 1, bandwidth 1 -> exp(-1)
-    assert evaluate(matern(0.5, 1.0), [0.0], [1.0]) == pytest.approx(np.exp(-1.0))
+    assert _pair(matern(0.5, 1.0), [0.0], [1.0]) == pytest.approx(np.exp(-1.0))
 
 
 def test_rbf_unit_diagonal():
-    assert evaluate(rbf(3.7), [1.0, 2.0], [1.0, 2.0]) == 1.0
+    assert _pair(rbf(3.7), [1.0, 2.0], [1.0, 2.0]) == 1.0
 
 
 def test_matern_all_orders_equal_one_at_zero_distance():
     for nu in (0.5, 1.5, 2.5):
-        assert evaluate(matern(nu, 1.0), [0.3, -0.4], [0.3, -0.4]) == 1.0
+        assert _pair(matern(nu, 1.0), [0.3, -0.4], [0.3, -0.4]) == 1.0
 
 
 def test_matern_32_and_52_closed_forms():
     r = 0.8
     t3 = np.sqrt(3.0) * r
     t5 = np.sqrt(5.0) * r
-    assert evaluate(matern(1.5, 1.0), [0.0], [r]) == pytest.approx((1 + t3) * np.exp(-t3))
-    assert evaluate(matern(2.5, 1.0), [0.0], [r]) == pytest.approx(
+    assert _pair(matern(1.5, 1.0), [0.0], [r]) == pytest.approx((1 + t3) * np.exp(-t3))
+    assert _pair(matern(2.5, 1.0), [0.0], [r]) == pytest.approx(
         (1 + t5 + 5 * r * r / 3.0) * np.exp(-t5))
 
 
-def test_evaluate_symmetric_and_translation_invariant():
+def test_gram_pair_symmetric_and_translation_invariant():
     k = matern(1.5, 0.7)
     x, y = np.array([1.0, -2.0]), np.array([0.5, 0.25])
-    assert evaluate(k, x, y) == evaluate(k, y, x)
+    assert _pair(k, x, y) == _pair(k, y, x)
     shift = np.array([5.0, -3.0])
-    assert evaluate(k, x + shift, y + shift) == pytest.approx(evaluate(k, x, y))
+    assert _pair(k, x + shift, y + shift) == pytest.approx(_pair(k, x, y))
 
 
-def test_evaluate_rejects_dimension_mismatch_and_nonfinite():
+def test_gram_rejects_ragged_and_nonfinite_points():
     with pytest.raises(ValueError):
-        evaluate(rbf(1.0), [1.0, 2.0], [1.0])
+        gram_matrix(rbf(1.0), [[1.0, 2.0], [1.0]])
     with pytest.raises(ValueError):
-        evaluate(rbf(1.0), [np.nan], [1.0])
+        gram_matrix(rbf(1.0), [[np.nan], [1.0]])
 
 
 def test_dot_product_kernel():
     k = dot_product([1.0, 0.0, 2.0])  # 1 + 2 <x,y>^2
-    assert evaluate(k, [1.0, 0.0], [0.0, 1.0]) == pytest.approx(1.0)
-    assert evaluate(k, [1.0, 0.0], [1.0, 0.0]) == pytest.approx(3.0)
+    assert _pair(k, [1.0, 0.0], [0.0, 1.0]) == pytest.approx(1.0)
+    assert _pair(k, [1.0, 0.0], [1.0, 0.0]) == pytest.approx(3.0)
 
 
 def test_kernel_spec_validation():
@@ -86,7 +90,7 @@ def test_kernel_spec_validation():
 def test_kernel_values_in_unit_interval_and_decreasing_in_distance():
     rs = np.linspace(0.0, 6.0, 200)
     for k in (matern(0.5, 1.3), matern(1.5, 1.3), matern(2.5, 1.3), rbf(1.3)):
-        vals = np.array([evaluate(k, [0.0], [r]) for r in rs])
+        vals = gram_matrix(k, rs[:, None])[0]
         assert vals[0] == 1.0
         assert np.all(vals > 0.0) and np.all(vals <= 1.0)
         assert np.all(np.diff(vals) <= 0.0)
@@ -114,14 +118,15 @@ def test_gram_exact_symmetry_and_unit_diagonal():
     assert np.all(g > 0.0) and np.all(g <= 1.0)
 
 
-def test_gram_matches_pointwise_evaluate():
+def test_gram_matches_polyval_and_matern_closed_form():
     rng = np.random.default_rng(1)
     X = rng.standard_normal((15, 3))
-    for k in (matern(2.5, 1.4), dot_product([0.2, 1.0])):
-        g = gram_matrix(k, X)
-        for i in range(15):
-            for j in range(15):
-                assert g[i, j] == pytest.approx(evaluate(k, X[i], X[j]), abs=1e-12)
+    coeffs = [0.2, 1.0, 0.0, 0.3]
+    expect = np.polynomial.polynomial.polyval(X @ X.T, coeffs)
+    assert np.abs(gram_matrix(dot_product(coeffs), X) - expect).max() <= 1e-12
+    t = np.sqrt(5.0) * squareform(pdist(X)) / 1.4
+    expect = (1.0 + t + t * t / 3.0) * np.exp(-t)
+    assert np.abs(gram_matrix(matern(2.5, 1.4), X) - expect).max() <= 1e-12
 
 
 def test_gram_numerically_psd_on_distinct_points():

@@ -35,22 +35,18 @@ from kernlr import (
     gram_matrix,
     jl_approximation,
     jl_error_bound,
-    largest_tail_gap,
     matern,
     poly_tail_bound,
     polynomial_decay,
     rbf,
     required_rank,
-    scaled,
     sphere_harmonic_count,
     sphere_uniform,
     subsample,
     subspace_distance_experiment,
     sup_norm_tail,
-    tail_abs_sum,
     tensor_spectrum,
     truncate,
-    weighted_hermite,
 )
 from kernlr import spectral
 from kernlr.spectral import LEADING_K_ITERATION_CAP, LEADING_K_TOLERANCE
@@ -252,7 +248,7 @@ def test_error_sweep_matches_direct_residual_and_tail_statistics(case):
         assert abs(sweep.max_entry_error[i] - np.abs(direct).max()) <= tol
         assert abs(sweep.frobenius_error[i] - np.linalg.norm(direct)) <= tol
         if d < eig.n:
-            assert sweep.tail_abs_sum[i] == tail_abs_sum(eig, d)
+            assert sweep.tail_abs_sum[i] == pytest.approx(np.abs(eig.eigenvalues[d:]).sum(), rel=1e-12)
             assert sweep.sup_norm_tail[i] == sup_norm_tail(eig, d)
     assert np.all(np.diff(sweep.frobenius_error) <= tol)
     assert np.all(np.diff(sweep.tail_abs_sum) <= 0.0)
@@ -377,11 +373,10 @@ _LEADING = eigendecompose(_K40, k=3)  # b = 11 < 40: the subspace iteration runs
 
 @pytest.mark.parametrize("call", [
     lambda eig: error_sweep(_K40, eig, [0, 1]),
-    lambda eig: tail_abs_sum(eig, 1),
     lambda eig: sup_norm_tail(eig, 1),
     lambda eig: delocalisation_report(eig, 1),
     factor_from_eigendecomposition,
-], ids=["error_sweep", "tail_abs_sum", "sup_norm_tail", "delocalisation_report",
+], ids=["error_sweep", "sup_norm_tail", "delocalisation_report",
         "factor_from_eigendecomposition"])
 def test_tail_readers_refuse_a_leading_k_decomposition(call):
     assert _LEADING.n == 40 and _LEADING.eigenvalues.shape == (3,)
@@ -407,6 +402,23 @@ def test_leading_k_refuses_a_negative_eigenvalue_that_outweighs_the_kth():
     K = (Q * np.abs(w)) @ Q.T
     K = np.triu(K) + np.triu(K, 1).T
     _assert_leading_pairs(K, eigendecompose(K, k=3), 3)
+
+
+def test_leading_k_cap_reports_the_residual_and_the_convergence_factor():
+    # A near-identity Gram: |lambda_26| / lambda_10 = 0.785 (b = 25), so the
+    # stop rule predicts about 113 iterations, past the cap of 50. The block's
+    # smallest Ritz value over theta_10 estimates that factor.
+    K = gram_matrix(rbf(0.3), gaussian_synthetic(200, 4, seed=0))
+    with pytest.raises(EigensolverError) as info:
+        eigendecompose(K, k=10)
+    found = re.fullmatch(r"leading 10 eigenpairs not converged in 50 subspace iterations: "
+                         r"largest residual (\S+) x \|lambda_1\| \(stop at 1e-12\), "
+                         r"convergence factor (\S+)", str(info.value))
+    assert found, str(info.value)
+    residual, factor = (float(v) for v in found.groups())
+    w = np.linalg.eigvalsh(K)[::-1]
+    assert LEADING_K_TOLERANCE < residual < 1e-3
+    assert factor == pytest.approx(abs(w[25]) / w[9], abs=0.02)
 
 
 def test_only_spectral_calls_a_numpy_eigensolver():
@@ -467,18 +479,19 @@ def test_eym_small_instance_oracle():
 
 
 def test_tail_abs_sum():
-    eig = eigendecompose(np.diag([5.0, 2.0, -1.0]))
-    assert tail_abs_sum(eig, 0) == pytest.approx(8.0)
-    assert tail_abs_sum(eig, 1) == pytest.approx(3.0)
-    assert tail_abs_sum(eig, 3) == 0.0
+    K = np.diag([5.0, 2.0, -1.0])
+    eig = eigendecompose(K)
+    sweep = error_sweep(K, eig, [0, 1, 3])
+    assert sweep.tail_abs_sum == pytest.approx([8.0, 3.0, 0.0])
+    assert sweep.tail_abs_sum[2] == 0.0
     with pytest.raises(ValueError):
-        tail_abs_sum(eig, 4)
+        error_sweep(K, eig, [4])
 
 
 def test_tail_abs_sum_equals_trace_for_psd():
     rng = np.random.default_rng(10)
     K = _random_psd(12, rng)
-    assert tail_abs_sum(eigendecompose(K), 0) == pytest.approx(np.trace(K))
+    assert error_sweep(K, eigendecompose(K), [0]).tail_abs_sum[0] == pytest.approx(np.trace(K))
 
 
 # 4 x 4 Hadamard matrix over 2: orthogonal, with entries of equal magnitude.
@@ -625,13 +638,11 @@ _X = np.arange(20.0).reshape(10, 2)
 _INTEGER_PARAMETERS = {
     "eigendecompose k": (lambda v: eigendecompose(np.eye(40), k=v), 0),
     "truncate d": (lambda v: truncate(_EIG4, v), -1),
-    "tail_abs_sum d": (lambda v: tail_abs_sum(_EIG4, v), -1),
     "error_sweep ranks": (lambda v: error_sweep(np.diag(_EIG4.eigenvalues), _EIG4, [v]), -1),
     "delocalisation_report d": (lambda v: delocalisation_report(_EIG4, v), -1),
     "GaussianRbfSpectrum p": (lambda v: GaussianRbfSpectrum(1.0, 1.0, v), 0),
     "gaussian_rbf_eigenvalue i": (lambda v: gaussian_rbf_eigenvalue(v, _SPEC), -1),
     "gaussian_rbf_eigenfunction i": (lambda v: gaussian_rbf_eigenfunction(v, 0.5, _SPEC), -1),
-    "weighted_hermite i": (lambda v: weighted_hermite(v, 0.5), -1),
     "tensor_spectrum count": (lambda v: tensor_spectrum(_SPEC, v), 0),
     "sphere_harmonic_count degree": (lambda v: sphere_harmonic_count(v, 3), -1),
     "sphere_harmonic_count p": (lambda v: sphere_harmonic_count(2, v), 2),
@@ -640,7 +651,6 @@ _INTEGER_PARAMETERS = {
     "exp_tail_bound d": (lambda v: exp_tail_bound(v, 1.0, 1.0), 0),
     "entrywise_error_rate n": (lambda v: entrywise_error_rate(v, exponential_decay(1.0)), 1),
     "required_rank n": (lambda v: required_rank(v, exponential_decay(1.0)), 1),
-    "largest_tail_gap i": (lambda v: largest_tail_gap([3.0, 2.0, 1.0], v), 0),
     "jl_approximation d": (lambda v: jl_approximation(
         factor_from_eigendecomposition(_EIG4), v, 0), 0),
     "jl_error_bound n": (lambda v: jl_error_bound(v, 1), 1),
@@ -700,8 +710,6 @@ _REAL_PARAMETERS = {
     "gaussian_synthetic sigma": (lambda v: gaussian_synthetic(n=5, sigma=v), -0.01),
     "gmm_synthetic mean_scale": (lambda v: gmm_synthetic(n=5, mean_scale=v), -0.01),
     "bernoulli p0": (bernoulli, 1.0),
-    "scaled lo": (lambda v: scaled(v, 1.0), -0.01),
-    "scaled hi": (lambda v: scaled(0.0, v), 1.01),
 }
 
 

@@ -3,6 +3,7 @@ import pytest
 
 from kernlr import (
     EigenDecomposition,
+    EntryLaw,
     GaussianRbfSpectrum,
     bernoulli,
     delocalisation_report,
@@ -14,7 +15,6 @@ from kernlr import (
     minor_decomposition,
     minor_identity_check,
     rbf,
-    scaled,
     subspace_distance_experiment,
     tensor_spectrum,
     verification,
@@ -146,15 +146,8 @@ def test_entry_laws():
     rng = np.random.default_rng(0)
     draw = law.sample(rng, (1000,))
     assert set(np.unique(draw)) <= {0.0, 1.0}
-    assert scaled(0.0, 1.0).variance == pytest.approx(1.0 / 12.0)
-    s = scaled(0.2, 0.8)
-    assert s.variance == pytest.approx(0.36 / 12.0)
-    draw = s.sample(rng, (1000,))
-    assert draw.min() >= 0.2 and draw.max() <= 0.8
     with pytest.raises(ValueError):
         bernoulli(0.0)
-    with pytest.raises(ValueError):
-        scaled(0.5, 0.2)
 
 
 def test_subspace_dimension_requirement():
@@ -178,7 +171,7 @@ def test_subspace_experiment_report():
 
 
 def test_subspace_experiment_other_laws():
-    law = scaled(0.0, 1.0)
+    law = EntryLaw("uniform", 1.0 / 12.0, lambda rng, shape: rng.random(shape))
     q = int(np.ceil(64.0 / law.variance))
     report = subspace_distance_experiment(n=2 * q, q=q, law=law, trials=500, seed=5)
     assert np.all(report.frequencies <= report.bounds)
