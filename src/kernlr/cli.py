@@ -145,10 +145,11 @@ def _construct(what: str, table: dict, key: str, entry, **supplied):
     return _call(f"{what} {name!r}", table[name], fields, **supplied)
 
 
-# n x n float64 arrays a sweep or compare run holds at once at its peak: the
-# Gram matrix, plus eigh's eigenvectors and its 2 n^2 workspace (or, in compare,
-# the eigenvectors, their scaled copy and the PSD root).
-_SQUARE_ARRAYS = 4
+# n x n float64 arrays a sweep or compare run holds at once at its peak, inside
+# eigh: the Gram matrix, numpy's copy of it, the eigenvectors and the 2 n^2
+# syevd workspace. Peak RSS grows by 5.2 n^2 float64 for both commands
+# (tests/test_cli.py measures it); 6 is the next integer.
+_SQUARE_ARRAYS = 6
 
 
 def _physical_memory() -> int:
@@ -272,6 +273,7 @@ def cmd_sweep(args) -> int:
         except EigensolverError as exc:
             print(f"numerical failure in stage eigendecompose ({spec.label}): {exc}", file=sys.stderr)
             return 1
+        del gram, eig  # so the next kernel's Gram matrix and eigh are not built beside them
         rows = zip(sweep.ranks.tolist(), sweep.max_entry_error, sweep.frobenius_error,
                    sweep.spectral_error, sweep.tail_abs_sum, sweep.sup_norm_tail)
         _write_csv(out, f"sweep_{spec.label}.csv",

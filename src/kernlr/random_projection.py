@@ -118,8 +118,10 @@ def compare_methods(gram, ranks, trials: int, seed) -> MethodComparison:
     from that factor in row panels, so no n x n sketch or error matrix exists.
     A panel GEMM may sum an entry of ``S @ S.T`` in another order than SYRK,
     so an error can differ from the one read off that sketch in the last bit.
-    The peak above the input is three n x n arrays (the eigenvectors, their
-    scaled copy and the PSD root, while the root is formed).
+    The RSS peak above the input is four n x n arrays, inside ``eigh``: numpy's
+    copy of the input, the eigenvectors and the 2 n^2 LAPACK workspace.
+    ``tracemalloc`` sees numpy's arrays only and reads three (the eigenvectors,
+    their scaled copy and the PSD root, while the root is formed).
     """
     trials = _check_int(trials, "trials", 1)
     K = np.asarray(gram, dtype=float)

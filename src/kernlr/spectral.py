@@ -175,7 +175,8 @@ def _leading_eigh(K: np.ndarray, k: int):
     raise EigensolverError(f"leading {k} eigenpairs not converged in {LEADING_K_ITERATION_CAP} "
                            f"subspace iterations: largest residual {residual / scale:.3g} x |lambda_1|"
                            f" (stop at {LEADING_K_TOLERANCE:g}), convergence factor "
-                           f"{np.abs(ritz).min() / theta[-1]:.4f}")
+                           f"{np.abs(ritz).min() / theta[-1]:.4f}; k=None gives the full "
+                           "decomposition, which does not iterate")
 
 
 def eigendecompose(gram, k=None) -> EigenDecomposition:

@@ -590,6 +590,52 @@ def test_unallocatable_dataset_exits_2(tmp_path, capsys):
     assert "allocate" in _assert_one_error_line(capsys)
 
 
+# Peak RSS is read in a child process, because numpy's copy of the input and
+# eigh's LAPACK workspace are malloc'd where tracemalloc cannot see them. The
+# child reads VmHWM, the peak of its own address space: its ru_maxrss would
+# also hold this process's peak, which Linux carries across exec. The peak is
+# fitted from n = 1000 to 2000, so the interpreter, the imports and BLAS's
+# buffers cancel, and reported in n x n float64 arrays.
+_PEAK_KIB = "int(open('/proc/self/status').read().split('VmHWM:')[1].split()[0])"
+
+
+def _peak_rss_slope(tmp_path, code, args_for):
+    # The child's last output token is a peak in KiB.
+    env = {**os.environ, "PYTHONPATH": str(Path(kernlr.__file__).parents[1])}
+    peaks = []
+    for n in (1000, 2000):
+        out = subprocess.run([sys.executable, "-c", code, *args_for(n)], cwd=tmp_path, env=env,
+                             capture_output=True, text=True, check=True)
+        peaks.append(1024 * int(out.stdout.split()[-1]))
+    return (peaks[1] - peaks[0]) / (8 * (2000**2 - 1000**2))
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+@pytest.mark.parametrize("command", ["sweep", "compare"])
+def test_run_peak_rss_fits_the_preflight_count(tmp_path, command):
+    # 5.2 arrays for both commands, inside eigh; 6.1 for sweep if one kernel's
+    # eigenvectors outlive it into the next kernel's eigh.
+    def args_for(n):
+        cfg = tmp_path / f"cfg{n}.json"
+        cfg.write_text(json.dumps({"dataset": {**DEFAULT_CONFIG["dataset"], "n": n},
+                                   "kernels": [{"family": "matern", "nu": 0.5}, {"family": "rbf"}],
+                                   "ranks": [0, 1, 10], "jl_trials": 1}))
+        return [command, "--config", str(cfg), "--out", str(tmp_path / "o")]
+
+    code = f"import sys; from kernlr.cli import main; rc = main(sys.argv[1:]); print({_PEAK_KIB}); sys.exit(rc)"
+    assert _peak_rss_slope(tmp_path, code, args_for) <= cli._SQUARE_ARRAYS
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+def test_eigendecompose_peak_rss_is_four_matrices_above_its_input(tmp_path):
+    # numpy's copy of the input, the eigenvectors and syevd's 2 n^2 workspace:
+    # the rise measured 4.03 arrays.
+    code = ("import sys; from kernlr import eigendecompose, gaussian_synthetic, gram_matrix, rbf; "
+            "K = gram_matrix(rbf(1.0), gaussian_synthetic(int(sys.argv[1]), 3)); "
+            f"before = {_PEAK_KIB}; eig = eigendecompose(K); print({_PEAK_KIB} - before)")
+    assert _peak_rss_slope(tmp_path, code, lambda n: [str(n)]) <= 4.3
+
+
 # Fuzzing the 0/1/2 exit contract: a config that is valid but for at most one
 # field, drawn from the valid keys plus misspellings. Every dataset has 40
 # points or fewer.

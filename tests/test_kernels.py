@@ -236,6 +236,7 @@ def test_median_heuristic_is_bitwise_the_scipy_median(X):
 
 
 def _peak_bytes(func, *args):
+    # numpy's arrays only: tracemalloc cannot see LAPACK's malloc'd workspace or eigh's input copy.
     tracemalloc.start()
     try:
         func(*args)

@@ -407,13 +407,15 @@ def test_leading_k_refuses_a_negative_eigenvalue_that_outweighs_the_kth():
 def test_leading_k_cap_reports_the_residual_and_the_convergence_factor():
     # A near-identity Gram: |lambda_26| / lambda_10 = 0.785 (b = 25), so the
     # stop rule predicts about 113 iterations, past the cap of 50. The block's
-    # smallest Ritz value over theta_10 estimates that factor.
+    # smallest Ritz value over theta_10 estimates that factor. The message
+    # names the remedy: the full decomposition.
     K = gram_matrix(rbf(0.3), gaussian_synthetic(200, 4, seed=0))
     with pytest.raises(EigensolverError) as info:
         eigendecompose(K, k=10)
     found = re.fullmatch(r"leading 10 eigenpairs not converged in 50 subspace iterations: "
                          r"largest residual (\S+) x \|lambda_1\| \(stop at 1e-12\), "
-                         r"convergence factor (\S+)", str(info.value))
+                         r"convergence factor (\S+); k=None gives the full decomposition, "
+                         r"which does not iterate", str(info.value))
     assert found, str(info.value)
     residual, factor = (float(v) for v in found.groups())
     w = np.linalg.eigvalsh(K)[::-1]
