@@ -45,7 +45,7 @@ X = gaussian_synthetic(n, 1, sigma=1.0, seed=0)
 eig = eigendecompose(gram_matrix(rbf(1.0), X), k=5)  # the leading 5 pairs only
 report = eigenvalue_deviation_report(eig, spec, count=5)
 print(f"{'i':>3} {'sample/n':>12} {'analytic':>12} {'rel dev':>10}")
-for i, s, a, r in zip(report.indices, report.sample, report.analytic, report.rel_deviation):
+for i, (s, a, r) in enumerate(zip(report.sample, report.analytic, report.rel_deviation), start=1):
     print(f"{i:>3} {s:>12.6f} {a:>12.6f} {r:>10.4f}")
 
 # predicted rank requirement and error rate as n grows

@@ -17,7 +17,6 @@ from kernlr import (
     delocalisation_report,
     eigendecompose,
     interlacing_check,
-    minor_decomposition,
     minor_identity_check,
     subspace_distance_experiment,
 )
@@ -34,7 +33,7 @@ print(f"principal-minor identity: max relative discrepancy {report.max_discrepan
 # interlacing between a symmetric matrix and its trailing minor
 A = rng.standard_normal((80, 80))
 S = (A + A.T) / 2.0  # bitwise symmetric: a + b == b + a in floating point
-violation = interlacing_check(eigendecompose(S), minor_decomposition(S))
+violation = interlacing_check(S)
 print(f"interlacing violation: {violation:.2e} (0 means it holds)")
 
 # the delocalisation statistic: sqrt(n) for coordinate vectors, ~sqrt(2 log n)
@@ -48,9 +47,9 @@ print(f"random orthonormal basis: statistic = {delocalisation_report(haar, 0):.2
       f"(compare sqrt(2 log n) = {np.sqrt(2 * np.log(n)):.2f})")
 
 # distance between a random 0/1 vector and a random 256-dimensional subspace
-rep = subspace_distance_experiment(n=1024, q=256, law=bernoulli(0.5),
-                                   trials=5000, seed=1)
-print(f"\nsubspace distance concentration (sigma sqrt(q) = {np.sqrt(rep.sigma2 * rep.q):.0f}):")
+law, q = bernoulli(0.5), 256
+rep = subspace_distance_experiment(n=1024, q=q, law=law, trials=5000, seed=1)
+print(f"\nsubspace distance concentration (sigma sqrt(q) = {np.sqrt(law.variance * q):.0f}):")
 print(f"{'t':>4} {'empirical':>10} {'bound':>10}")
 for t, f, b in zip(rep.thresholds, rep.frequencies, rep.bounds):
     print(f"{t:>4.0f} {f:>10.4f} {b:>10.4f}")

@@ -57,7 +57,6 @@ from .spectral import (
     RankSweepResult,
     eigendecompose,
     error_sweep,
-    sup_norm_tail,
     truncate,
 )
 from .verification import (
@@ -68,7 +67,6 @@ from .verification import (
     delocalisation_report,
     eigenvalue_deviation_report,
     interlacing_check,
-    minor_decomposition,
     minor_identity_check,
     subspace_distance_experiment,
 )

@@ -111,6 +111,8 @@ def _load_config(args) -> dict:
         config["out"] = args.out
     elif os.environ.get(ENV_OUT):
         config["out"] = os.environ[ENV_OUT]
+    for key, lo in (("seed", 0), ("jl_trials", 1)):  # set by a flag or the file
+        config[key] = _check_int(config[key], key, lo)
     return config
 
 
@@ -213,16 +215,17 @@ def _build_kernels(config, X) -> list[KernelSpec]:
 
 
 def _rank_grid(spec, n: int) -> list[int]:
+    """The sorted distinct ranks of ``spec``: "auto", a comma-separated string or a list."""
     if spec == "auto":
         # Geometric grid: 30 points from 1 to n, plus the endpoints 0 and n.
-        pts = np.unique(np.rint(np.geomspace(1, n, 30)).astype(int))
-        ranks = sorted(set(pts.tolist()) | {0, n})
+        ranks = np.rint(np.geomspace(1, n, 30)).astype(int).tolist() + [0, n]
     elif isinstance(spec, str):
         ranks = _parse_int_list(spec, "rank list")
     elif all(isinstance(d, int) and not isinstance(d, bool) for d in spec):
-        ranks = sorted(spec)
+        ranks = spec
     else:
         raise ConfigError(f"ranks must be integers, got {spec!r}")
+    ranks = sorted(set(ranks))
     if not ranks or any(d < 0 or d > n for d in ranks):
         raise ConfigError(f"ranks must be non-empty and lie in [0, {n}], got {spec!r}")
     return ranks
@@ -344,15 +347,9 @@ def cmd_verify(args) -> int:
 def cmd_spectrum(args) -> int:
     if args.count < 1:
         raise ConfigError(f"--count must be at least 1, got {args.count}")
-    if args.upsilon is not None:
-        upsilon = args.upsilon
-        beta_from_upsilon(upsilon)  # rejects upsilon <= 0 before the square root
-        spec = GaussianRbfSpectrum(sigma=math.sqrt(upsilon / 2.0), bandwidth=1.0)
-    else:
-        if args.sigma is None or args.omega is None:
-            raise ConfigError("give either --upsilon or both --sigma and --omega")
-        spec = GaussianRbfSpectrum(sigma=args.sigma, bandwidth=args.omega)
-        upsilon = spec.upsilon
+    upsilon = args.upsilon
+    beta_from_upsilon(upsilon)  # rejects upsilon <= 0 before the square root
+    spec = GaussianRbfSpectrum(sigma=math.sqrt(upsilon / 2.0), bandwidth=1.0)
 
     def values():  # streamed, so --count may exceed memory
         return (gaussian_rbf_eigenvalue(i, spec) for i in range(args.count))
@@ -425,9 +422,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("spectrum", help="analytic Gaussian/RBF eigenvalues")
-    p.add_argument("--upsilon", type=float, help="bandwidth ratio 2 sigma^2 / omega^2")
-    p.add_argument("--sigma", type=float, help="data scale (alternative to --upsilon)")
-    p.add_argument("--omega", type=float, help="kernel bandwidth (alternative to --upsilon)")
+    p.add_argument("--upsilon", type=float, required=True,
+                   help="bandwidth ratio 2 sigma^2 / omega^2 of data scale sigma and bandwidth omega")
     p.add_argument("--count", type=int, default=10, help="number of eigenvalues to print")
     p.add_argument("--out", help="also write spectrum.csv to this directory")
     p.set_defaults(func=cmd_spectrum)

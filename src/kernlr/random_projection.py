@@ -104,7 +104,6 @@ class MethodComparison:
     spectral_max_error: np.ndarray
     jl_median_max_error: np.ndarray
     jl_rate_shape: np.ndarray
-    trials: int
 
 
 def compare_methods(gram, ranks, trials: int, seed) -> MethodComparison:
@@ -146,5 +145,4 @@ def compare_methods(gram, ranks, trials: int, seed) -> MethodComparison:
         spectral_max_error=np.array([spectral[d] for d in ranks]),
         jl_median_max_error=np.array(jl_median),
         jl_rate_shape=np.array([jl_error_bound(n, d) for d in ranks]),
-        trials=trials,
     )

@@ -257,13 +257,6 @@ def _tails(eig: EigenDecomposition):
             suffix(np.maximum, np.maximum(U.max(axis=0), -U.min(axis=0))))
 
 
-def sup_norm_tail(eig: EigenDecomposition, d: int) -> float:
-    """Largest absolute eigenvector coordinate over the discarded tail."""
-    if _check_int(d, "rank", 0, eig.n) == eig.n:
-        raise ValueError(f"need 0 <= d < n={eig.n} (the tail must be non-empty), got {d!r}")
-    return float(_tails(eig)[3][int(d)])
-
-
 def error_sweep(gram, eig: EigenDecomposition, ranks) -> RankSweepResult:
     """Residual error metrics of the rank-d truncation on a grid of ranks.
 

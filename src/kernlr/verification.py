@@ -27,19 +27,19 @@ import numpy as np
 from .analytic import GaussianRbfSpectrum, exponential_decay, required_rank, tensor_spectrum
 from .datasets import gaussian_synthetic
 from .kernels import gram_matrix, rbf
-from .spectral import EigenDecomposition, _check_int, _check_real, _readonly, eigendecompose, sup_norm_tail
+from .spectral import EigenDecomposition, _check_int, _check_real, _readonly, _tails, eigendecompose
 
 MINOR_GAP_GUARD = 1e-6  # eigenvalue gaps below this make the minor identity degenerate
 TAIL_THRESHOLDS = (8.0, 10.0, 12.0, 16.0)  # the 4 exp(-t^2 / 32) bound means something for t >= 8
 TRIALS_PER_SUBSPACE = 100
 
 
-def minor_decomposition(gram) -> EigenDecomposition:
-    """Eigendecomposition of the trailing principal minor ``K[1:, 1:]``."""
+def _matrix_and_minor(gram):
+    """K with the eigendecompositions of K and of its trailing principal minor ``K[1:, 1:]``."""
     K = np.asarray(gram, dtype=float)
     if K.shape[0] < 2:
-        raise ValueError("minor decomposition needs n >= 2")
-    return eigendecompose(K[1:, 1:])
+        raise ValueError(f"the minor checks need n >= 2, got n = {K.shape[0]}")
+    return K, eigendecompose(K), eigendecompose(K[1:, 1:])
 
 
 @dataclass(frozen=True)
@@ -61,11 +61,7 @@ def minor_identity_check(gram) -> MinorIdentityReport:
     coincide, so such indices are skipped and reported, never silently
     dropped.
     """
-    K = np.asarray(gram, dtype=float)
-    if K.shape[0] < 2:
-        raise ValueError("minor identity needs n >= 2")
-    eig = eigendecompose(K)
-    minor = minor_decomposition(K)
+    K, eig, minor = _matrix_and_minor(gram)
     proj = minor.eigenvectors.T @ K[1:, 0]  # (minor_evec_j . y), y the coupling column
 
     worst = 0.0
@@ -83,16 +79,14 @@ def minor_identity_check(gram) -> MinorIdentityReport:
     return MinorIdentityReport(max_discrepancy=worst, checked=checked, skipped=tuple(skipped))
 
 
-def interlacing_check(eig: EigenDecomposition, minor: EigenDecomposition) -> float:
-    """Largest violation of minor-eigenvalue interlacing, 0 when it holds.
+def interlacing_check(gram) -> float:
+    """Largest violation of interlacing between K and its trailing minor, 0 when it holds.
 
     With both spectra descending, each minor eigenvalue must sit between the
     matrix eigenvalues of the same and the next position.
     """
-    w = eig.eigenvalues
-    v = minor.eigenvalues
-    if v.shape[0] != w.shape[0] - 1:
-        raise ValueError(f"minor has {v.shape[0]} eigenvalues, expected {w.shape[0] - 1}")
+    _, eig, minor = _matrix_and_minor(gram)
+    w, v = eig.eigenvalues, minor.eigenvalues
     above = np.max(v - w[:-1], initial=0.0)   # minor exceeding lambda_i
     below = np.max(w[1:] - v, initial=0.0)    # minor below lambda_{i+1}
     return float(max(above, below, 0.0))
@@ -102,19 +96,21 @@ def delocalisation_report(eig: EigenDecomposition, d: int) -> float:
     """Scaled sup-norm ``sqrt(n) * max_{l > d} ||u_l||_inf`` of tail eigenvectors.
 
     Order one for delocalised tails; exactly ``sqrt(n)`` when some tail
-    eigenvector is a coordinate vector (full localisation).
+    eigenvector is a coordinate vector (full localisation). The tail must be
+    non-empty, d < n, and ``eig`` must hold all n pairs.
     """
-    return math.sqrt(eig.n) * sup_norm_tail(eig, d)
+    d = _check_int(d, "rank", 0, eig.n)
+    if d == eig.n:
+        raise ValueError(f"need 0 <= d < n={eig.n} (the tail must be non-empty), got {d}")
+    return math.sqrt(eig.n) * float(_tails(eig)[3][d])
 
 
 @_readonly
 class EigenvalueDeviationReport:
-    """Per-index deviation of sample eigenvalues (scaled by 1/n) from analytic ones."""
+    """Deviation of the top sample eigenvalues (scaled by 1/n), largest first, from analytic ones."""
 
-    indices: np.ndarray
     sample: np.ndarray
     analytic: np.ndarray
-    abs_deviation: np.ndarray
     rel_deviation: np.ndarray
 
 
@@ -129,14 +125,8 @@ def eigenvalue_deviation_report(eig: EigenDecomposition, spectrum: GaussianRbfSp
     count = _check_int(count, "count", 1, eig.eigenvalues.shape[0])
     analytic = tensor_spectrum(spectrum, count)
     sample = eig.eigenvalues[:count] / eig.n
-    abs_dev = np.abs(sample - analytic)
-    return EigenvalueDeviationReport(
-        indices=np.arange(1, count + 1),
-        sample=sample,
-        analytic=analytic,
-        abs_deviation=abs_dev,
-        rel_deviation=abs_dev / analytic,
-    )
+    return EigenvalueDeviationReport(sample=sample, analytic=analytic,
+                                     rel_deviation=np.abs(sample - analytic) / analytic)
 
 
 @dataclass(frozen=True)
@@ -165,11 +155,6 @@ class TailFrequencyReport:
     thresholds: np.ndarray
     frequencies: np.ndarray
     bounds: np.ndarray
-    trials: int
-    n: int
-    q: int
-    sigma2: float
-    seed: int
 
 
 def _projection_norms(G: np.ndarray, Y: np.ndarray) -> np.ndarray:
@@ -232,11 +217,6 @@ def subspace_distance_experiment(n: int, q: int, law: EntryLaw, trials: int, see
         thresholds=t_grid,
         frequencies=counts / trials,
         bounds=4.0 * np.exp(-(t_grid**2) / 32.0),
-        trials=trials,
-        n=n,
-        q=q,
-        sigma2=law.variance,
-        seed=int(seed),
     )
 
 
@@ -265,7 +245,7 @@ def _check_interlacing(seed, quick):
         for _ in range(5 if quick else 10):
             A = rng.standard_normal((n, n))
             K = (A + A.T) / 2.0
-            worst = max(worst, interlacing_check(eigendecompose(K), minor_decomposition(K)))
+            worst = max(worst, interlacing_check(K))
     return worst, 1e-10, "symmetric instances, n in (10, 100)"
 
 

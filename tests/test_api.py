@@ -1,6 +1,8 @@
-"""Every public function has a consumer outside its own unit tests."""
+"""Every public function and every field of an exported result class has a
+consumer outside its own unit tests."""
 
 import ast
+import dataclasses
 import inspect
 from pathlib import Path
 
@@ -16,6 +18,16 @@ EXEMPT = {
     # sphere in the scaling experiment (ROADMAP item 7).
     "sphere_harmonic_count",
 }
+
+
+# Fields of exported result classes kept without an outside reader.
+EXEMPT_FIELDS = {
+    # The clipped negative eigenvalue mass of the PSD root, for the per-Gram
+    # numerical health in the run manifest (ROADMAP item 4).
+    "PsdFactor.clip_mass",
+}
+SOURCES = [*sorted((ROOT / "src" / "kernlr").glob("*.py")), *sorted((ROOT / "demos").glob("*.py")),
+           ROOT / "tests" / "test_acceptance.py"]
 
 
 def _referenced_names(path):
@@ -34,10 +46,33 @@ def _referenced_names(path):
 def test_every_public_function_has_a_consumer():
     public = {name for name, obj in vars(kernlr).items()
               if inspect.isfunction(obj) and not name.startswith("_")}
-    sources = [*sorted((ROOT / "src" / "kernlr").glob("*.py")), *sorted((ROOT / "demos").glob("*.py")),
-               ROOT / "tests" / "test_acceptance.py"]
     # A function's own ``def`` is no reference, so a caller in its own module
     # counts; the package's re-export in __init__.py does not.
-    referenced = set().union(*(_referenced_names(path) for path in sources
+    referenced = set().union(*(_referenced_names(path) for path in SOURCES
                                if path.name != "__init__.py"))
     assert sorted(public - referenced) == sorted(EXEMPT)
+
+
+def _attribute_reads(path):
+    # (enclosing class or None, attr) for every ``x.attr`` read in the file.
+    # Reads match by name alone: any ``x.seed`` counts for every ``seed`` field.
+    reads = set()
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Attribute) and isinstance(child.ctx, ast.Load):
+                reads.add((owner, child.attr))
+            visit(child, child.name if isinstance(child, ast.ClassDef) else owner)
+
+    visit(ast.parse(path.read_text()), None)
+    return reads
+
+
+def test_every_result_field_is_read_outside_the_tests():
+    # A result holds what was measured; a field nothing reads restates an input.
+    reads = set().union(*(_attribute_reads(path) for path in SOURCES))
+    unread = {f"{name}.{field.name}" for name, cls in vars(kernlr).items()
+              if inspect.isclass(cls) and dataclasses.is_dataclass(cls)
+              for field in dataclasses.fields(cls)
+              if not any(attr == field.name and owner != name for owner, attr in reads)}
+    assert sorted(unread) == sorted(EXEMPT_FIELDS)

@@ -237,13 +237,12 @@ def test_spectrum_streams_its_rows(tmp_path):
     assert len(lines) == 100001 and lines[-1].startswith("99999,")
 
 
-def test_spectrum_from_sigma_omega(capsys):
-    assert main(["spectrum", "--sigma", "1", "--omega", "1", "--count", "1"]) == 0
-    assert "upsilon = 2" in capsys.readouterr().out
-
-
-def test_spectrum_needs_parameters(capsys):
-    assert main(["spectrum", "--count", "2"]) == 2
+@pytest.mark.parametrize("argv", [["--count", "2"], ["--sigma", "1", "--omega", "1"]])
+def test_spectrum_needs_parameters(capsys, argv):
+    # --upsilon is required; --sigma and --omega are no options.
+    with pytest.raises(SystemExit) as info:
+        main(["spectrum"] + argv)
+    assert info.value.code == 2
 
 
 def test_rates_exponential_case(tmp_path, capsys):
@@ -320,6 +319,22 @@ def test_ranks_flag_overrides_config(tmp_path):
     assert main(["sweep", "--config", str(cfg), "--out", str(out), "--ranks", "1,5,9"]) == 0
     _, rows = _read_csv(out / "sweep_rbf.csv")
     assert [int(r[0]) for r in rows] == [1, 5, 9]
+
+
+def test_repeated_ranks_are_listed_once(tmp_path):
+    # A repeated rank would give compare a second row from another seed stream.
+    config = {"dataset": {"kind": "gaussian", "n": 20, "p": 1}, "kernels": [{"family": "rbf"}],
+              "jl_trials": 3}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    for command, name in (("sweep", "sweep_rbf.csv"), ("compare", "compare_rbf.csv")):
+        outputs = []
+        for ranks in ("5,5,1", "1,5"):
+            out = tmp_path / command / ranks
+            assert main([command, "--config", str(cfg), "--out", str(out), "--ranks", ranks]) == 0
+            outputs.append((out / name).read_text())
+        assert outputs[0] == outputs[1]
+        assert [int(line.split(",")[0]) for line in outputs[0].splitlines()[1:]] == [1, 5]
 
 
 def test_auto_rank_grid_includes_endpoints(tmp_path):
@@ -429,6 +444,22 @@ _SMALL = {"kind": "gaussian", "n": 20, "p": 1}
 def test_bad_config_exits_2_with_one_line(tmp_path, capsys, config, needle):
     assert _run_config(tmp_path, config) == 2
     assert needle in _assert_one_error_line(capsys)
+
+
+@pytest.mark.parametrize("command", ["sweep", "compare", "verify"])
+@pytest.mark.parametrize("config, flags, needle", [
+    ({}, ["--seed", "-1"], "seed must be an integer >= 0, got -1"),
+    ({"seed": -1}, [], "seed must be an integer >= 0, got -1"),
+    ({"jl_trials": 0}, [], "jl_trials must be an integer >= 1, got 0"),
+], ids=["seed-flag", "seed-key", "jl_trials-key"])
+def test_top_level_integers_are_checked_by_key(tmp_path, capsys, command, config, flags, needle):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"dataset": _SMALL, **config}))
+    suite = ["identity"] if command == "verify" else []
+    out = tmp_path / "o"
+    assert main([command, *suite, "--config", str(cfg), "--out", str(out), *flags]) == 2
+    assert _assert_one_error_line(capsys) == f"error: {needle}\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("config, flags", [

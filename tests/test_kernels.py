@@ -10,6 +10,7 @@ from scipy.spatial.distance import pdist, squareform
 from kernlr import (
     DegenerateDataError,
     compare_methods,
+    delocalisation_report,
     dot_product,
     eigendecompose,
     error_sweep,
@@ -20,7 +21,6 @@ from kernlr import (
     median_heuristic,
     rbf,
     standardize,
-    sup_norm_tail,
     truncate,
 )
 from kernlr.kernels import _PANEL_ROWS, KernelSpec, _radial
@@ -307,11 +307,11 @@ def test_indefinite_truncate_peak_memory():
 
 
 @pytest.mark.parametrize("d", [0, 5])
-def test_sup_norm_tail_peak_memory_is_no_matrix(d):
+def test_delocalisation_report_peak_memory_is_no_matrix(d):
     # max |u| is read as max(T.max(), -T.min()); no |U| temporary.
     n = 600
     eig = eigendecompose(gram_matrix(rbf(1.0), gaussian_synthetic(n, 3)))
-    assert _peak_bytes(sup_norm_tail, eig, d) < 0.25 * n * n * 8
+    assert _peak_bytes(delocalisation_report, eig, d) < 0.25 * n * n * 8
 
 
 def test_error_sweep_peak_memory_is_residual_plus_one_product():

@@ -44,7 +44,6 @@ from kernlr import (
     sphere_uniform,
     subsample,
     subspace_distance_experiment,
-    sup_norm_tail,
     tensor_spectrum,
     truncate,
 )
@@ -249,7 +248,7 @@ def test_error_sweep_matches_direct_residual_and_tail_statistics(case):
         assert abs(sweep.frobenius_error[i] - np.linalg.norm(direct)) <= tol
         if d < eig.n:
             assert sweep.tail_abs_sum[i] == pytest.approx(np.abs(eig.eigenvalues[d:]).sum(), rel=1e-12)
-            assert sweep.sup_norm_tail[i] == sup_norm_tail(eig, d)
+            assert sweep.sup_norm_tail[i] == np.abs(eig.eigenvectors[:, d:]).max()
     assert np.all(np.diff(sweep.frobenius_error) <= tol)
     assert np.all(np.diff(sweep.tail_abs_sum) <= 0.0)
 
@@ -373,11 +372,9 @@ _LEADING = eigendecompose(_K40, k=3)  # b = 11 < 40: the subspace iteration runs
 
 @pytest.mark.parametrize("call", [
     lambda eig: error_sweep(_K40, eig, [0, 1]),
-    lambda eig: sup_norm_tail(eig, 1),
     lambda eig: delocalisation_report(eig, 1),
     factor_from_eigendecomposition,
-], ids=["error_sweep", "sup_norm_tail", "delocalisation_report",
-        "factor_from_eigendecomposition"])
+], ids=["error_sweep", "delocalisation_report", "factor_from_eigendecomposition"])
 def test_tail_readers_refuse_a_leading_k_decomposition(call):
     assert _LEADING.n == 40 and _LEADING.eigenvalues.shape == (3,)
     with pytest.raises(CapabilityError, match="full decomposition"):
@@ -573,8 +570,7 @@ _ARRAY_FIELDS = {
                         "tail_abs_sum", "sup_norm_tail"],
     "PsdFactor": ["root"],
     "MethodComparison": ["ranks", "spectral_max_error", "jl_median_max_error", "jl_rate_shape"],
-    "EigenvalueDeviationReport": ["indices", "sample", "analytic", "abs_deviation",
-                                  "rel_deviation"],
+    "EigenvalueDeviationReport": ["sample", "analytic", "rel_deviation"],
     "TailFrequencyReport": ["thresholds", "frequencies", "bounds"],
 }
 
@@ -613,29 +609,30 @@ def test_result_arrays_reject_writes(results, name):
             a[(0,) * a.ndim] = 0.0
 
 
-def test_sup_norm_tail():
+def test_delocalisation_report_reads_the_tail_up_to_the_last_pair():
     eig = eigendecompose(np.eye(4))
-    assert sup_norm_tail(eig, 0) == pytest.approx(1.0)
-    assert sup_norm_tail(eig, 3) == pytest.approx(1.0)
-    with pytest.raises(ValueError):
-        sup_norm_tail(eig, 4)
+    assert delocalisation_report(eig, 0) == pytest.approx(2.0)
+    assert delocalisation_report(eig, 3) == pytest.approx(2.0)
+    with pytest.raises(ValueError, match="non-empty"):
+        delocalisation_report(eig, 4)
     one = eigendecompose(np.array([[2.0]]))
-    assert sup_norm_tail(one, 0) == pytest.approx(1.0)
+    assert delocalisation_report(one, 0) == pytest.approx(1.0)
 
 
 @pytest.mark.parametrize("d", [1.5, True, np.True_, -1, 4, np.nan, np.inf])
-def test_sup_norm_tail_rejects_a_rank_that_is_not_an_integer_below_n(d):
+def test_delocalisation_report_rejects_a_rank_that_is_not_an_integer_below_n(d):
     eig = eigendecompose(np.eye(4))
     with pytest.raises(ValueError):
-        sup_norm_tail(eig, d)
-    assert sup_norm_tail(eig, np.int64(2)) == sup_norm_tail(eig, 2.0) == sup_norm_tail(eig, 2)
+        delocalisation_report(eig, d)
+    assert (delocalisation_report(eig, np.int64(2)) == delocalisation_report(eig, 2.0)
+            == delocalisation_report(eig, 2))
 
 
 _EIG4 = eigendecompose(np.diag([4.0, 3.0, 2.0, 1.0]))
 _SPEC = GaussianRbfSpectrum(sigma=1.0, bandwidth=1.0)
 _X = np.arange(20.0).reshape(10, 2)
 
-# Every public integer parameter besides sup_norm_tail's rank (tested above):
+# Every public integer parameter:
 # a call taking the value, and a value just below the parameter's range.
 _INTEGER_PARAMETERS = {
     "eigendecompose k": (lambda v: eigendecompose(np.eye(40), k=v), 0),
@@ -729,15 +726,13 @@ def test_real_parameters_are_stored_as_floats():
     assert type(polynomial_decay(np.float64(4.0), 1).r) is float
 
 
-def test_sup_norm_tail_random_orthogonal_basis_is_delocalised():
+def test_delocalisation_report_random_orthogonal_basis_is_delocalised():
     # a Haar-random orthonormal basis has sup-norm around sqrt(2 ln n / n)
     rng = np.random.default_rng(11)
     Q, _ = np.linalg.qr(rng.standard_normal((1000, 1000)))
-    from kernlr import EigenDecomposition
-
     eig = EigenDecomposition(eigenvalues=np.arange(1000, 0, -1, dtype=float),
                              eigenvectors=Q)
-    assert sup_norm_tail(eig, 0) <= 0.3
+    assert delocalisation_report(eig, 0) <= 0.3 * np.sqrt(1000)
 
 
 def test_rbf_gram_eigendecomposition_quality():
