@@ -15,9 +15,9 @@ round-trip exactly. BLAS splits its sums by thread, so across thread counts
 the values agree only within the tolerance of ``bench/oracle.py``: 1e-6
 relative plus 1e-9 of the column's largest value. Between one and two
 OpenBLAS threads the largest gap measured is 8.8e-10 relative. The output
-directory comes from
---out, the config, or the KERNLR_OUT environment variable, in that order of
-precedence.
+directory comes from --out, the KERNLR_OUT environment variable, or the
+config, in that order of precedence. ``verify`` runs fixed experiments and
+takes no config: only --seed and --out (or KERNLR_OUT) set its run.
 
 Exit codes: 0 success, 1 failed assertion or numerical failure, 2 usage or
 configuration error.
@@ -233,7 +233,7 @@ def _rank_grid(spec, n: int) -> list[int]:
 
 def _parse_int_list(text: str, what: str) -> list[int]:
     try:
-        return sorted(int(tok) for tok in text.split(",") if tok.strip())
+        return sorted({int(tok) for tok in text.split(",") if tok.strip()})
     except ValueError as exc:
         raise ConfigError(f"cannot parse {what} {text!r}") from exc
 
@@ -404,13 +404,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--config", help="JSON config file; omitted fields use defaults")
-        p.add_argument("--seed", type=int, help="master seed (overrides config)")
-        p.add_argument("--out", help=f"output directory (overrides config and ${ENV_OUT})")
+        p.add_argument("--seed", type=int, help="master seed (overrides any config)")
+        p.add_argument("--out", help=f"output directory (overrides ${ENV_OUT} and any config)")
 
     for name, func, help_text in (("sweep", cmd_sweep, "per-rank truncation errors for each kernel"),
                                   ("compare", cmd_compare, "spectral truncation vs random projection")):
         p = sub.add_parser(name, help=help_text)
+        p.add_argument("--config", help="JSON config file; omitted fields use defaults")
         common(p)
         p.add_argument("--ranks", help='rank grid: "auto" or comma-separated integers')
         p.set_defaults(func=func)

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateDataError
-from .spectral import _PANEL_ROWS, _check_real
+from .spectral import _PANEL_ROWS, _check_real, _median
 
 _MATERN_NUS = (0.5, 1.5, 2.5)
 
@@ -172,7 +172,7 @@ def median_heuristic(points) -> float:
         part = D[cols > cols[i:i + len(D), None]]
         upper[end:end + part.size] = part
         end += part.size
-    med = float(np.median(upper, overwrite_input=True))
+    med = float(_median(upper))
     if med <= 0.0:
         raise DegenerateDataError("median pairwise distance is zero (coincident points)")
     return med

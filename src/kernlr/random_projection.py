@@ -13,8 +13,8 @@ import math
 
 import numpy as np
 
-from .spectral import (EigenDecomposition, eigendecompose, error_sweep, _check_int, _PANEL_ROWS,
-                       _readonly, _require_full)
+from .spectral import (EigenDecomposition, eigendecompose, error_sweep, _check_int, _median,
+                       _PANEL_ROWS, _readonly, _require_full)
 
 
 @_readonly
@@ -138,7 +138,7 @@ def compare_methods(gram, ranks, trials: int, seed) -> MethodComparison:
         for t in range(trials):
             trial_seed = np.random.SeedSequence(entropy=seed, spawn_key=(j, t))
             errs[t] = _max_entry_error(_sketch_factor(factor, d, trial_seed), K)
-        jl_median.append(float(np.median(errs)))
+        jl_median.append(float(_median(errs)))
 
     return MethodComparison(
         ranks=np.array(ranks, dtype=int),

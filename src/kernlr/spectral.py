@@ -64,6 +64,19 @@ def _check_real(value, name: str, interval: str) -> float:
     return x
 
 
+def _median(x: np.ndarray, axis=None):
+    """``numpy.median(x, axis)`` bit for bit, partitioning the float array ``x`` in place.
+
+    A nan on the axis gives nan. ``numpy.median``'s own nan check imports
+    ``numpy.ma``, 9-15 ms and about 1 MB of peak RSS that no CLI run otherwise pays.
+    """
+    x = x.reshape(-1) if axis is None else np.moveaxis(x, axis, 0)
+    half, odd = divmod(x.shape[0], 2)
+    x.partition([half, -1] if odd else [half - 1, half, -1], axis=0)  # numpy.median's kth
+    mid = x[half - 1 + odd:half + 1].mean(axis=0)  # and its mean of the centre
+    return np.where(np.isnan(x[-1]), x[-1], mid)[()]
+
+
 def _readonly(cls):
     """Frozen dataclass whose array fields are made read-only on construction.
 

@@ -27,7 +27,8 @@ import numpy as np
 from .analytic import GaussianRbfSpectrum, exponential_decay, required_rank, tensor_spectrum
 from .datasets import gaussian_synthetic
 from .kernels import gram_matrix, rbf
-from .spectral import EigenDecomposition, _check_int, _check_real, _readonly, _tails, eigendecompose
+from .spectral import (EigenDecomposition, _check_int, _check_real, _median, _readonly, _tails,
+                       eigendecompose)
 
 MINOR_GAP_GUARD = 1e-6  # eigenvalue gaps below this make the minor identity degenerate
 TAIL_THRESHOLDS = (8.0, 10.0, 12.0, 16.0)  # the 4 exp(-t^2 / 32) bound means something for t >= 8
@@ -271,7 +272,7 @@ def _check_eigdev(seed, quick):
     for i in range(seeds):
         eig = eigendecompose(_gauss1d_gram(n, seed + i), k=5)
         devs.append(eigenvalue_deviation_report(eig, _SPEC1, count=5).rel_deviation)
-    worst = float(np.max(np.median(np.array(devs), axis=0)))
+    worst = float(np.max(_median(np.array(devs), axis=0)))
     return worst, 0.1, f"n={n}, median over {seeds} seeds, top 5 eigenvalues"
 
 

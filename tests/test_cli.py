@@ -257,6 +257,15 @@ def test_rates_exponential_case(tmp_path, capsys):
     assert float(rows[0][2]) == pytest.approx(0.001)
 
 
+def test_rates_writes_each_size_once(tmp_path, capsys):
+    assert main(["rates", "--hypothesis", "E", "--beta", "1", "--n", "1000,500,500",
+                 "--out", str(tmp_path)]) == 0
+    _, rows = _read_csv(tmp_path / "rates.csv")
+    assert [row[0] for row in rows] == ["500", "1000"]
+    printed = capsys.readouterr().out.splitlines()[2:-1]  # between the header and "wrote"
+    assert [line.split()[0] for line in printed] == ["500", "1000"]
+
+
 def test_rates_polynomial_case(capsys):
     assert main(["rates", "--hypothesis", "P", "--alpha", "2", "--n", "100"]) == 0
     out = capsys.readouterr().out
@@ -446,19 +455,38 @@ def test_bad_config_exits_2_with_one_line(tmp_path, capsys, config, needle):
     assert needle in _assert_one_error_line(capsys)
 
 
-@pytest.mark.parametrize("command", ["sweep", "compare", "verify"])
-@pytest.mark.parametrize("config, flags, needle", [
-    ({}, ["--seed", "-1"], "seed must be an integer >= 0, got -1"),
-    ({"seed": -1}, [], "seed must be an integer >= 0, got -1"),
-    ({"jl_trials": 0}, [], "jl_trials must be an integer >= 1, got 0"),
-], ids=["seed-flag", "seed-key", "jl_trials-key"])
+@pytest.mark.parametrize("command, config, flags, needle", [
+    pytest.param(command, config, flags, needle, id=f"{case}-{command}")
+    for case, config, flags, needle in (
+        ("seed-flag", None, ["--seed", "-1"], "seed must be an integer >= 0, got -1"),
+        ("seed-key", {"seed": -1}, [], "seed must be an integer >= 0, got -1"),
+        ("jl_trials-key", {"jl_trials": 0}, [], "jl_trials must be an integer >= 1, got 0"))
+    for command in ("sweep", "compare", "verify")
+    if command != "verify" or config is None])  # verify takes no config file
 def test_top_level_integers_are_checked_by_key(tmp_path, capsys, command, config, flags, needle):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"dataset": _SMALL, **config}))
-    suite = ["identity"] if command == "verify" else []
+    argv = [command]
+    if command == "verify":
+        argv.append("identity")
+    else:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"dataset": _SMALL, **(config or {})}))
+        argv += ["--config", str(cfg)]
     out = tmp_path / "o"
-    assert main([command, *suite, "--config", str(cfg), "--out", str(out), *flags]) == 2
+    assert main([*argv, "--out", str(out), *flags]) == 2
     assert _assert_one_error_line(capsys) == f"error: {needle}\n"
+    assert not out.exists()
+
+
+def test_verify_refuses_a_config_file(tmp_path, capsys):
+    # verify runs fixed experiments; a config it would not read is refused,
+    # not passed over, even one whose dataset and kernels sweep rejects.
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"dataset": {"kind": "gmmm"}, "kernels": []}))
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as info:
+        main(["verify", "identity", "--config", str(cfg), "--out", str(out)])
+    assert info.value.code == 2
+    assert "unrecognized arguments: --config" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -731,6 +759,25 @@ def test_importing_the_package_and_cli_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_cli_runs_load_neither_numpy_ma_nor_scipy(tmp_path):
+    # np.median's nan check imports numpy.ma (9-15 ms, about 1 MB of peak RSS);
+    # the median heuristic, compare's trial medians and eigdev's seed medians
+    # go through spectral._median, so no run pays for it.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"dataset": {"kind": "gaussian", "n": 30, "p": 2},
+                               "kernels": [{"family": "rbf"}], "ranks": [1, 5], "jl_trials": 3}))
+    probe = ("import sys, kernlr.cli; "
+             f"runs = [['sweep', '--config', {str(cfg)!r}], ['compare', '--config', {str(cfg)!r}], "
+             "['verify', 'eigdev', '--quick']]; "
+             "codes = [kernlr.cli.main(argv + ['--out', 'o']) for argv in runs]; "
+             "print(codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy' "
+             "or m == 'numpy.ma' or m.startswith('numpy.ma.')))")
+    env = {**os.environ, "PYTHONPATH": str(Path(kernlr.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", probe], cwd=tmp_path, env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.splitlines()[-1] == "[0, 0, 0] []"
 
 
 def test_the_package_and_cli_run_with_scipy_blocked(tmp_path):

@@ -290,11 +290,12 @@ def test_symmetry_validation_peak_memory_is_one_panel():
 def test_compare_methods_peak_memory_is_three_matrices():
     # The eigenvectors, their scaled copy and the PSD root while the root is
     # formed; each sketch trial then holds its n x d factor and one row panel,
-    # so no n x n sketch or error matrix exists. The first call imports
-    # numpy.ma for np.median, which is no array of the computation.
+    # so no n x n sketch or error matrix exists. No warm-up call is needed:
+    # the trial medians go through spectral._median, which imports nothing,
+    # where np.median's first call imports numpy.ma (about 1 MB of Python
+    # objects that tracemalloc would count).
     n = 600
     K = gram_matrix(rbf(1.0), gaussian_synthetic(n, 3))
-    compare_methods(np.eye(2), [1], 1, 0)
     assert _peak_bytes(compare_methods, K, [1, 5, 50, 300, n], 2, 0) <= 3.25 * n * n * 8
 
 

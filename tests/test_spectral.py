@@ -743,3 +743,28 @@ def test_rbf_gram_eigendecomposition_quality():
     assert np.abs(U.T @ U - np.eye(150)).max() <= 1e-8
     recon = (U * eig.eigenvalues) @ U.T
     assert np.abs(recon - np.asarray(K)).max() <= 1e-8
+
+
+_MEDIAN_VALUES = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, math.inf, -math.inf]),
+                           st.floats(allow_nan=False))
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=st.integers(1, 25), cols=st.one_of(st.none(), st.integers(1, 5)), data=st.data())
+def test_median_equals_np_median_bit_for_bit(rows, cols, data):
+    # Odd and even counts, ties (a small value pool, signed zeros, infinities)
+    # and nans: 1-D with axis=None, 2-D with axis=0, partitioned in place.
+    shape = (rows,) if cols is None else (rows, cols)
+    size = math.prod(shape)
+    x = np.array(data.draw(st.lists(_MEDIAN_VALUES, min_size=size, max_size=size)))
+    for i in data.draw(st.lists(st.integers(0, size - 1), max_size=3)):
+        x[i] = math.nan
+    x = x.reshape(shape)
+    axis = None if cols is None else 0
+    work = x.copy()
+    with np.errstate(invalid="ignore"):  # the mean of inf and -inf is nan in both
+        expected = np.median(x, axis=axis)
+        got = spectral._median(work, axis=axis)
+    assert np.shape(got) == np.shape(expected)
+    assert np.asarray(got).tobytes() == np.asarray(expected).tobytes()
+    assert np.array_equal(np.sort(work, axis=0), np.sort(x, axis=0), equal_nan=True)
