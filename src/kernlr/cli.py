@@ -32,25 +32,17 @@ import json
 import math
 import os
 import sys
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import datasets, kernels
-from .analytic import (
-    GaussianRbfSpectrum,
-    beta_from_upsilon,
-    entrywise_error_rate,
-    exponential_decay,
-    gaussian_rbf_eigenvalue,
-    polynomial_decay,
-    required_rank,
-)
+# Only what argument parsing and config loading need is imported here; each
+# command imports the library modules it runs, so no run loads the others.
 from .errors import EigensolverError
-from .kernels import KernelSpec, gram_matrix
-from .random_projection import compare_methods
-from .spectral import _check_int, eigendecompose, error_sweep
-from .svgplot import line_plot
-from .verification import CHECKS, run_check
+from .spectral import _check_int
+
+if TYPE_CHECKING:
+    from .kernels import KernelSpec
 
 ENV_OUT = "KERNLR_OUT"
 
@@ -176,6 +168,7 @@ def _preflight(n) -> None:
 
 
 def _build_dataset(config) -> np.ndarray:
+    from . import datasets, kernels
     spec = dict(config["dataset"])
     seed = config["seed"]
     if "seed" in spec:
@@ -199,6 +192,7 @@ def _build_dataset(config) -> np.ndarray:
 
 
 def _build_kernels(config, X) -> list[KernelSpec]:
+    from . import kernels
     # The bandwidth policy fills in matern/rbf entries without a "bandwidth";
     # the median pairwise distance is computed once, and only if needed.
     policy = config["bandwidth"]
@@ -261,6 +255,9 @@ def _ensure_out(out: str) -> str:
 # ---------------------------------------------------------------- sweep
 
 def cmd_sweep(args) -> int:
+    from .kernels import gram_matrix
+    from .spectral import eigendecompose, error_sweep
+    from .svgplot import line_plot
     config = _load_config(args)
     X = _build_dataset(config)
     specs = _build_kernels(config, X)
@@ -294,6 +291,8 @@ def cmd_sweep(args) -> int:
 # -------------------------------------------------------------- compare
 
 def cmd_compare(args) -> int:
+    from .kernels import gram_matrix
+    from .random_projection import compare_methods
     config = _load_config(args)
     X = _build_dataset(config)
     spec = _build_kernels(config, X)[0]
@@ -319,6 +318,9 @@ def cmd_compare(args) -> int:
 # --------------------------------------------------------------- verify
 
 def cmd_verify(args) -> int:
+    from .verification import CHECKS, run_check
+    if args.suite != "all" and args.suite not in CHECKS:
+        raise ConfigError(f"unknown check {args.suite!r}; valid: {', '.join(CHECKS)}, all")
     config = _load_config(args)
     names = list(CHECKS) if args.suite == "all" else [args.suite]
     out = _ensure_out(config["out"])
@@ -345,6 +347,7 @@ def cmd_verify(args) -> int:
 # ------------------------------------------------------- spectrum, rates
 
 def cmd_spectrum(args) -> int:
+    from .analytic import GaussianRbfSpectrum, beta_from_upsilon, gaussian_rbf_eigenvalue
     if args.count < 1:
         raise ConfigError(f"--count must be at least 1, got {args.count}")
     upsilon = args.upsilon
@@ -368,6 +371,7 @@ def cmd_spectrum(args) -> int:
 
 
 def _hypothesis_from_args(args):
+    from .analytic import exponential_decay, polynomial_decay
     if args.hypothesis == "P":
         if args.alpha is None:
             raise ConfigError("hypothesis P needs --alpha")
@@ -378,6 +382,7 @@ def _hypothesis_from_args(args):
 
 
 def cmd_rates(args) -> int:
+    from .analytic import entrywise_error_rate, required_rank
     hyp = _hypothesis_from_args(args)
     sizes = _parse_int_list(args.n, "--n grid")
     if not sizes:  # required_rank rejects sizes below 2
@@ -417,7 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="numerical checks of the spectral identities")
     common(p)
-    p.add_argument("suite", choices=sorted(CHECKS) + ["all"])
+    p.add_argument("suite", help='a check name, or "all" to run every check')
     p.add_argument("--quick", action="store_true", help="smaller instances, smoke-test sizes")
     p.set_defaults(func=cmd_verify)
 

@@ -8,8 +8,6 @@ with 17 significant digits round-trip float64 exactly.
 
 from __future__ import annotations
 
-import csv
-
 import numpy as np
 
 from .kernels import as_dataset
@@ -23,6 +21,7 @@ def load_csv(path, delimiter: str = ",", has_header: bool = False, columns=None)
     Malformed input is reported with the offending line (1-based, header
     included) and column.
     """
+    import csv  # only this reader needs it
     rows = []
     width = None
     with open(path, newline="", encoding="utf-8") as handle:

@@ -3,8 +3,14 @@ consumer outside its own unit tests."""
 
 import ast
 import dataclasses
+import importlib
 import inspect
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import kernlr
 
@@ -26,6 +32,8 @@ EXEMPT_FIELDS = {
     # numerical health in the run manifest (ROADMAP item 4).
     "PsdFactor.clip_mass",
 }
+# The public names, read through the lazy package namespace.
+PUBLIC = {name: getattr(kernlr, name) for name in kernlr.__all__}
 SOURCES = [*sorted((ROOT / "src" / "kernlr").glob("*.py")), *sorted((ROOT / "demos").glob("*.py")),
            ROOT / "tests" / "test_acceptance.py"]
 
@@ -44,8 +52,7 @@ def _referenced_names(path):
 
 
 def test_every_public_function_has_a_consumer():
-    public = {name for name, obj in vars(kernlr).items()
-              if inspect.isfunction(obj) and not name.startswith("_")}
+    public = {name for name, obj in PUBLIC.items() if inspect.isfunction(obj)}
     # A function's own ``def`` is no reference, so a caller in its own module
     # counts; the package's re-export in __init__.py does not.
     referenced = set().union(*(_referenced_names(path) for path in SOURCES
@@ -71,8 +78,25 @@ def _attribute_reads(path):
 def test_every_result_field_is_read_outside_the_tests():
     # A result holds what was measured; a field nothing reads restates an input.
     reads = set().union(*(_attribute_reads(path) for path in SOURCES))
-    unread = {f"{name}.{field.name}" for name, cls in vars(kernlr).items()
+    unread = {f"{name}.{field.name}" for name, cls in PUBLIC.items()
               if inspect.isclass(cls) and dataclasses.is_dataclass(cls)
               for field in dataclasses.fields(cls)
               if not any(attr == field.name and owner != name for owner, attr in reads)}
     assert sorted(unread) == sorted(EXEMPT_FIELDS)
+
+
+def test_the_lazy_namespace_loads_no_submodule_and_resolves_every_name():
+    # A fresh ``import kernlr`` loads no submodule; each name loads its module
+    # on first access and is the object that module defines.
+    probe = "import sys, kernlr; print(sorted(m for m in sys.modules if m.startswith('kernlr.')))"
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"
+    assert len(kernlr.__all__) == len(set(kernlr.__all__)) == 52
+    for name, obj in PUBLIC.items():
+        module = importlib.import_module(obj.__module__)
+        assert module.__name__.startswith("kernlr.") and getattr(module, name) is obj, name
+    assert set(kernlr.__all__) <= set(dir(kernlr))
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        kernlr.no_such_name

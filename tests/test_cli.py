@@ -206,10 +206,11 @@ def test_outputs_are_reproducible_within_and_across_blas_thread_counts(tmp_path)
     assert oracle.compare_outputs(tmp_path / "default", tmp_path / "one", names) == []
 
 
-def test_verify_unknown_suite_exits_2(tmp_path):
-    with pytest.raises(SystemExit) as info:
-        main(["verify", "nonsense", "--out", str(tmp_path)])
-    assert info.value.code == 2
+def test_verify_unknown_suite_exits_2(tmp_path, capsys):
+    assert main(["verify", "nonsense", "--out", str(tmp_path / "o")]) == 2
+    err = _assert_one_error_line(capsys)
+    assert "'nonsense'" in err and all(name in err for name in [*verification.CHECKS, "all"])
+    assert not (tmp_path / "o").exists()
 
 
 def test_spectrum_values(capsys):
@@ -778,6 +779,31 @@ def test_cli_runs_load_neither_numpy_ma_nor_scipy(tmp_path):
     out = subprocess.run([sys.executable, "-c", probe], cwd=tmp_path, env=env,
                          capture_output=True, text=True, check=True)
     assert out.stdout.splitlines()[-1] == "[0, 0, 0] []"
+
+
+def test_each_command_loads_only_the_modules_it_runs(tmp_path):
+    # Each run starts in a fresh interpreter; beside cli, errors and spectral
+    # (which argument parsing and config loading use), a command imports only
+    # the library modules it calls.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"dataset": {"kind": "gaussian", "n": 30, "p": 2},
+                               "kernels": [{"family": "rbf"}], "ranks": [1, 5], "jl_trials": 3}))
+    base = {"cli", "errors", "spectral"}
+    runs = {
+        "sweep": (["sweep", "--config", str(cfg), "--out", "o"], {"datasets", "kernels", "svgplot"}),
+        "compare": (["compare", "--config", str(cfg), "--out", "o"],
+                    {"datasets", "kernels", "random_projection"}),
+        "verify": (["verify", "eigdev", "--quick", "--out", "o"],
+                   {"analytic", "datasets", "kernels", "verification"}),
+        "rates": (["rates", "--hypothesis", "E", "--beta", "1"], {"analytic"}),
+    }
+    env = {**os.environ, "PYTHONPATH": str(Path(kernlr.__file__).parents[1])}
+    for command, (argv, extra) in runs.items():
+        probe = ("import sys, kernlr.cli; rc = kernlr.cli.main(sys.argv[1:]); "
+                 "print(rc, sorted(m[7:] for m in sys.modules if m.startswith('kernlr.')))")
+        out = subprocess.run([sys.executable, "-c", probe, *argv], cwd=tmp_path, env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.splitlines()[-1] == f"0 {sorted(base | extra)}", command
 
 
 def test_the_package_and_cli_run_with_scipy_blocked(tmp_path):
