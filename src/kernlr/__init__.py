@@ -24,8 +24,7 @@ _EXPORTS = {
     "errors": ("CapabilityError", "DegenerateDataError", "EigensolverError", "HypothesisError"),
     "kernels": ("KernelSpec", "as_dataset", "dot_product", "gram_matrix", "matern",
                 "median_heuristic", "rbf", "standardize"),
-    "random_projection": ("MethodComparison", "PsdFactor", "compare_methods",
-                          "factor_from_eigendecomposition", "jl_approximation",
+    "random_projection": ("MethodComparison", "compare_methods", "factor_from_eigendecomposition",
                           "jl_error_bound"),
     "spectral": ("EigenDecomposition", "RankSweepResult", "eigendecompose", "error_sweep",
                  "truncate"),

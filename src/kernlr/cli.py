@@ -348,14 +348,13 @@ def cmd_verify(args) -> int:
 
 def cmd_spectrum(args) -> int:
     from .analytic import GaussianRbfSpectrum, beta_from_upsilon, gaussian_rbf_eigenvalue
-    if args.count < 1:
-        raise ConfigError(f"--count must be at least 1, got {args.count}")
+    count = _check_int(args.count, "--count", 1)
     upsilon = args.upsilon
     beta_from_upsilon(upsilon)  # rejects upsilon <= 0 before the square root
     spec = GaussianRbfSpectrum(sigma=math.sqrt(upsilon / 2.0), bandwidth=1.0)
 
     def values():  # streamed, so --count may exceed memory
-        return (gaussian_rbf_eigenvalue(i, spec) for i in range(args.count))
+        return (gaussian_rbf_eigenvalue(i, spec) for i in range(count))
 
     print(f"upsilon = {upsilon:g}")
     print(f"beta = {beta_from_upsilon(upsilon):.7f}")

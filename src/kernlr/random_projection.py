@@ -3,8 +3,8 @@
 Given a PSD matrix M = X X^T, the sketch ``M_d = (X R)(X R)^T`` with R an
 n x d matrix of i.i.d. N(0, 1/d) entries is an unbiased rank-<=d
 approximation whose max-entry error scales like ``sqrt(log(n) / d)``. This
-module builds the symmetric square root X, draws seeded sketches, and
-compares them against the optimal spectral truncation.
+module builds the symmetric square root X, draws seeded sketch factors
+``X R``, and compares them against the optimal spectral truncation.
 """
 
 from __future__ import annotations
@@ -17,45 +17,35 @@ from .spectral import (EigenDecomposition, eigendecompose, error_sweep, _check_i
                        _PANEL_ROWS, _readonly, _require_full)
 
 
-@_readonly
-class PsdFactor:
-    """Symmetric square root of a PSD matrix, negative round-off clipped to 0.
+def factor_from_eigendecomposition(eig: EigenDecomposition) -> np.ndarray:
+    """Read-only symmetric square root ``U sqrt(max(w, 0)) U^T`` of a decomposed symmetric matrix.
 
-    ``clip_mass`` is the total absolute mass of clipped eigenvalues, so
-    ``root @ root.T`` reproduces the input up to round-off plus that mass.
-    """
-
-    root: np.ndarray
-    clip_mass: float
-
-    @property
-    def n(self) -> int:
-        return self.root.shape[0]
-
-
-def factor_from_eigendecomposition(eig: EigenDecomposition) -> PsdFactor:
-    """Symmetric square root ``U sqrt(max(w, 0)) U^T`` of a decomposed symmetric matrix.
-
+    Negative round-off eigenvalues are clipped to 0, so ``root @ root.T``
+    reproduces the input up to round-off plus ``-np.minimum(w, 0).sum()``.
     Formed as ``B @ B.T`` with ``B = U max(w, 0)^(1/4)``: one SYRK, so the
     root is symmetric bit for bit. Refuses a leading-k decomposition with
     ``CapabilityError``.
     """
     _require_full(eig)
-    w, U = eig.eigenvalues, eig.eigenvectors
-    B = U * np.maximum(w, 0.0) ** 0.25
-    return PsdFactor(root=B @ B.T, clip_mass=float(-np.minimum(w, 0.0).sum()))
+    B = eig.eigenvectors * np.maximum(eig.eigenvalues, 0.0) ** 0.25
+    root = B @ B.T
+    root.setflags(write=False)
+    return root
 
 
-def _sketch_factor(factor: PsdFactor, d: int, seed) -> np.ndarray:
+def _sketch_factor(root: np.ndarray, d: int, seed) -> np.ndarray:
     """The n x d factor ``S = root @ R`` of one sketch, R with i.i.d. N(0, 1/d) entries.
 
     This is the one place a seed becomes a sketch: R is the first n x d
     standard normals of ``numpy.random.default_rng(seed)``, divided by sqrt(d).
+    ``seed`` may be anything ``default_rng`` accepts (an integer, a
+    SeedSequence or a Generator), and the same seed gives the same S bit for bit.
     """
-    d = _check_int(d, "rank", 1, factor.n)
-    R = np.random.default_rng(seed).standard_normal((factor.n, d))
+    n = root.shape[0]
+    d = _check_int(d, "rank", 1, n)
+    R = np.random.default_rng(seed).standard_normal((n, d))
     R /= math.sqrt(d)
-    return factor.root @ R
+    return root @ R
 
 
 def _max_entry_error(S: np.ndarray, K: np.ndarray) -> float:
@@ -71,19 +61,6 @@ def _max_entry_error(S: np.ndarray, K: np.ndarray) -> float:
         B -= K[i:i + _PANEL_ROWS, i:]
         hi, lo = max(hi, B.max()), min(lo, B.min())
     return float(max(hi, -lo))
-
-
-def jl_approximation(factor: PsdFactor, d: int, seed) -> np.ndarray:
-    """One seeded random-projection approximation of rank <= d.
-
-    Deterministic given (factor, d, seed): the same seed reproduces the
-    sketch bit for bit. ``seed`` may be anything ``numpy.random.default_rng``
-    accepts (an integer, a SeedSequence, or a Generator). The sketch is
-    symmetric bit for bit: ``S @ S.T`` of the one C-contiguous array ``S``
-    goes through SYRK, which computes one triangle and copies it.
-    """
-    S = _sketch_factor(factor, d, seed)
-    return S @ S.T
 
 
 def jl_error_bound(n: int, d: int) -> float:
@@ -112,11 +89,10 @@ def compare_methods(gram, ranks, trials: int, seed) -> MethodComparison:
     For each rank the sketch error is the median over ``trials`` independent
     draws; per-trial seeds are derived from ``seed`` by counter, so the result
     is deterministic and independent of evaluation order. Trial t at the j-th
-    rank d draws the sketch ``jl_approximation(factor, d, SeedSequence(entropy=seed,
-    spawn_key=(j, t)))``, but only its n x d factor is formed: the error is read
-    from that factor in row panels, so no n x n sketch or error matrix exists.
-    A panel GEMM may sum an entry of ``S @ S.T`` in another order than SYRK,
-    so an error can differ from the one read off that sketch in the last bit.
+    rank d draws ``R = default_rng(SeedSequence(entropy=seed, spawn_key=(j, t)))
+    .standard_normal((n, d)) / sqrt(d)`` and forms ``S = root @ R``. Its error
+    ``max |S @ S.T - K|`` is read from S in row panels, so no n x n sketch or
+    error matrix exists.
     The RSS peak above the input is four n x n arrays, inside ``eigh``: numpy's
     copy of the input, the eigenvectors and the 2 n^2 LAPACK workspace.
     ``tracemalloc`` sees numpy's arrays only and reads three (the eigenvectors,
@@ -128,16 +104,16 @@ def compare_methods(gram, ranks, trials: int, seed) -> MethodComparison:
     ranks = [_check_int(d, "rank", 1, eig.n) for d in ranks]
     sweep = error_sweep(gram, eig, sorted(set(ranks)))
     spectral = dict(zip(sweep.ranks.tolist(), sweep.max_entry_error.tolist()))
-    factor = factor_from_eigendecomposition(eig)
+    root = factor_from_eigendecomposition(eig)
     del eig  # the root is all the sketches read
 
-    n = factor.n
+    n = root.shape[0]
     jl_median = []
     for j, d in enumerate(ranks):
         errs = np.empty(trials)
         for t in range(trials):
             trial_seed = np.random.SeedSequence(entropy=seed, spawn_key=(j, t))
-            errs[t] = _max_entry_error(_sketch_factor(factor, d, trial_seed), K)
+            errs[t] = _max_entry_error(_sketch_factor(root, d, trial_seed), K)
         jl_median.append(float(_median(errs)))
 
     return MethodComparison(

@@ -27,11 +27,7 @@ EXEMPT = {
 
 
 # Fields of exported result classes kept without an outside reader.
-EXEMPT_FIELDS = {
-    # The clipped negative eigenvalue mass of the PSD root, for the per-Gram
-    # numerical health in the run manifest (ROADMAP item 4).
-    "PsdFactor.clip_mass",
-}
+EXEMPT_FIELDS = set()
 # The public names, read through the lazy package namespace.
 PUBLIC = {name: getattr(kernlr, name) for name in kernlr.__all__}
 SOURCES = [*sorted((ROOT / "src" / "kernlr").glob("*.py")), *sorted((ROOT / "demos").glob("*.py")),
@@ -93,7 +89,7 @@ def test_the_lazy_namespace_loads_no_submodule_and_resolves_every_name():
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "[]"
-    assert len(kernlr.__all__) == len(set(kernlr.__all__)) == 52
+    assert len(kernlr.__all__) == len(set(kernlr.__all__)) == 50
     for name, obj in PUBLIC.items():
         module = importlib.import_module(obj.__module__)
         assert module.__name__.startswith("kernlr.") and getattr(module, name) is obj, name

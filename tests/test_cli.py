@@ -536,8 +536,8 @@ def test_median_bandwidth_computed_once_and_only_when_needed(tmp_path, monkeypat
 @pytest.mark.parametrize("argv, needle", [
     (["--upsilon", "-1"], "upsilon must be a real number in (0, inf), got -1.0"),
     (["--upsilon", "0"], "upsilon must be a real number in (0, inf), got 0.0"),
-    (["--upsilon", "2", "--count", "0"], "--count"),
-    (["--upsilon", "2", "--count", "-3"], "--count"),
+    (["--upsilon", "2", "--count", "0"], "error: --count must be an integer >= 1, got 0"),
+    (["--upsilon", "2", "--count", "-3"], "error: --count must be an integer >= 1, got -3"),
 ])
 def test_spectrum_bad_input_exits_2(capsys, argv, needle):
     assert main(["spectrum"] + argv) == 2

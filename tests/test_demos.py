@@ -17,3 +17,6 @@ def test_demo_runs(demo, tmp_path):
     result = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
                             capture_output=True, text=True, timeout=300)
     assert result.returncode == 0, result.stderr
+    # A demo states its checked claims as "<claim>: True"; a false one fails.
+    false = [line for line in result.stdout.splitlines() if line.rstrip().endswith(": False")]
+    assert not false, false

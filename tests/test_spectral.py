@@ -33,7 +33,6 @@ from kernlr import (
     gaussian_synthetic,
     gmm_synthetic,
     gram_matrix,
-    jl_approximation,
     jl_error_bound,
     matern,
     poly_tail_bound,
@@ -558,17 +557,18 @@ def test_symmetric_products_are_bitwise_symmetric_for_every_layout(n, spectrum):
     for layout, U in _eigenvector_layouts(n, seed=n).items():
         eig = EigenDecomposition(eigenvalues=w.copy(), eigenvectors=U)
         for name, M in (("truncate n/2", truncate(eig, n // 2)), ("truncate n", truncate(eig, n)),
-                        ("root", factor_from_eigendecomposition(eig).root)):
+                        ("root", factor_from_eigendecomposition(eig))):
             assert np.array_equal(M, M.T), (layout, name)
 
 
-# The array fields of every result type; the Gram matrix is the array itself.
+# The array fields of every result type; the Gram matrix and the PSD root are
+# the array itself.
 _ARRAY_FIELDS = {
     "gram_matrix": None,
+    "factor_from_eigendecomposition": None,
     "EigenDecomposition": ["eigenvalues", "eigenvectors"],
     "RankSweepResult": ["ranks", "max_entry_error", "frobenius_error", "spectral_error",
                         "tail_abs_sum", "sup_norm_tail"],
-    "PsdFactor": ["root"],
     "MethodComparison": ["ranks", "spectral_max_error", "jl_median_max_error", "jl_rate_shape"],
     "EigenvalueDeviationReport": ["sample", "analytic", "rel_deviation"],
     "TailFrequencyReport": ["thresholds", "frequencies", "bounds"],
@@ -583,7 +583,7 @@ def results():
         "gram_matrix": K,
         "EigenDecomposition": eig,
         "RankSweepResult": error_sweep(K, eig, [0, 2, 12]),
-        "PsdFactor": factor_from_eigendecomposition(eigendecompose(K)),
+        "factor_from_eigendecomposition": factor_from_eigendecomposition(eig),
         "MethodComparison": compare_methods(K, [1, 3], trials=2, seed=0),
         "EigenvalueDeviationReport": eigenvalue_deviation_report(
             eig, GaussianRbfSpectrum(sigma=1.0, bandwidth=1.0), count=3),
@@ -650,8 +650,6 @@ _INTEGER_PARAMETERS = {
     "exp_tail_bound d": (lambda v: exp_tail_bound(v, 1.0, 1.0), 0),
     "entrywise_error_rate n": (lambda v: entrywise_error_rate(v, exponential_decay(1.0)), 1),
     "required_rank n": (lambda v: required_rank(v, exponential_decay(1.0)), 1),
-    "jl_approximation d": (lambda v: jl_approximation(
-        factor_from_eigendecomposition(_EIG4), v, 0), 0),
     "jl_error_bound n": (lambda v: jl_error_bound(v, 1), 1),
     "jl_error_bound d": (lambda v: jl_error_bound(10, v), 0),
     "compare_methods trials": (lambda v: compare_methods(np.eye(4), [1], v, 0), 0),
