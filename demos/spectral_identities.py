@@ -13,13 +13,13 @@ import numpy as np
 
 from kernlr import (
     EigenDecomposition,
-    bernoulli,
     delocalisation_report,
     eigendecompose,
     interlacing_check,
     minor_identity_check,
     subspace_distance_experiment,
 )
+from kernlr.verification import TAIL_BOUNDS, TAIL_THRESHOLDS
 
 rng = np.random.default_rng(0)
 
@@ -27,8 +27,9 @@ rng = np.random.default_rng(0)
 G = rng.standard_normal((120, 60))
 K = G.T @ G / 120.0  # bitwise symmetric: numpy computes G.T @ G with SYRK
 report = minor_identity_check(K)
+skipped = len(report.skipped)
 print(f"principal-minor identity: max relative discrepancy {report.max_discrepancy:.2e} "
-      f"({report.checked} checked, {len(report.skipped)} skipped near coincidences)")
+      f"({K.shape[0] - skipped} checked, {skipped} skipped near coincidences)")
 
 # interlacing between a symmetric matrix and its trailing minor
 A = rng.standard_normal((80, 80))
@@ -47,9 +48,9 @@ print(f"random orthonormal basis: statistic = {delocalisation_report(haar, 0):.2
       f"(compare sqrt(2 log n) = {np.sqrt(2 * np.log(n)):.2f})")
 
 # distance between a random 0/1 vector and a random 256-dimensional subspace
-law, q = bernoulli(0.5), 256
-rep = subspace_distance_experiment(n=1024, q=q, law=law, trials=5000, seed=1)
-print(f"\nsubspace distance concentration (sigma sqrt(q) = {np.sqrt(law.variance * q):.0f}):")
+p0, q = 0.5, 256
+frequencies = subspace_distance_experiment(n=1024, q=q, p0=p0, trials=5000, seed=1)
+print(f"\nsubspace distance concentration (sigma sqrt(q) = {np.sqrt(p0 * (1 - p0) * q):.0f}):")
 print(f"{'t':>4} {'empirical':>10} {'bound':>10}")
-for t, f, b in zip(rep.thresholds, rep.frequencies, rep.bounds):
+for t, f, b in zip(TAIL_THRESHOLDS, frequencies, TAIL_BOUNDS):
     print(f"{t:>4.0f} {f:>10.4f} {b:>10.4f}")

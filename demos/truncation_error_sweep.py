@@ -36,7 +36,7 @@ for spec in kernels:
     eig = eigendecompose(gram)
     sweep = error_sweep(gram, eig, ranks)
     sweeps[spec.label] = sweep
-    curves.append((spec.label, sweep.ranks.tolist(), sweep.max_entry_error.tolist()))
+    curves.append((spec.label, ranks, sweep.max_entry_error.tolist()))
 
 print(f"{'rank':>6}  " + "  ".join(f"{label:>10}" for label in sweeps))
 for i, d in enumerate(ranks):

@@ -14,11 +14,11 @@ only for the modules it uses.
 import importlib
 
 _EXPORTS = {
-    "analytic": ("DecayHypothesis", "GaussianRbfSpectrum", "SphereSpectrumParams",
-                 "beta_from_upsilon", "entrywise_error_rate", "exp_tail_bound",
-                 "exponential_decay", "gaussian_rbf_eigenfunction", "gaussian_rbf_eigenvalue",
-                 "poly_tail_bound", "polynomial_decay", "required_rank",
-                 "sphere_decay_hypothesis", "sphere_harmonic_count", "tensor_spectrum"),
+    "analytic": ("DecayHypothesis", "GaussianRbfSpectrum", "beta_from_upsilon",
+                 "entrywise_error_rate", "exp_tail_bound", "exponential_decay",
+                 "gaussian_rbf_eigenfunction", "gaussian_rbf_eigenvalue", "poly_tail_bound",
+                 "polynomial_decay", "required_rank", "sphere_decay_hypothesis",
+                 "sphere_harmonic_count", "tensor_spectrum"),
     "datasets": ("gaussian_synthetic", "gmm_synthetic", "load_csv", "sphere_uniform",
                  "subsample"),
     "errors": ("CapabilityError", "DegenerateDataError", "EigensolverError", "HypothesisError"),
@@ -28,9 +28,8 @@ _EXPORTS = {
                           "jl_error_bound"),
     "spectral": ("EigenDecomposition", "RankSweepResult", "eigendecompose", "error_sweep",
                  "truncate"),
-    "verification": ("EntryLaw", "MinorIdentityReport", "TailFrequencyReport", "bernoulli",
-                     "delocalisation_report", "eigenvalue_deviation_report",
-                     "interlacing_check", "minor_identity_check",
+    "verification": ("MinorIdentityReport", "delocalisation_report",
+                     "eigenvalue_deviation_report", "interlacing_check", "minor_identity_check",
                      "subspace_distance_experiment"),
 }
 # Public name -> the module that defines it.

@@ -166,37 +166,6 @@ def sphere_harmonic_count(degree: int, p: int) -> int:
 
 
 @dataclass(frozen=True)
-class SphereSpectrumParams:
-    """Decay of a dot-product kernel's coefficients on the sphere in R^p.
-
-    Exactly one of ``coefficient_decay`` (coefficients ``b_i = O(i**-a)``) or
-    ``geometric_ratio`` (``b_i = O(r**i)``, 0 < r < 1) must be given. The
-    polynomial case requires ``a > (p^2 - 4p + 5) / 2``.
-    """
-
-    p: int
-    coefficient_decay: float | None = None
-    geometric_ratio: float | None = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "p", _check_int(self.p, "ambient dimension p", 3))
-        if (self.coefficient_decay is None) == (self.geometric_ratio is None):
-            raise ValueError("give exactly one of coefficient_decay or geometric_ratio")
-        if self.coefficient_decay is not None:
-            a = _check_real(self.coefficient_decay, "coefficient_decay", "(0, inf)")
-            object.__setattr__(self, "coefficient_decay", a)
-            floor = (self.p**2 - 4 * self.p + 5) / 2.0
-            if not a > floor:
-                raise HypothesisError(
-                    f"coefficient decay a = {a} must exceed "
-                    f"(p^2 - 4p + 5)/2 = {floor} for p = {self.p}"
-                )
-        else:
-            r = _check_real(self.geometric_ratio, "geometric_ratio", "(0, 1)")
-            object.__setattr__(self, "geometric_ratio", r)
-
-
-@dataclass(frozen=True)
 class DecayHypothesis:
     """Eigenvalue/eigenfunction decay hypothesis, kind 'P' or 'E'.
 
@@ -237,9 +206,13 @@ def exponential_decay(beta: float, gamma: float = 1.0, s: float = 0.0) -> DecayH
     return DecayHypothesis(kind="E", beta=beta, gamma=gamma, s=s)
 
 
-def sphere_decay_hypothesis(params: SphereSpectrumParams) -> DecayHypothesis:
-    """Decay hypothesis implied by a dot-product kernel on the sphere.
+def sphere_decay_hypothesis(p: int, *, coefficient_decay: float | None = None,
+                            geometric_ratio: float | None = None) -> DecayHypothesis:
+    """Decay hypothesis implied by a dot-product kernel on the sphere in R^p.
 
+    Give exactly one of ``coefficient_decay`` (coefficients ``b_i = O(i**-a)``,
+    with ``a > (p^2 - 4p + 5) / 2``, else ``HypothesisError``) or
+    ``geometric_ratio`` (``b_i = O(r**i)``, 0 < r < 1).
     Polynomially decaying coefficients give the 'P' hypothesis with
     ``alpha = (2a + p - 3) / (p - 2)`` and sup-norm exponent ``r = (p - 2) / 2``
     (the harmonic sup-norm bound). Geometrically decaying coefficients give
@@ -255,12 +228,19 @@ def sphere_decay_hypothesis(params: SphereSpectrumParams) -> DecayHypothesis:
     (400 terms) on ``sphere_uniform(4000, 3)`` the ordered eigenvalues decay
     like i^-2.06 (a = 2) and i^-2.96 (a = 3), where alpha reads 4 and 6.
     """
-    p = params.p
-    if params.coefficient_decay is not None:
-        alpha = (2.0 * params.coefficient_decay + p - 3.0) / (p - 2.0)
-        return DecayHypothesis(kind="P", alpha=alpha, r=(p - 2.0) / 2.0)
-    beta = math.factorial(p - 1) * math.log(1.0 / params.geometric_ratio)
-    return DecayHypothesis(kind="E", beta=beta, gamma=1.0 / (p - 1.0))
+    p = _check_int(p, "ambient dimension p", 3)
+    if (coefficient_decay is None) == (geometric_ratio is None):
+        raise ValueError("give exactly one of coefficient_decay or geometric_ratio")
+    if coefficient_decay is not None:
+        a = _check_real(coefficient_decay, "coefficient_decay", "(0, inf)")
+        floor = (p**2 - 4 * p + 5) / 2.0
+        if not a > floor:
+            raise HypothesisError(f"coefficient decay a = {a} must exceed "
+                                  f"(p^2 - 4p + 5)/2 = {floor} for p = {p}")
+        return DecayHypothesis(kind="P", alpha=(2.0 * a + p - 3.0) / (p - 2.0), r=(p - 2.0) / 2.0)
+    r = _check_real(geometric_ratio, "geometric_ratio", "(0, 1)")
+    return DecayHypothesis(kind="E", beta=math.factorial(p - 1) * math.log(1.0 / r),
+                           gamma=1.0 / (p - 1.0))
 
 
 def poly_tail_bound(d: int, alpha: float) -> float:

@@ -274,12 +274,12 @@ def cmd_sweep(args) -> int:
             print(f"numerical failure in stage eigendecompose ({spec.label}): {exc}", file=sys.stderr)
             return 1
         del gram, eig  # so the next kernel's Gram matrix and eigh are not built beside them
-        rows = zip(sweep.ranks.tolist(), sweep.max_entry_error, sweep.frobenius_error,
+        rows = zip(ranks, sweep.max_entry_error, sweep.frobenius_error,
                    sweep.spectral_error, sweep.tail_abs_sum, sweep.sup_norm_tail)
         _write_csv(out, f"sweep_{spec.label}.csv",
                    ["rank", "max_entry_error", "frobenius_error", "spectral_error",
                     "tail_abs_sum", "sup_norm_tail"], rows)
-        curves.append((spec.label, sweep.ranks.tolist(), sweep.max_entry_error.tolist()))
+        curves.append((spec.label, ranks, sweep.max_entry_error.tolist()))
 
     svg = os.path.join(out, "sweep.svg")
     line_plot(svg, curves, xlabel="rank", ylabel="max-entry error",
@@ -292,7 +292,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_compare(args) -> int:
     from .kernels import gram_matrix
-    from .random_projection import compare_methods
+    from .random_projection import compare_methods, jl_error_bound
     config = _load_config(args)
     X = _build_dataset(config)
     spec = _build_kernels(config, X)[0]
@@ -310,8 +310,8 @@ def cmd_compare(args) -> int:
 
     _write_csv(out, f"compare_{spec.label}.csv",
                ["rank", "spectral_max_error", "jl_median_max_error", "jl_rate_shape"],
-               zip(result.ranks.tolist(), result.spectral_max_error,
-                   result.jl_median_max_error, result.jl_rate_shape))
+               zip(ranks, result.spectral_max_error, result.jl_median_max_error,
+                   [jl_error_bound(X.shape[0], d) for d in ranks]))
     return 0
 
 

@@ -18,9 +18,12 @@ def load_csv(path, delimiter: str = ",", has_header: bool = False, columns=None)
     """Read a numeric CSV into an ``(n, p)`` array, preserving row order.
 
     ``columns`` optionally selects a subset of columns by zero-based index.
-    Malformed input is reported with the offending line (1-based, header
-    included) and column.
+    ``has_header`` must be a bool: a string such as ``"false"`` or a number is
+    refused, not read as true. Malformed input is reported with the offending
+    line (1-based, header included) and column.
     """
+    if not isinstance(has_header, (bool, np.bool_)):
+        raise ValueError(f"has_header must be true or false, got {has_header!r}")
     import csv  # only this reader needs it
     rows = []
     width = None

@@ -75,12 +75,10 @@ def jl_error_bound(n: int, d: int) -> float:
 
 @_readonly
 class MethodComparison:
-    """Per-rank max-entry errors: spectral truncation vs the sketch median."""
+    """Max-entry errors per requested rank, in order: spectral truncation vs the sketch median."""
 
-    ranks: np.ndarray
     spectral_max_error: np.ndarray
     jl_median_max_error: np.ndarray
-    jl_rate_shape: np.ndarray
 
 
 def compare_methods(gram, ranks, trials: int, seed) -> MethodComparison:
@@ -102,12 +100,11 @@ def compare_methods(gram, ranks, trials: int, seed) -> MethodComparison:
     K = np.asarray(gram, dtype=float)
     eig = eigendecompose(gram)
     ranks = [_check_int(d, "rank", 1, eig.n) for d in ranks]
-    sweep = error_sweep(gram, eig, sorted(set(ranks)))
-    spectral = dict(zip(sweep.ranks.tolist(), sweep.max_entry_error.tolist()))
+    grid = sorted(set(ranks))
+    spectral = dict(zip(grid, error_sweep(gram, eig, grid).max_entry_error.tolist()))
     root = factor_from_eigendecomposition(eig)
     del eig  # the root is all the sketches read
 
-    n = root.shape[0]
     jl_median = []
     for j, d in enumerate(ranks):
         errs = np.empty(trials)
@@ -116,9 +113,5 @@ def compare_methods(gram, ranks, trials: int, seed) -> MethodComparison:
             errs[t] = _max_entry_error(_sketch_factor(root, d, trial_seed), K)
         jl_median.append(float(_median(errs)))
 
-    return MethodComparison(
-        ranks=np.array(ranks, dtype=int),
-        spectral_max_error=np.array([spectral[d] for d in ranks]),
-        jl_median_max_error=np.array(jl_median),
-        jl_rate_shape=np.array([jl_error_bound(n, d) for d in ranks]),
-    )
+    return MethodComparison(spectral_max_error=np.array([spectral[d] for d in ranks]),
+                            jl_median_max_error=np.array(jl_median))

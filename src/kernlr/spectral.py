@@ -124,7 +124,7 @@ def _require_full(eig: EigenDecomposition) -> None:
 
 @_readonly
 class RankSweepResult:
-    """Per-rank error metrics of the spectral truncation.
+    """Error metrics of the spectral truncation, one entry per requested rank, in order.
 
     ``frobenius_error`` and ``tail_abs_sum`` are non-increasing in the rank;
     ``max_entry_error`` need not be monotone. At rank n all errors are zero
@@ -132,7 +132,6 @@ class RankSweepResult:
     empty tail.
     """
 
-    ranks: np.ndarray
     max_entry_error: np.ndarray
     frobenius_error: np.ndarray
     spectral_error: np.ndarray
@@ -314,6 +313,5 @@ def error_sweep(gram, eig: EigenDecomposition, ranks) -> RankSweepResult:
             R -= (V * w[done:d]) @ V.T if dense else np.einsum("ij,ij,j->i", V, V, w[done:d])
             done = d
         max_entry[i] = max(R.max(), -R.min())
-    ranks = np.array(ranks, dtype=int)
-    return RankSweepResult(ranks, max_entry, np.sqrt(squares[ranks]), spectral[ranks],
+    return RankSweepResult(max_entry, np.sqrt(squares[ranks]), spectral[ranks],
                            abs_sums[ranks], sup_norms[ranks])

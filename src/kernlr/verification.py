@@ -20,18 +20,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .analytic import GaussianRbfSpectrum, exponential_decay, required_rank, tensor_spectrum
 from .datasets import gaussian_synthetic
 from .kernels import gram_matrix, rbf
-from .spectral import (EigenDecomposition, _check_int, _check_real, _median, _readonly, _tails,
+from .spectral import (EigenDecomposition, _check_int, _check_real, _median, _tails,
                        eigendecompose)
 
 MINOR_GAP_GUARD = 1e-6  # eigenvalue gaps below this make the minor identity degenerate
 TAIL_THRESHOLDS = (8.0, 10.0, 12.0, 16.0)  # the 4 exp(-t^2 / 32) bound means something for t >= 8
+TAIL_BOUNDS = 4.0 * np.exp(-(np.array(TAIL_THRESHOLDS) ** 2) / 32.0)  # the bound at each threshold
+TAIL_BOUNDS.setflags(write=False)
 TRIALS_PER_SUBSPACE = 100
 
 
@@ -48,7 +49,6 @@ class MinorIdentityReport:
     """Worst relative discrepancy of the minor identity, with skipped indices."""
 
     max_discrepancy: float
-    checked: int
     skipped: tuple[int, ...]
 
 
@@ -60,14 +60,13 @@ def minor_identity_check(gram) -> MinorIdentityReport:
     ``1 / (1 + sum_j (minor_eval_j - eval_l)^-2 (minor_evec_j . y)^2)``. The
     identity degenerates when eigenvalues of the matrix and its minor
     coincide, so such indices are skipped and reported, never silently
-    dropped.
+    dropped; the other n - len(skipped) are checked.
     """
     K, eig, minor = _matrix_and_minor(gram)
     proj = minor.eigenvectors.T @ K[1:, 0]  # (minor_evec_j . y), y the coupling column
 
     worst = 0.0
     skipped = []
-    checked = 0
     for l in range(eig.n):
         gaps = minor.eigenvalues - eig.eigenvalues[l]
         if np.abs(gaps).min() < MINOR_GAP_GUARD:
@@ -76,8 +75,7 @@ def minor_identity_check(gram) -> MinorIdentityReport:
         rhs = 1.0 / (1.0 + float(np.sum((proj / gaps) ** 2)))
         lhs = float(eig.eigenvectors[0, l] ** 2)
         worst = max(worst, abs(lhs - rhs) / max(lhs, 1e-12))
-        checked += 1
-    return MinorIdentityReport(max_discrepancy=worst, checked=checked, skipped=tuple(skipped))
+    return MinorIdentityReport(max_discrepancy=worst, skipped=tuple(skipped))
 
 
 def interlacing_check(gram) -> float:
@@ -106,56 +104,21 @@ def delocalisation_report(eig: EigenDecomposition, d: int) -> float:
     return math.sqrt(eig.n) * float(_tails(eig)[3][d])
 
 
-@_readonly
-class EigenvalueDeviationReport:
-    """Deviation of the top sample eigenvalues (scaled by 1/n), largest first, from analytic ones."""
-
-    sample: np.ndarray
-    analytic: np.ndarray
-    rel_deviation: np.ndarray
-
-
 def eigenvalue_deviation_report(eig: EigenDecomposition, spectrum: GaussianRbfSpectrum,
-                                count: int) -> EigenvalueDeviationReport:
-    """Compare the top ``count`` sample eigenvalues over n against the analytic spectrum.
+                                count: int) -> np.ndarray:
+    """Relative deviations of the top ``count`` eigenvalues over n from the analytic ones.
 
+    The read-only array holds ``|lambda_i / n - mu_i| / mu_i``, largest first,
+    with ``mu_i`` the analytic spectrum of :func:`tensor_spectrum`.
     ``eig`` may be a leading-k decomposition holding at least ``count``
-    pairs; n is the order of the matrix, ``eig.n``. The report carries
-    deviations only, with no pass/fail judgement.
+    pairs; n is the order of the matrix, ``eig.n``. The deviations carry no
+    pass/fail judgement.
     """
     count = _check_int(count, "count", 1, eig.eigenvalues.shape[0])
     analytic = tensor_spectrum(spectrum, count)
-    sample = eig.eigenvalues[:count] / eig.n
-    return EigenvalueDeviationReport(sample=sample, analytic=analytic,
-                                     rel_deviation=np.abs(sample - analytic) / analytic)
-
-
-@dataclass(frozen=True)
-class EntryLaw:
-    """An i.i.d. entry distribution supported on [0, 1]."""
-
-    name: str
-    variance: float
-    sample: Callable[[np.random.Generator, tuple], np.ndarray]
-
-
-def bernoulli(p0: float) -> EntryLaw:
-    """Entries equal to 1 with probability p0, else 0."""
-    p0 = _check_real(p0, "bernoulli parameter p0", "(0, 1)")
-    return EntryLaw(
-        name=f"bernoulli({p0:g})",
-        variance=p0 * (1.0 - p0),
-        sample=lambda rng, shape: (rng.random(shape) < p0).astype(float),
-    )
-
-
-@_readonly
-class TailFrequencyReport:
-    """Empirical tail frequencies of the projection-distance statistic vs bound."""
-
-    thresholds: np.ndarray
-    frequencies: np.ndarray
-    bounds: np.ndarray
+    deviation = np.abs(eig.eigenvalues[:count] / eig.n - analytic) / analytic
+    deviation.setflags(write=False)
+    return deviation
 
 
 def _projection_norms(G: np.ndarray, Y: np.ndarray) -> np.ndarray:
@@ -167,17 +130,17 @@ def _projection_norms(G: np.ndarray, Y: np.ndarray) -> np.ndarray:
     return np.sqrt((Z**2).sum(axis=0))
 
 
-def subspace_distance_experiment(n: int, q: int, law: EntryLaw, trials: int, seed: int) -> TailFrequencyReport:
-    """Monte Carlo tail frequencies of ``| ||proj_H(y)|| - sigma sqrt(q) |``.
+def subspace_distance_experiment(n: int, q: int, p0: float, trials: int, seed: int) -> np.ndarray:
+    """Monte Carlo tail frequencies of ``| ||proj_H(y)|| - sigma sqrt(q) |``, read-only.
 
-    ``y`` has i.i.d. entries from ``law`` and H is a random q-dimensional
-    subspace orthogonal to the all-ones direction, so the projection of the
-    mean vector is zero by construction and the concentration bound's
-    alignment condition holds with room to spare. The q >= 64 / sigma^2
-    requirement is enforced. Each subspace serves a batch of
-    ``TRIALS_PER_SUBSPACE`` trials: the tail bound holds conditionally
-    on every admissible subspace, so batching leaves the per-trial guarantee
-    intact and draws one n x q Gaussian matrix G per batch.
+    ``y`` has i.i.d. Bernoulli(p0) entries, 1 with probability p0 and else 0,
+    so sigma^2 = p0 (1 - p0). H is a random q-dimensional subspace orthogonal
+    to the all-ones direction, so the projection of the mean vector is zero
+    by construction and the concentration bound's alignment condition holds
+    with room to spare. The q >= 64 / sigma^2 requirement is enforced. Each
+    subspace serves a batch of ``TRIALS_PER_SUBSPACE`` trials: the tail bound
+    holds conditionally on every admissible subspace, so batching leaves the
+    per-trial guarantee intact and draws one n x q Gaussian matrix G per batch.
 
     The projection goes through the Cholesky factor L of the q x q matrix
     ``G.T @ G`` (one SYRK), ``||Q.T y|| = ||L^-1 G.T y||``; no orthonormal
@@ -188,21 +151,23 @@ def subspace_distance_experiment(n: int, q: int, law: EntryLaw, trials: int, see
     where kappa(G) is about 3, and to 2e-10 even at q = n - 1, where
     kappa(G) reaches 2e4 (n = 257) and 7e4 (n = 1024).
 
-    Frequencies are reported at the thresholds ``TAIL_THRESHOLDS``; the
-    theoretical comparison value at threshold t is ``4 exp(-t^2 / 32)``.
+    The frequencies are those at the thresholds ``TAIL_THRESHOLDS``, to be
+    read against ``TAIL_BOUNDS``, the bound ``4 exp(-t^2 / 32)`` at each.
     """
+    p0 = _check_real(p0, "p0", "(0, 1)")
     n = _check_int(n, "n", 2)
     q = _check_int(q, "q", 1, n - 1)
     trials = _check_int(trials, "trials", 1)
-    q_min = 64.0 / law.variance
+    variance = p0 * (1.0 - p0)
+    q_min = 64.0 / variance
     if q < q_min:
         raise ValueError(
             f"subspace dimension q = {q} is below the required minimum "
-            f"64 / sigma^2 = {q_min:g} for {law.name}"
+            f"64 / sigma^2 = {q_min:g} for bernoulli({p0:g})"
         )
 
     t_grid = np.array(TAIL_THRESHOLDS)
-    target = law.variance**0.5 * math.sqrt(q)
+    target = variance**0.5 * math.sqrt(q)
 
     counts = np.zeros(t_grid.shape[0])
     for batch_index, start in enumerate(range(0, trials, TRIALS_PER_SUBSPACE)):
@@ -210,15 +175,13 @@ def subspace_distance_experiment(n: int, q: int, law: EntryLaw, trials: int, see
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(batch_index,)))
         G = rng.standard_normal((n, q))
         G -= G.mean(axis=0)  # kill the mean direction
-        Y = law.sample(rng, (n, batch))
+        Y = (rng.random((n, batch)) < p0).astype(float)
         dev = np.abs(_projection_norms(G, Y) - target)
         counts += (dev[None, :] >= t_grid[:, None]).sum(axis=1)
 
-    return TailFrequencyReport(
-        thresholds=t_grid,
-        frequencies=counts / trials,
-        bounds=4.0 * np.exp(-(t_grid**2) / 32.0),
-    )
+    frequencies = counts / trials
+    frequencies.setflags(write=False)
+    return frequencies
 
 
 _SPEC1 = GaussianRbfSpectrum(sigma=1.0, bandwidth=1.0)  # rbf(1) on 1-D N(0, 1) data
@@ -259,9 +222,9 @@ def _check_delocalisation(seed, quick):
 
 def _check_subspace(seed, quick):
     trials = 2000 if quick else 10000
-    report = subspace_distance_experiment(n=1024, q=256, law=bernoulli(0.5), trials=trials, seed=seed)
-    excess = float(np.max(report.frequencies - report.bounds))
-    detail = "freq vs bound at t=" + ",".join(f"{t:g}" for t in report.thresholds)
+    frequencies = subspace_distance_experiment(n=1024, q=256, p0=0.5, trials=trials, seed=seed)
+    excess = float(np.max(frequencies - TAIL_BOUNDS))
+    detail = "freq vs bound at t=" + ",".join(f"{t:g}" for t in TAIL_THRESHOLDS)
     return excess, 0.0, detail
 
 
@@ -271,7 +234,7 @@ def _check_eigdev(seed, quick):
     devs = []
     for i in range(seeds):
         eig = eigendecompose(_gauss1d_gram(n, seed + i), k=5)
-        devs.append(eigenvalue_deviation_report(eig, _SPEC1, count=5).rel_deviation)
+        devs.append(eigenvalue_deviation_report(eig, _SPEC1, count=5))
     worst = float(np.max(_median(np.array(devs), axis=0)))
     return worst, 0.1, f"n={n}, median over {seeds} seeds, top 5 eigenvalues"
 

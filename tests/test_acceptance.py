@@ -30,7 +30,6 @@ import numpy as np
 import kernlr as klr
 from kernlr import (
     GaussianRbfSpectrum,
-    SphereSpectrumParams,
     delocalisation_report,
     dot_product,
     eigendecompose,
@@ -57,7 +56,7 @@ SPEC1 = GaussianRbfSpectrum(sigma=1.0, bandwidth=1.0)  # upsilon = 2
 EPS = np.finfo(float).eps
 
 # Hypothesis (E) with s = 0: beta = 2 log 2, gamma = 1/2 on S^2 in R^3.
-SPHERE_HYP_E = sphere_decay_hypothesis(SphereSpectrumParams(p=3, geometric_ratio=0.5))
+SPHERE_HYP_E = sphere_decay_hypothesis(3, geometric_ratio=0.5)
 # Coefficients 0.5**i, truncated where the dropped tail 0.5**K / (1 - 0.5)
 # falls below machine epsilon (K = 54).
 SPHERE_TERMS = next(k for k in itertools.count(1) if 0.5**k / (1 - 0.5) < EPS)
@@ -244,8 +243,9 @@ def test_criterion_09_series_bounds_dominate_brute_force():
 def test_criterion_10_jl_comparison_shape():
     X = gaussian_synthetic(300, 5, sigma=1.0, seed=3)
     gram = gram_matrix(rbf(median_heuristic(X)), X)
-    result = klr.compare_methods(gram, [16, 64, 256], trials=50, seed=11)
-    slope = float(np.polyfit(np.log(result.ranks), np.log(result.jl_median_max_error), 1)[0])
+    ranks = [16, 64, 256]
+    result = klr.compare_methods(gram, ranks, trials=50, seed=11)
+    slope = float(np.polyfit(np.log(ranks), np.log(result.jl_median_max_error), 1)[0])
     dominance = bool(np.all(result.spectral_max_error <= result.jl_median_max_error))
     ok = -0.7 <= slope <= -0.3 and dominance
     msg = _report(10, ok, f"sketch error log-log slope {slope:.3f} in [-0.7, -0.3]; "

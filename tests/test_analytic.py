@@ -12,7 +12,6 @@ from kernlr import (
     DecayHypothesis,
     GaussianRbfSpectrum,
     HypothesisError,
-    SphereSpectrumParams,
     beta_from_upsilon,
     dot_product,
     eigendecompose,
@@ -240,14 +239,14 @@ def test_tensor_spectrum_meets_a_measured_spectrum_per_cluster(seed):
 
 
 def test_sphere_decay_polynomial_case():
-    hyp = sphere_decay_hypothesis(SphereSpectrumParams(p=3, coefficient_decay=2.0))
+    hyp = sphere_decay_hypothesis(3, coefficient_decay=2.0)
     assert hyp.kind == "P"
     assert hyp.alpha == pytest.approx(4.0)
     assert hyp.r == pytest.approx(0.5)
 
 
 def test_sphere_decay_geometric_case():
-    hyp = sphere_decay_hypothesis(SphereSpectrumParams(p=3, geometric_ratio=0.5))
+    hyp = sphere_decay_hypothesis(3, geometric_ratio=0.5)
     assert hyp.kind == "E"
     assert hyp.gamma == pytest.approx(0.5)
     assert hyp.beta == pytest.approx(1.386294, abs=5e-7)  # 2 log 2
@@ -256,7 +255,11 @@ def test_sphere_decay_geometric_case():
 def test_sphere_decay_threshold_violation():
     # at p=3 the admissibility floor is (9 - 12 + 5)/2 = 1
     with pytest.raises(HypothesisError):
-        SphereSpectrumParams(p=3, coefficient_decay=1.0)
+        sphere_decay_hypothesis(3, coefficient_decay=1.0)
+    with pytest.raises(ValueError, match="exactly one"):
+        sphere_decay_hypothesis(3)
+    with pytest.raises(ValueError, match="exactly one"):
+        sphere_decay_hypothesis(3, coefficient_decay=2.0, geometric_ratio=0.5)
 
 
 def test_poly_tail_bound_values_and_brute_force():

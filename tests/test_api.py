@@ -89,7 +89,7 @@ def test_the_lazy_namespace_loads_no_submodule_and_resolves_every_name():
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "[]"
-    assert len(kernlr.__all__) == len(set(kernlr.__all__)) == 50
+    assert len(kernlr.__all__) == len(set(kernlr.__all__)) == 46
     for name, obj in PUBLIC.items():
         module = importlib.import_module(obj.__module__)
         assert module.__name__.startswith("kernlr.") and getattr(module, name) is obj, name

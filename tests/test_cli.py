@@ -643,6 +643,21 @@ def test_csv_dataset_is_refused_after_loading_and_subsampling(tmp_path, capsys, 
     assert _run_config(tmp_path, config) == 0
 
 
+@pytest.mark.parametrize("has_header", ["false", 1])
+def test_csv_has_header_must_be_a_json_bool(tmp_path, capsys, has_header):
+    # Five data rows and no header: a string or number must not drop the first row.
+    path = tmp_path / "d.csv"
+    path.write_text("".join(f"{i},{i % 3}\n" for i in range(5)))
+    config = {"dataset": {"kind": "csv", "path": str(path), "has_header": has_header},
+              "kernels": [{"family": "rbf"}], "ranks": [1, 5]}  # rank 5 needs all 5 rows
+    assert _run_config(tmp_path, config) == 2
+    assert "dataset 'csv': has_header must be true or false" in _assert_one_error_line(capsys)
+    config["dataset"]["has_header"] = False
+    assert _run_config(tmp_path, config) == 0
+    _, rows = _read_csv(tmp_path / "o" / "sweep_rbf.csv")
+    assert [row[0] for row in rows] == ["1", "5"]
+
+
 def test_unallocatable_dataset_exits_2(tmp_path, capsys):
     # n fits; p makes the n x p data too large for numpy to even try to allocate.
     config = {"dataset": {"kind": "gaussian", "n": 2, "p": 6.6e16}, "kernels": [{"family": "rbf"}]}

@@ -23,6 +23,16 @@ def test_load_csv_header_and_columns(tmp_path):
     assert out.tolist() == [[3.0, 1.0], [6.0, 4.0]]
 
 
+@pytest.mark.parametrize("has_header", ["false", 1, 0, None])
+def test_load_csv_has_header_is_a_bool(tmp_path, has_header):
+    # A truthy non-bool used to drop the first data row as a header.
+    path = tmp_path / "data.csv"
+    path.write_text("1,2\n3,4\n")
+    with pytest.raises(ValueError, match="has_header must be true or false"):
+        load_csv(path, has_header=has_header)
+    assert load_csv(path, has_header=np.False_).tolist() == [[1.0, 2.0], [3.0, 4.0]]
+
+
 @pytest.mark.parametrize("column", [-1, True, 1.5, 3])
 def test_load_csv_columns_are_integers_within_the_width(tmp_path, column):
     path = tmp_path / "data.csv"

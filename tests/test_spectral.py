@@ -15,8 +15,6 @@ from kernlr import (
     EigensolverError,
     GaussianRbfSpectrum,
     KernelSpec,
-    SphereSpectrumParams,
-    bernoulli,
     beta_from_upsilon,
     compare_methods,
     delocalisation_report,
@@ -39,6 +37,7 @@ from kernlr import (
     polynomial_decay,
     rbf,
     required_rank,
+    sphere_decay_hypothesis,
     sphere_harmonic_count,
     sphere_uniform,
     subsample,
@@ -46,7 +45,7 @@ from kernlr import (
     tensor_spectrum,
     truncate,
 )
-from kernlr import spectral
+from kernlr import spectral, verification
 from kernlr.spectral import LEADING_K_ITERATION_CAP, LEADING_K_TOLERANCE
 
 K2 = np.array([[2.0, 1.0], [1.0, 2.0]])
@@ -567,11 +566,12 @@ _ARRAY_FIELDS = {
     "gram_matrix": None,
     "factor_from_eigendecomposition": None,
     "EigenDecomposition": ["eigenvalues", "eigenvectors"],
-    "RankSweepResult": ["ranks", "max_entry_error", "frobenius_error", "spectral_error",
+    "RankSweepResult": ["max_entry_error", "frobenius_error", "spectral_error",
                         "tail_abs_sum", "sup_norm_tail"],
-    "MethodComparison": ["ranks", "spectral_max_error", "jl_median_max_error", "jl_rate_shape"],
-    "EigenvalueDeviationReport": ["sample", "analytic", "rel_deviation"],
-    "TailFrequencyReport": ["thresholds", "frequencies", "bounds"],
+    "MethodComparison": ["spectral_max_error", "jl_median_max_error"],
+    "eigenvalue_deviation_report": None,
+    "subspace_distance_experiment": None,
+    "TAIL_BOUNDS": None,
 }
 
 
@@ -585,10 +585,11 @@ def results():
         "RankSweepResult": error_sweep(K, eig, [0, 2, 12]),
         "factor_from_eigendecomposition": factor_from_eigendecomposition(eig),
         "MethodComparison": compare_methods(K, [1, 3], trials=2, seed=0),
-        "EigenvalueDeviationReport": eigenvalue_deviation_report(
+        "eigenvalue_deviation_report": eigenvalue_deviation_report(
             eig, GaussianRbfSpectrum(sigma=1.0, bandwidth=1.0), count=3),
-        "TailFrequencyReport": subspace_distance_experiment(
-            n=300, q=256, law=bernoulli(0.5), trials=1, seed=0),
+        "subspace_distance_experiment": subspace_distance_experiment(
+            n=300, q=256, p0=0.5, trials=1, seed=0),
+        "TAIL_BOUNDS": verification.TAIL_BOUNDS,
     }
 
 
@@ -645,7 +646,7 @@ _INTEGER_PARAMETERS = {
     "tensor_spectrum count": (lambda v: tensor_spectrum(_SPEC, v), 0),
     "sphere_harmonic_count degree": (lambda v: sphere_harmonic_count(v, 3), -1),
     "sphere_harmonic_count p": (lambda v: sphere_harmonic_count(2, v), 2),
-    "SphereSpectrumParams p": (lambda v: SphereSpectrumParams(p=v, geometric_ratio=0.5), 2),
+    "sphere_decay_hypothesis p": (lambda v: sphere_decay_hypothesis(v, geometric_ratio=0.5), 2),
     "poly_tail_bound d": (lambda v: poly_tail_bound(v, 2.0), 0),
     "exp_tail_bound d": (lambda v: exp_tail_bound(v, 1.0, 1.0), 0),
     "entrywise_error_rate n": (lambda v: entrywise_error_rate(v, exponential_decay(1.0)), 1),
@@ -657,11 +658,11 @@ _INTEGER_PARAMETERS = {
     "eigenvalue_deviation_report count": (
         lambda v: eigenvalue_deviation_report(_EIG4, _SPEC, v), 0),
     "subspace_distance_experiment n": (
-        lambda v: subspace_distance_experiment(v, 256, bernoulli(0.5), 1, 0), 1),
+        lambda v: subspace_distance_experiment(v, 256, 0.5, 1, 0), 1),
     "subspace_distance_experiment q": (
-        lambda v: subspace_distance_experiment(300, v, bernoulli(0.5), 1, 0), 0),
+        lambda v: subspace_distance_experiment(300, v, 0.5, 1, 0), 0),
     "subspace_distance_experiment trials": (
-        lambda v: subspace_distance_experiment(300, 256, bernoulli(0.5), v, 0), 0),
+        lambda v: subspace_distance_experiment(300, 256, 0.5, v, 0), 0),
     "gmm_synthetic n": (lambda v: gmm_synthetic(n=v), 0),
     "gmm_synthetic p": (lambda v: gmm_synthetic(n=5, p=v), 0),
     "gmm_synthetic components": (lambda v: gmm_synthetic(n=5, components=v), 0),
@@ -686,10 +687,10 @@ _REAL_PARAMETERS = {
     "GaussianRbfSpectrum sigma": (lambda v: GaussianRbfSpectrum(v, 1.0), 0.0),
     "GaussianRbfSpectrum bandwidth": (lambda v: GaussianRbfSpectrum(1.0, v), 0.0),
     "beta_from_upsilon upsilon": (beta_from_upsilon, 0.0),
-    "SphereSpectrumParams coefficient_decay": (
-        lambda v: SphereSpectrumParams(p=3, coefficient_decay=v), 0.0),
-    "SphereSpectrumParams geometric_ratio": (
-        lambda v: SphereSpectrumParams(p=3, geometric_ratio=v), 1.0),
+    "sphere_decay_hypothesis coefficient_decay": (
+        lambda v: sphere_decay_hypothesis(3, coefficient_decay=v), 0.0),
+    "sphere_decay_hypothesis geometric_ratio": (
+        lambda v: sphere_decay_hypothesis(3, geometric_ratio=v), 1.0),
     "DecayHypothesis alpha": (lambda v: DecayHypothesis("P", alpha=v), 1.0),
     "DecayHypothesis r": (lambda v: DecayHypothesis("P", alpha=3.0, r=v), -0.01),
     "DecayHypothesis beta": (lambda v: DecayHypothesis("E", beta=v, gamma=1.0), 0.0),
@@ -706,7 +707,8 @@ _REAL_PARAMETERS = {
     "dot_product coefficient": (lambda v: dot_product([v, 1.0]), -0.01),
     "gaussian_synthetic sigma": (lambda v: gaussian_synthetic(n=5, sigma=v), -0.01),
     "gmm_synthetic mean_scale": (lambda v: gmm_synthetic(n=5, mean_scale=v), -0.01),
-    "bernoulli p0": (bernoulli, 1.0),
+    "subspace_distance_experiment p0": (
+        lambda v: subspace_distance_experiment(300, 256, v, 1, 0), 1.0),
 }
 
 

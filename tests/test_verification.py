@@ -1,11 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
 from kernlr import (
     EigenDecomposition,
-    EntryLaw,
     GaussianRbfSpectrum,
-    bernoulli,
     delocalisation_report,
     eigendecompose,
     eigenvalue_deviation_report,
@@ -18,7 +18,7 @@ from kernlr import (
     tensor_spectrum,
     verification,
 )
-from kernlr.verification import _projection_norms, run_check
+from kernlr.verification import TAIL_BOUNDS, TAIL_THRESHOLDS, _projection_norms, run_check
 
 K2 = np.array([[2.0, 1.0], [1.0, 2.0]])
 
@@ -34,15 +34,13 @@ def test_minor_identity_2x2_hand_case():
     # reads 1 / (1 + (2 - 3)^-2) = 1/2, matching u_1(1)^2
     report = minor_identity_check(K2)
     assert report.max_discrepancy <= 1e-12
-    assert report.checked == 2
-    assert report.skipped == ()
+    assert report.skipped == ()  # both indices checked
 
 
 def test_minor_identity_diagonal_skips_coincident():
     report = minor_identity_check(np.diag([5.0, 2.0, -1.0]))
     # eigenvalues 2 and -1 coincide with the minor's; only 5 is checkable
-    assert report.checked == 1
-    assert set(report.skipped) == {1, 2}
+    assert report.skipped == (1, 2)
     assert report.max_discrepancy <= 1e-12
 
 
@@ -52,7 +50,9 @@ def test_minor_identity_random_psd():
         for _ in range(3):
             report = minor_identity_check(_random_psd(n, rng))
             assert report.max_discrepancy <= 1e-6
-            assert report.checked + len(report.skipped) == n
+            # distinct indices in order, and not all of them: the rest is checked
+            assert list(report.skipped) == sorted(set(report.skipped) & set(range(n)))
+            assert len(report.skipped) < n
 
 
 def test_minor_identity_needs_two_rows():
@@ -99,12 +99,10 @@ def test_deviation_report_trace_sanity():
     eig = eigendecompose(gram_matrix(rbf(1.0), X))
     assert eig.eigenvalues.sum() / 200 == pytest.approx(1.0, rel=1e-10)
     spec = GaussianRbfSpectrum(sigma=1.0, bandwidth=1.0)
-    report = eigenvalue_deviation_report(eig, spec, count=5)
-    assert report.sample.sum() <= 1.0 + 1e-12
-    assert report.analytic == pytest.approx(
-        [spec.base * spec.ratio**i for i in range(5)])
-    assert report.rel_deviation == pytest.approx(np.abs(report.sample - report.analytic)
-                                                 / report.analytic)
+    sample, analytic = eig.eigenvalues[:5] / 200, [spec.base * spec.ratio**i for i in range(5)]
+    assert sample.sum() <= 1.0 + 1e-12
+    deviation = eigenvalue_deviation_report(eig, spec, count=5)
+    assert deviation == pytest.approx(np.abs(sample - analytic) / analytic)
 
 
 def test_deviation_report_divides_a_leading_k_decomposition_by_the_matrix_order():
@@ -112,9 +110,12 @@ def test_deviation_report_divides_a_leading_k_decomposition_by_the_matrix_order(
     spec = GaussianRbfSpectrum(sigma=1.0, bandwidth=1.0)
     K = gram_matrix(rbf(1.0), gaussian_synthetic(300, 1, sigma=1.0, seed=3))
     w, eig = np.linalg.eigvalsh(K)[::-1], eigendecompose(K, k=5)
-    report = eigenvalue_deviation_report(eig, spec, count=3)
-    assert report.rel_deviation.shape == (3,)
-    assert np.abs(report.sample - w[:3] / 300).max() <= 1e-12 * w[0] / 300
+    analytic = tensor_spectrum(spec, 3)
+    deviation = eigenvalue_deviation_report(eig, spec, count=3)
+    assert deviation.shape == (3,)
+    # |lambda_i / n - mu_i| moves by at most the error of lambda_i / n
+    gap = np.abs(w[:3] / 300 - analytic)
+    assert np.abs(deviation * analytic - gap).max() <= 1e-12 * w[0] / 300
     with pytest.raises(ValueError):
         eigenvalue_deviation_report(eig, spec, count=6)
 
@@ -128,43 +129,50 @@ def test_deviation_shrinks_with_sample_size():
         for s in range(3):
             X = gaussian_synthetic(n, 1, sigma=1.0, seed=10 + s)
             eig = eigendecompose(gram_matrix(rbf(1.0), X), k=1)
-            devs.append(eigenvalue_deviation_report(eig, spec, count=1).rel_deviation[0])
+            devs.append(eigenvalue_deviation_report(eig, spec, count=1)[0])
         med[n] = np.median(devs)
     assert med[800] <= med[200] * 1.5  # non-increasing within noise
 
 
-def test_entry_laws():
-    law = bernoulli(0.5)
-    assert law.variance == pytest.approx(0.25)
-    rng = np.random.default_rng(0)
-    draw = law.sample(rng, (1000,))
-    assert set(np.unique(draw)) <= {0.0, 1.0}
-    with pytest.raises(ValueError):
-        bernoulli(0.0)
+def test_subspace_experiment_draws_bernoulli_entries(monkeypatch):
+    # y has i.i.d. 0/1 entries, 1 with probability p0, drawn after G from the
+    # stream of its batch; the second batch here holds the last 50 trials.
+    seen = []
+    norms = verification._projection_norms
+    monkeypatch.setattr(verification, "_projection_norms",
+                        lambda G, Y: seen.append(Y) or norms(G, Y))
+    n, q, p0 = 1000, 400, 0.2
+    subspace_distance_experiment(n, q, p0, trials=150, seed=3)
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=3, spawn_key=(1,)))
+    rng.standard_normal((n, q))
+    assert np.array_equal(seen[1], (rng.random((n, 50)) < p0).astype(float))
+    assert abs(np.concatenate(seen, axis=1).mean() - p0) < 0.01
 
 
-def test_subspace_dimension_requirement():
-    # bernoulli(1/2) has variance 1/4, so q must be at least 256
-    with pytest.raises(ValueError, match="256"):
-        subspace_distance_experiment(n=1024, q=255, law=bernoulli(0.5), trials=10, seed=0)
+@pytest.mark.parametrize("p0, q_min", [(0.5, 256), (0.2, 400)])
+def test_subspace_dimension_requirement(p0, q_min):
+    # sigma^2 = p0 (1 - p0), so q must be at least 64 / sigma^2
+    with pytest.raises(ValueError, match=f"q = {q_min - 1} is below the required minimum "
+                                         f"64 / sigma\\^2 = {q_min:g} for bernoulli\\({p0:g}\\)"):
+        subspace_distance_experiment(n=1024, q=q_min - 1, p0=p0, trials=10, seed=0)
+    subspace_distance_experiment(n=1024, q=q_min, p0=p0, trials=1, seed=0)
 
 
 def test_subspace_experiment_report():
-    report = subspace_distance_experiment(
-        n=512, q=256, law=bernoulli(0.5), trials=2000, seed=4)
-    assert report.bounds == pytest.approx(4.0 * np.exp(-report.thresholds**2 / 32.0))
+    assert TAIL_BOUNDS == pytest.approx(4.0 * np.exp(-np.array(TAIL_THRESHOLDS)**2 / 32.0))
+    frequencies = subspace_distance_experiment(n=512, q=256, p0=0.5, trials=2000, seed=4)
     # frequencies are probabilities of nested events: non-increasing in t
-    assert np.all(np.diff(report.frequencies) <= 1e-12)
-    assert np.all((0.0 <= report.frequencies) & (report.frequencies <= 1.0))
+    assert np.all(np.diff(frequencies) <= 1e-12)
+    assert np.all((0.0 <= frequencies) & (frequencies <= 1.0))
     # the concentration bound holds empirically on the default grid
-    assert np.all(report.frequencies <= report.bounds)
+    assert np.all(frequencies <= TAIL_BOUNDS)
 
 
-def test_subspace_experiment_other_laws():
-    law = EntryLaw("uniform", 1.0 / 12.0, lambda rng, shape: rng.random(shape))
-    q = int(np.ceil(64.0 / law.variance))
-    report = subspace_distance_experiment(n=2 * q, q=q, law=law, trials=500, seed=5)
-    assert np.all(report.frequencies <= report.bounds)
+def test_subspace_experiment_at_p0_other_than_one_half():
+    # sigma^2 = 0.16, so q is the smallest integer >= 64 / 0.16
+    q = math.ceil(64.0 / (0.2 * (1.0 - 0.2)))
+    frequencies = subspace_distance_experiment(n=2 * q, q=q, p0=0.2, trials=500, seed=5)
+    assert np.all(frequencies <= TAIL_BOUNDS)
 
 
 @pytest.mark.parametrize("n, q", [(1024, 256), (512, 256), (257, 256), (1024, 1023)])
@@ -179,11 +187,11 @@ def test_projection_norms_match_householder_qr(n, q):
 
 
 def test_subspace_experiment_deterministic():
-    a = subspace_distance_experiment(n=512, q=256, law=bernoulli(0.5), trials=300, seed=6)
-    b = subspace_distance_experiment(n=512, q=256, law=bernoulli(0.5), trials=300, seed=6)
-    assert np.array_equal(a.frequencies, b.frequencies)
+    a = subspace_distance_experiment(n=512, q=256, p0=0.5, trials=300, seed=6)
+    b = subspace_distance_experiment(n=512, q=256, p0=0.5, trials=300, seed=6)
+    assert np.array_equal(a, b)
     # the value a Householder QR projection gives; the Cholesky route must match it
-    assert a.frequencies.tolist() == [0.0, 0.0, 0.0, 0.0]
+    assert a.tolist() == [0.0, 0.0, 0.0, 0.0]
 
 
 def _swap_first_two_vectors(eig):
