@@ -45,7 +45,7 @@ n = 1500
 X = gaussian_synthetic(n, 1, sigma=1.0, seed=0)
 eig = eigendecompose(gram_matrix(rbf(1.0), X), k=5)  # the leading 5 pairs only
 sample, analytic = eig.eigenvalues[:5] / n, tensor_spectrum(spec, 5)
-deviation = eigenvalue_deviation_report(eig, spec, count=5)
+deviation = eigenvalue_deviation_report(eig, analytic)
 print(f"{'i':>3} {'sample/n':>12} {'analytic':>12} {'rel dev':>10}")
 for i, (s, a, r) in enumerate(zip(sample, analytic, deviation), start=1):
     print(f"{i:>3} {s:>12.6f} {a:>12.6f} {r:>10.4f}")

@@ -29,22 +29,20 @@ _GAMMA_TERM_CAP = 1000  # terms of the incomplete gamma series or continued frac
 
 @dataclass(frozen=True)
 class GaussianRbfSpectrum:
-    """Spectrum of the squared-exponential kernel under N(0, sigma^2 I_p).
+    """Univariate spectrum of the squared-exponential kernel under N(0, sigma^2).
 
-    The univariate (p = 1) eigenvalues are ``base * ratio**i`` for i >= 0;
-    for p > 1 the spectrum is the p-fold tensor product of the univariate one
-    (see :func:`tensor_spectrum`). ``upsilon = 2 sigma^2 / omega^2`` is the
-    data-scale to bandwidth ratio that every derived quantity depends on.
+    The eigenvalues are ``base * ratio**i`` for i >= 0; under N(0, sigma^2 I_p)
+    the spectrum is their p-fold tensor product (see :func:`tensor_spectrum`).
+    ``upsilon = 2 sigma^2 / omega^2`` is the data-scale to bandwidth ratio
+    that every derived quantity depends on.
     """
 
     sigma: float
     bandwidth: float
-    p: int = 1
 
     def __post_init__(self):
         object.__setattr__(self, "sigma", _check_real(self.sigma, "sigma", "(0, inf)"))
         object.__setattr__(self, "bandwidth", _check_real(self.bandwidth, "bandwidth", "(0, inf)"))
-        object.__setattr__(self, "p", _check_int(self.p, "dimension p", 1))
 
     @property
     def upsilon(self) -> float:
@@ -84,9 +82,7 @@ def beta_from_upsilon(upsilon: float) -> float:
 
 
 def gaussian_rbf_eigenvalue(i: int, spec: GaussianRbfSpectrum) -> float:
-    """Univariate eigenvalue ``base * ratio**i``, i >= 0. Requires p = 1."""
-    if spec.p != 1:
-        raise ValueError("univariate eigenvalues require p = 1; use tensor_spectrum for p > 1")
+    """Univariate eigenvalue ``base * ratio**i``, i >= 0."""
     return spec.base * spec.ratio ** _check_int(i, "index", 0)
 
 
@@ -106,7 +102,7 @@ def _hermite_normalized(i: int, t: np.ndarray) -> np.ndarray:
 
 
 def gaussian_rbf_eigenfunction(i: int, x, spec: GaussianRbfSpectrum):
-    """Univariate eigenfunction, orthonormal in L2 of N(0, sigma^2). Requires p = 1.
+    """Univariate eigenfunction, orthonormal in L2 of N(0, sigma^2).
 
     The value is ``(1 + 2u)**(1/8) * exp(-x^2 (sqrt(1 + 2u) - 1) / (4 sigma^2))
     * h_i(((1 + 2u) / 4)**(1/4) * x / sigma)`` with ``u`` the bandwidth ratio
@@ -119,8 +115,6 @@ def gaussian_rbf_eigenfunction(i: int, x, spec: GaussianRbfSpectrum):
     grows geometrically with the order, at a rate below half the eigenvalue
     decay rate.
     """
-    if spec.p != 1:
-        raise ValueError("univariate eigenfunctions require p = 1")
     i = _check_int(i, "index", 0)
     if i > HERMITE_ORDER_CAP:
         raise CapabilityError(f"eigenfunction order {i} exceeds the supported cap {HERMITE_ORDER_CAP}")
@@ -133,18 +127,19 @@ def gaussian_rbf_eigenfunction(i: int, x, spec: GaussianRbfSpectrum):
     return value if value.ndim else float(value)
 
 
-def tensor_spectrum(spec: GaussianRbfSpectrum, count: int) -> np.ndarray:
-    """The ``count`` largest p-variate eigenvalues, descending, multiplicity expanded.
+def tensor_spectrum(spec: GaussianRbfSpectrum, count: int, p: int = 1) -> np.ndarray:
+    """The ``count`` largest eigenvalues under N(0, sigma^2 I_p), descending, multiplicity expanded.
 
     A multi-index of total degree i contributes ``base**p * ratio**i``; the
     number of such multi-indices is ``C(i + p - 1, p - 1)``.
     """
     count = _check_int(count, "count", 1)
-    level = spec.base**spec.p
+    p = _check_int(p, "dimension p", 1)
+    level = spec.base**p
     out: list[float] = []
     degree = 0
     while len(out) < count:
-        mult = math.comb(degree + spec.p - 1, spec.p - 1)
+        mult = math.comb(degree + p - 1, p - 1)
         out.extend([level] * min(mult, count - len(out)))
         level *= spec.ratio
         degree += 1

@@ -29,7 +29,7 @@ from .kernels import gram_matrix, rbf
 from .spectral import (EigenDecomposition, _check_int, _check_real, _median, _tails,
                        eigendecompose)
 
-MINOR_GAP_GUARD = 1e-6  # eigenvalue gaps below this make the minor identity degenerate
+MINOR_GAP_GUARD = 1e-6  # gaps below this times mean(|eigenvalue|) make the minor identity degenerate
 TAIL_THRESHOLDS = (8.0, 10.0, 12.0, 16.0)  # the 4 exp(-t^2 / 32) bound means something for t >= 8
 TAIL_BOUNDS = 4.0 * np.exp(-(np.array(TAIL_THRESHOLDS) ** 2) / 32.0)  # the bound at each threshold
 TAIL_BOUNDS.setflags(write=False)
@@ -55,27 +55,28 @@ class MinorIdentityReport:
 def minor_identity_check(gram) -> MinorIdentityReport:
     """Verify the identity tying u_l(1)^2 to the minor's spectrum.
 
-    For each eigenvalue of K that stays at least ``MINOR_GAP_GUARD`` away from
-    every minor eigenvalue, compare the first squared eigenvector coordinate with
-    ``1 / (1 + sum_j (minor_eval_j - eval_l)^-2 (minor_evec_j . y)^2)``. The
-    identity degenerates when eigenvalues of the matrix and its minor
+    For each eigenvalue of K that stays at least ``MINOR_GAP_GUARD * mean(|eval|)``
+    away from every minor eigenvalue, compare the first squared eigenvector
+    coordinate with ``1 / (1 + sum_j (minor_eval_j - eval_l)^-2 (minor_evec_j . y)^2)``.
+    The identity degenerates when eigenvalues of the matrix and its minor
     coincide, so such indices are skipped and reported, never silently
-    dropped; the other n - len(skipped) are checked.
+    dropped; the other n - len(skipped) are checked. The guard scales with
+    the spectrum, so ``c * K`` with c > 0 skips what K skips, and a matrix
+    with no index left to check raises ``ValueError``.
     """
     K, eig, minor = _matrix_and_minor(gram)
     proj = minor.eigenvectors.T @ K[1:, 0]  # (minor_evec_j . y), y the coupling column
-
-    worst = 0.0
-    skipped = []
-    for l in range(eig.n):
-        gaps = minor.eigenvalues - eig.eigenvalues[l]
-        if np.abs(gaps).min() < MINOR_GAP_GUARD:
-            skipped.append(l)
-            continue
-        rhs = 1.0 / (1.0 + float(np.sum((proj / gaps) ** 2)))
-        lhs = float(eig.eigenvectors[0, l] ** 2)
-        worst = max(worst, abs(lhs - rhs) / max(lhs, 1e-12))
-    return MinorIdentityReport(max_discrepancy=worst, skipped=tuple(skipped))
+    gaps = minor.eigenvalues - eig.eigenvalues[:, None]  # row l: minor spectrum minus eval_l
+    skip = np.abs(gaps).min(axis=1) <= MINOR_GAP_GUARD * np.abs(eig.eigenvalues).mean()
+    if skip.all():
+        raise ValueError("the minor identity is degenerate at every index: no eigenvalue "
+                         "gap exceeds MINOR_GAP_GUARD * mean(|eigenvalue|)")
+    with np.errstate(divide="ignore", invalid="ignore"):  # only skipped rows divide by 0
+        rhs = 1.0 / (1.0 + ((proj / gaps) ** 2).sum(axis=1))
+    lhs = eig.eigenvectors[0] ** 2
+    disc = np.abs(lhs - rhs) / np.maximum(lhs, 1e-12)
+    return MinorIdentityReport(max_discrepancy=float(disc[~skip].max(initial=0.0)),
+                               skipped=tuple(np.flatnonzero(skip).tolist()))
 
 
 def interlacing_check(gram) -> float:
@@ -96,27 +97,26 @@ def delocalisation_report(eig: EigenDecomposition, d: int) -> float:
 
     Order one for delocalised tails; exactly ``sqrt(n)`` when some tail
     eigenvector is a coordinate vector (full localisation). The tail must be
-    non-empty, d < n, and ``eig`` must hold all n pairs.
+    non-empty, 0 <= d < n, and ``eig`` must hold all n pairs.
     """
-    d = _check_int(d, "rank", 0, eig.n)
-    if d == eig.n:
-        raise ValueError(f"need 0 <= d < n={eig.n} (the tail must be non-empty), got {d}")
+    d = _check_int(d, "rank", 0, eig.n - 1)
     return math.sqrt(eig.n) * float(_tails(eig)[3][d])
 
 
-def eigenvalue_deviation_report(eig: EigenDecomposition, spectrum: GaussianRbfSpectrum,
-                                count: int) -> np.ndarray:
-    """Relative deviations of the top ``count`` eigenvalues over n from the analytic ones.
+def eigenvalue_deviation_report(eig: EigenDecomposition, analytic) -> np.ndarray:
+    """Relative deviations of the leading eigenvalues over n from the ``analytic`` ones.
 
-    The read-only array holds ``|lambda_i / n - mu_i| / mu_i``, largest first,
-    with ``mu_i`` the analytic spectrum of :func:`tensor_spectrum`.
-    ``eig`` may be a leading-k decomposition holding at least ``count``
-    pairs; n is the order of the matrix, ``eig.n``. The deviations carry no
-    pass/fail judgement.
+    The read-only array holds ``|lambda_i / n - mu_i| / mu_i`` for the
+    positive analytic values ``mu_i``, largest first, such as those of
+    :func:`tensor_spectrum`. ``eig`` may be a leading-k decomposition holding
+    at least ``len(analytic)`` pairs; n is the order of the matrix, ``eig.n``.
+    The deviations carry no pass/fail judgement.
     """
-    count = _check_int(count, "count", 1, eig.eigenvalues.shape[0])
-    analytic = tensor_spectrum(spectrum, count)
-    deviation = np.abs(eig.eigenvalues[:count] / eig.n - analytic) / analytic
+    mu = np.asarray(analytic, dtype=float)
+    count = _check_int(mu.size, "analytic length", 1, eig.eigenvalues.shape[0])
+    if mu.ndim != 1 or not np.all((mu > 0.0) & (mu < np.inf)):
+        raise ValueError("analytic must be a 1-D array of positive finite eigenvalues")
+    deviation = np.abs(eig.eigenvalues[:count] / eig.n - mu) / mu
     deviation.setflags(write=False)
     return deviation
 
@@ -231,10 +231,11 @@ def _check_subspace(seed, quick):
 def _check_eigdev(seed, quick):
     n = 1000 if quick else 4000
     seeds = 3 if quick else 10
+    analytic = tensor_spectrum(_SPEC1, 5)
     devs = []
     for i in range(seeds):
         eig = eigendecompose(_gauss1d_gram(n, seed + i), k=5)
-        devs.append(eigenvalue_deviation_report(eig, _SPEC1, count=5))
+        devs.append(eigenvalue_deviation_report(eig, analytic))
     worst = float(np.max(_median(np.array(devs), axis=0)))
     return worst, 0.1, f"n={n}, median over {seeds} seeds, top 5 eigenvalues"
 

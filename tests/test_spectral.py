@@ -586,7 +586,7 @@ def results():
         "factor_from_eigendecomposition": factor_from_eigendecomposition(eig),
         "MethodComparison": compare_methods(K, [1, 3], trials=2, seed=0),
         "eigenvalue_deviation_report": eigenvalue_deviation_report(
-            eig, GaussianRbfSpectrum(sigma=1.0, bandwidth=1.0), count=3),
+            eig, tensor_spectrum(GaussianRbfSpectrum(sigma=1.0, bandwidth=1.0), 3)),
         "subspace_distance_experiment": subspace_distance_experiment(
             n=300, q=256, p0=0.5, trials=1, seed=0),
         "TAIL_BOUNDS": verification.TAIL_BOUNDS,
@@ -614,7 +614,7 @@ def test_delocalisation_report_reads_the_tail_up_to_the_last_pair():
     eig = eigendecompose(np.eye(4))
     assert delocalisation_report(eig, 0) == pytest.approx(2.0)
     assert delocalisation_report(eig, 3) == pytest.approx(2.0)
-    with pytest.raises(ValueError, match="non-empty"):
+    with pytest.raises(ValueError, match=r"rank must be an integer in \[0, 3\], got 4"):
         delocalisation_report(eig, 4)
     one = eigendecompose(np.array([[2.0]]))
     assert delocalisation_report(one, 0) == pytest.approx(1.0)
@@ -640,10 +640,10 @@ _INTEGER_PARAMETERS = {
     "truncate d": (lambda v: truncate(_EIG4, v), -1),
     "error_sweep ranks": (lambda v: error_sweep(np.diag(_EIG4.eigenvalues), _EIG4, [v]), -1),
     "delocalisation_report d": (lambda v: delocalisation_report(_EIG4, v), -1),
-    "GaussianRbfSpectrum p": (lambda v: GaussianRbfSpectrum(1.0, 1.0, v), 0),
     "gaussian_rbf_eigenvalue i": (lambda v: gaussian_rbf_eigenvalue(v, _SPEC), -1),
     "gaussian_rbf_eigenfunction i": (lambda v: gaussian_rbf_eigenfunction(v, 0.5, _SPEC), -1),
     "tensor_spectrum count": (lambda v: tensor_spectrum(_SPEC, v), 0),
+    "tensor_spectrum p": (lambda v: tensor_spectrum(_SPEC, 3, p=v), 0),
     "sphere_harmonic_count degree": (lambda v: sphere_harmonic_count(v, 3), -1),
     "sphere_harmonic_count p": (lambda v: sphere_harmonic_count(2, v), 2),
     "sphere_decay_hypothesis p": (lambda v: sphere_decay_hypothesis(v, geometric_ratio=0.5), 2),
@@ -655,8 +655,6 @@ _INTEGER_PARAMETERS = {
     "jl_error_bound d": (lambda v: jl_error_bound(10, v), 0),
     "compare_methods trials": (lambda v: compare_methods(np.eye(4), [1], v, 0), 0),
     "compare_methods ranks": (lambda v: compare_methods(np.eye(4), [v, 2], 1, 0), 0),
-    "eigenvalue_deviation_report count": (
-        lambda v: eigenvalue_deviation_report(_EIG4, _SPEC, v), 0),
     "subspace_distance_experiment n": (
         lambda v: subspace_distance_experiment(v, 256, 0.5, 1, 0), 1),
     "subspace_distance_experiment q": (

@@ -55,6 +55,26 @@ def test_minor_identity_random_psd():
             assert len(report.skipped) < n
 
 
+def test_minor_identity_guard_scales_with_the_spectrum():
+    # The gap guard is relative to mean(|eigenvalue|), so a small multiple of
+    # a matrix skips what the matrix skips (here nothing): at 1e-7 every gap
+    # is far below 1e-6, yet every index is still checked.
+    G = np.random.default_rng(0).standard_normal((100, 50))
+    K = G.T @ G / 100
+    for scale in (1.0, 1e-4, 1e-7):
+        report = minor_identity_check(scale * K)
+        assert report.skipped == ()
+        assert 0.0 < report.max_discrepancy <= 1e-9
+
+
+@pytest.mark.parametrize("K", [np.eye(5), np.zeros((5, 5))], ids=["identity", "zero"])
+def test_minor_identity_refuses_a_matrix_with_no_index_left_to_check(K):
+    # Every eigenvalue coincides with one of the minor's: nothing is checked,
+    # so there is no discrepancy to report.
+    with pytest.raises(ValueError, match="degenerate at every index"):
+        minor_identity_check(K)
+
+
 def test_minor_identity_needs_two_rows():
     with pytest.raises(ValueError):
         minor_identity_check(np.array([[1.0]]))
@@ -101,7 +121,7 @@ def test_deviation_report_trace_sanity():
     spec = GaussianRbfSpectrum(sigma=1.0, bandwidth=1.0)
     sample, analytic = eig.eigenvalues[:5] / 200, [spec.base * spec.ratio**i for i in range(5)]
     assert sample.sum() <= 1.0 + 1e-12
-    deviation = eigenvalue_deviation_report(eig, spec, count=5)
+    deviation = eigenvalue_deviation_report(eig, analytic)
     assert deviation == pytest.approx(np.abs(sample - analytic) / analytic)
 
 
@@ -111,25 +131,38 @@ def test_deviation_report_divides_a_leading_k_decomposition_by_the_matrix_order(
     K = gram_matrix(rbf(1.0), gaussian_synthetic(300, 1, sigma=1.0, seed=3))
     w, eig = np.linalg.eigvalsh(K)[::-1], eigendecompose(K, k=5)
     analytic = tensor_spectrum(spec, 3)
-    deviation = eigenvalue_deviation_report(eig, spec, count=3)
+    deviation = eigenvalue_deviation_report(eig, analytic)
     assert deviation.shape == (3,)
     # |lambda_i / n - mu_i| moves by at most the error of lambda_i / n
     gap = np.abs(w[:3] / 300 - analytic)
     assert np.abs(deviation * analytic - gap).max() <= 1e-12 * w[0] / 300
-    with pytest.raises(ValueError):
-        eigenvalue_deviation_report(eig, spec, count=6)
+
+
+@pytest.mark.parametrize("analytic, match", [
+    (np.ones(6), "analytic length"),  # more values than the 5 pairs held
+    (np.ones(0), "analytic length"),
+    (np.ones((1, 3)), "1-D"),
+    (np.array([0.5, 0.0]), "positive"),
+    (np.array([0.5, -0.1]), "positive"),
+    (np.array([0.5, np.inf]), "positive finite"),
+    (np.array([0.5, np.nan]), "positive finite"),
+], ids=["too-long", "empty", "2-D", "zero", "negative", "inf", "nan"])
+def test_deviation_report_refuses_analytic_values_it_cannot_divide_by(analytic, match):
+    eig = eigendecompose(gram_matrix(rbf(1.0), gaussian_synthetic(50, 1, seed=3)), k=5)
+    with pytest.raises(ValueError, match=match):
+        eigenvalue_deviation_report(eig, analytic)
 
 
 def test_deviation_shrinks_with_sample_size():
     # leading eigenvalue deviation should not grow as n quadruples
-    spec = GaussianRbfSpectrum(sigma=1.0, bandwidth=1.0)
+    analytic = tensor_spectrum(GaussianRbfSpectrum(sigma=1.0, bandwidth=1.0), 1)
     med = {}
     for n in (200, 800):
         devs = []
         for s in range(3):
             X = gaussian_synthetic(n, 1, sigma=1.0, seed=10 + s)
             eig = eigendecompose(gram_matrix(rbf(1.0), X), k=1)
-            devs.append(eigenvalue_deviation_report(eig, spec, count=1)[0])
+            devs.append(eigenvalue_deviation_report(eig, analytic)[0])
         med[n] = np.median(devs)
     assert med[800] <= med[200] * 1.5  # non-increasing within noise
 
