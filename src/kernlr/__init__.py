@@ -21,13 +21,12 @@ _EXPORTS = {
                  "sphere_harmonic_count", "tensor_spectrum"),
     "datasets": ("gaussian_synthetic", "gmm_synthetic", "load_csv", "sphere_uniform",
                  "subsample"),
-    "errors": ("CapabilityError", "DegenerateDataError", "EigensolverError", "HypothesisError"),
     "kernels": ("KernelSpec", "as_dataset", "dot_product", "gram_matrix", "matern",
                 "median_heuristic", "rbf", "standardize"),
     "random_projection": ("MethodComparison", "compare_methods", "factor_from_eigendecomposition",
                           "jl_error_bound"),
-    "spectral": ("EigenDecomposition", "RankSweepResult", "eigendecompose", "error_sweep",
-                 "truncate"),
+    "spectral": ("EigenDecomposition", "EigensolverError", "RankSweepResult", "eigendecompose",
+                 "error_sweep", "truncate"),
     "verification": ("MinorIdentityReport", "delocalisation_report",
                      "eigenvalue_deviation_report", "interlacing_check", "minor_identity_check",
                      "subspace_distance_experiment"),

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapabilityError, HypothesisError
 from .spectral import _check_int, _check_real
 
 HERMITE_ORDER_CAP = 60
@@ -117,7 +116,7 @@ def gaussian_rbf_eigenfunction(i: int, x, spec: GaussianRbfSpectrum):
     """
     i = _check_int(i, "index", 0)
     if i > HERMITE_ORDER_CAP:
-        raise CapabilityError(f"eigenfunction order {i} exceeds the supported cap {HERMITE_ORDER_CAP}")
+        raise ValueError(f"eigenfunction order {i} exceeds the supported cap {HERMITE_ORDER_CAP}")
     x = np.asarray(x, dtype=float)
     u = spec.upsilon
     root = math.sqrt(1.0 + 2.0 * u)
@@ -182,15 +181,12 @@ class DecayHypothesis:
                      "E": {"beta": "(0, inf)", "gamma": "(0, 1]", "s": "[0, inf)"}}
         if self.kind not in intervals:
             raise ValueError(f"hypothesis kind must be 'P' or 'E', got {self.kind!r}")
-        try:
-            for name, interval in intervals[self.kind].items():
-                object.__setattr__(self, name, _check_real(getattr(self, name), name, interval))
-        except ValueError as exc:
-            raise HypothesisError(str(exc)) from None
+        for name, interval in intervals[self.kind].items():
+            object.__setattr__(self, name, _check_real(getattr(self, name), name, interval))
         if self.kind == "P" and not self.alpha > 2 * self.r + 1:
-            raise HypothesisError(f"admissibility alpha > 2r + 1 fails: alpha = {self.alpha}, r = {self.r}")
+            raise ValueError(f"admissibility alpha > 2r + 1 fails: alpha = {self.alpha}, r = {self.r}")
         if self.kind == "E" and not self.beta > 2 * self.s:
-            raise HypothesisError(f"admissibility beta > 2s fails: beta = {self.beta}, s = {self.s}")
+            raise ValueError(f"admissibility beta > 2s fails: beta = {self.beta}, s = {self.s}")
 
 
 def polynomial_decay(alpha: float, r: float = 0.0) -> DecayHypothesis:
@@ -206,7 +202,7 @@ def sphere_decay_hypothesis(p: int, *, coefficient_decay: float | None = None,
     """Decay hypothesis implied by a dot-product kernel on the sphere in R^p.
 
     Give exactly one of ``coefficient_decay`` (coefficients ``b_i = O(i**-a)``,
-    with ``a > (p^2 - 4p + 5) / 2``, else ``HypothesisError``) or
+    with ``a > (p^2 - 4p + 5) / 2``, else ``ValueError``) or
     ``geometric_ratio`` (``b_i = O(r**i)``, 0 < r < 1).
     Polynomially decaying coefficients give the 'P' hypothesis with
     ``alpha = (2a + p - 3) / (p - 2)`` and sup-norm exponent ``r = (p - 2) / 2``
@@ -230,8 +226,8 @@ def sphere_decay_hypothesis(p: int, *, coefficient_decay: float | None = None,
         a = _check_real(coefficient_decay, "coefficient_decay", "(0, inf)")
         floor = (p**2 - 4 * p + 5) / 2.0
         if not a > floor:
-            raise HypothesisError(f"coefficient decay a = {a} must exceed "
-                                  f"(p^2 - 4p + 5)/2 = {floor} for p = {p}")
+            raise ValueError(f"coefficient decay a = {a} must exceed "
+                             f"(p^2 - 4p + 5)/2 = {floor} for p = {p}")
         return DecayHypothesis(kind="P", alpha=(2.0 * a + p - 3.0) / (p - 2.0), r=(p - 2.0) / 2.0)
     r = _check_real(geometric_ratio, "geometric_ratio", "(0, 1)")
     return DecayHypothesis(kind="E", beta=math.factorial(p - 1) * math.log(1.0 / r),
@@ -257,7 +253,7 @@ def _log_upper_gamma(s: float, x: float) -> float:
     there; above it the modified Lentz continued fraction ``h`` gives
     ``Gamma(s, x) = x**s e**-x h``. Logs keep ``x**s``, ``e**-x`` and
     ``Gamma(s)`` from overflowing on their own. Either loop raises
-    ``CapabilityError`` if it has not converged in ``_GAMMA_TERM_CAP`` terms.
+    ``ValueError`` if it has not converged in ``_GAMMA_TERM_CAP`` terms.
     """
     if x < s + 1.0:
         term = total = 1.0 / s
@@ -282,8 +278,8 @@ def _log_upper_gamma(s: float, x: float) -> float:
             h *= c * f
             if abs(c * f - 1.0) <= math.ulp(1.0):
                 return s * math.log(x) - x + math.log(h)
-    raise CapabilityError(f"the incomplete gamma function at s = {s}, x = {x} "
-                          f"did not converge in {_GAMMA_TERM_CAP} terms")
+    raise ValueError(f"the incomplete gamma function at s = {s}, x = {x} "
+                     f"did not converge in {_GAMMA_TERM_CAP} terms")
 
 
 def exp_tail_bound(d: int, beta: float, gamma: float) -> float:
@@ -293,7 +289,7 @@ def exp_tail_bound(d: int, beta: float, gamma: float) -> float:
     substitutes into an upper incomplete gamma function,
     ``beta**(-1/gamma) / gamma * Gamma(1/gamma, beta * d**gamma)``. For
     gamma = 1 this reduces to ``exp(-beta d) / beta``. Like
-    :func:`required_rank`, it raises ``CapabilityError`` when the bound is out
+    :func:`required_rank`, it raises ``ValueError`` when the bound is out
     of the float range.
     """
     d = _check_int(d, "d", 1)
@@ -307,8 +303,8 @@ def exp_tail_bound(d: int, beta: float, gamma: float) -> float:
     except OverflowError:
         bound = math.inf
     if not math.isfinite(bound):
-        raise CapabilityError(f"the tail bound for d = {d}, beta = {beta}, gamma = {gamma} "
-                              "is out of floating-point range")
+        raise ValueError(f"the tail bound for d = {d}, beta = {beta}, gamma = {gamma} "
+                         "is out of floating-point range")
     return bound
 
 
@@ -337,4 +333,4 @@ def required_rank(n: int, hyp: DecayHypothesis, c: float = 1.0) -> int:
             return math.ceil(c * float(n) ** (1.0 / hyp.alpha))
         return math.floor((math.log(n) / hyp.beta) ** (1.0 / hyp.gamma)) + 1
     except OverflowError:
-        raise CapabilityError(f"the required rank for n = {n} is too large for a float") from None
+        raise ValueError(f"the required rank for n = {n} is too large for a float") from None

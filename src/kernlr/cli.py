@@ -19,7 +19,8 @@ directory comes from --out, the KERNLR_OUT environment variable, or the
 config, in that order of precedence. ``verify`` runs fixed experiments and
 takes no config: only --seed and --out (or KERNLR_OUT) set its run.
 
-Exit codes: 0 success, 1 failed assertion or numerical failure, 2 usage or
+Exit codes: 0 success, 1 failed assertion or numerical failure (including a
+floating-point overflow, division by zero or invalid operation), 2 usage or
 configuration error.
 """
 
@@ -38,8 +39,7 @@ import numpy as np
 
 # Only what argument parsing and config loading need is imported here; each
 # command imports the library modules it runs, so no run loads the others.
-from .errors import EigensolverError
-from .spectral import _check_int
+from .spectral import EigensolverError, _check_int
 
 if TYPE_CHECKING:
     from .kernels import KernelSpec
@@ -65,10 +65,6 @@ DEFAULT_CONFIG = {
 }
 
 
-class ConfigError(ValueError):
-    pass
-
-
 # Keys that also take a second JSON type besides the type of their default.
 _OTHER_TYPES = {"ranks": (list,), "bandwidth": (int, float)}
 
@@ -80,19 +76,19 @@ def _load_config(args) -> dict:
             with open(args.config, encoding="utf-8") as handle:
                 user = json.load(handle)
         except OSError as exc:
-            raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
+            raise ValueError(f"cannot read config {args.config}: {exc}") from exc
         except json.JSONDecodeError as exc:
-            raise ConfigError(f"config {args.config} is not valid JSON: {exc}") from exc
+            raise ValueError(f"config {args.config} is not valid JSON: {exc}") from exc
         if not isinstance(user, dict):
-            raise ConfigError("config root must be a JSON object")
+            raise ValueError("config root must be a JSON object")
         for key, value in user.items():
             if key not in DEFAULT_CONFIG:
-                raise ConfigError(f"unknown config key {key!r}; "
-                                  f"valid keys: {', '.join(DEFAULT_CONFIG)}")
+                raise ValueError(f"unknown config key {key!r}; "
+                                 f"valid keys: {', '.join(DEFAULT_CONFIG)}")
             types = (type(DEFAULT_CONFIG[key]),) + _OTHER_TYPES.get(key, ())
             if type(value) not in types:  # exact: a JSON true is no integer here
                 names = " or ".join(t.__name__ for t in types)
-                raise ConfigError(f"config key {key!r} must be a {names}, got {value!r}")
+                raise ValueError(f"config key {key!r} must be a {names}, got {value!r}")
         config.update(user)
     if getattr(args, "seed", None) is not None:
         config["seed"] = args.seed
@@ -111,7 +107,7 @@ def _load_config(args) -> dict:
 def _call(what: str, func, fields: dict, **supplied):
     """``func(**fields)``; ``supplied`` maps a parameter ``func`` takes but ``fields``
     lacks to a callable giving its value. A field ``func`` does not take, a missing
-    required field or a value it rejects is a ConfigError naming ``what``."""
+    required field or a value it rejects is a ValueError naming ``what``."""
     signature = inspect.signature(func)
     for param, value in supplied.items():
         if param in signature.parameters and param not in fields:
@@ -119,23 +115,23 @@ def _call(what: str, func, fields: dict, **supplied):
     try:
         signature.bind(**fields)
     except TypeError as exc:
-        raise ConfigError(f"{what}: {exc}; fields: {', '.join(signature.parameters)}") from None
+        raise ValueError(f"{what}: {exc}; fields: {', '.join(signature.parameters)}") from None
     try:
         return func(**fields)
     except TypeError as exc:
-        raise ConfigError(f"{what}: a field has the wrong type: {exc}") from None
+        raise ValueError(f"{what}: a field has the wrong type: {exc}") from None
     except ValueError as exc:
-        raise ConfigError(f"{what}: {exc}") from None
+        raise ValueError(f"{what}: {exc}") from None
 
 
 def _construct(what: str, table: dict, key: str, entry, **supplied):
     """Call ``table[entry[key]]`` with the entry's other fields as keyword arguments."""
     if not isinstance(entry, dict):
-        raise ConfigError(f"each {what} must be a JSON object, got {entry!r}")
+        raise ValueError(f"each {what} must be a JSON object, got {entry!r}")
     fields = dict(entry)
     name = fields.pop(key, None)
     if not isinstance(name, str) or name not in table:
-        raise ConfigError(f"unknown {what} {key} {name!r}; valid: {', '.join(table)}")
+        raise ValueError(f"unknown {what} {key} {name!r}; valid: {', '.join(table)}")
     return _call(f"{what} {name!r}", table[name], fields, **supplied)
 
 
@@ -150,21 +146,29 @@ def _physical_memory() -> int:
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
-def _preflight(n) -> None:
-    """Refuse, before any n x n array exists, a run whose working set exceeds memory.
-
-    An ``n`` that is not a valid size is left to the generator, which names it.
-    """
+def _preflight(n, p=0, count=None) -> None:
+    """Refuse, before the data exist, a run whose working set exceeds memory: ``_SQUARE_ARRAYS``
+    m x m arrays, m = n, or m = ``count`` plus the n x p data for a subsample of fewer than n
+    rows. The generator names an invalid ``n`` or ``p``; a refused ``count`` counts as none."""
     try:
-        n = _check_int(n, "n", 1)
+        n, p = _check_int(n, "n", 1), _check_int(p, "p", 0)
     except ValueError:
         return
     memory = _physical_memory()
+    try:
+        m = _check_int(count, "count", 1, n - 1)
+    except ValueError:  # all n rows are kept
+        m = n
     fits = math.isqrt(memory // (8 * _SQUARE_ARRAYS))
-    if n > fits:
-        raise ConfigError(f"dataset n={n} needs {_SQUARE_ARRAYS} n x n arrays, "
-                          f"{_SQUARE_ARRAYS * 8 * n * n / 2**30:.3g} GiB, against "
-                          f"{memory / 2**30:.3g} GiB of memory; the largest n that fits is {fits}")
+    if m == n and n > fits:
+        raise ValueError(f"dataset n={n} needs {_SQUARE_ARRAYS} n x n arrays, "
+                         f"{_SQUARE_ARRAYS * 8 * n * n / 2**30:.3g} GiB, against "
+                         f"{memory / 2**30:.3g} GiB of memory; the largest n that fits is {fits}")
+    need = 8 * (n * p + _SQUARE_ARRAYS * m * m)
+    if m < n and need > memory:
+        raise ValueError(f"dataset n={n} subsampled to {m} needs its {n} x {p} data and "
+                         f"{_SQUARE_ARRAYS} {m} x {m} arrays, {need / 2**30:.3g} GiB, against "
+                         f"{memory / 2**30:.3g} GiB of memory")
 
 
 def _build_dataset(config) -> np.ndarray:
@@ -172,15 +176,16 @@ def _build_dataset(config) -> np.ndarray:
     spec = dict(config["dataset"])
     seed = config["seed"]
     if "seed" in spec:
-        raise ConfigError("dataset takes no 'seed'; the top-level seed seeds the data")
+        raise ValueError("dataset takes no 'seed'; the top-level seed seeds the data")
     count = spec.pop("subsample", None)
     # dataset.kind names a generator; its keyword arguments are the fields.
     kinds = {"csv": datasets.load_csv, "gmm": datasets.gmm_synthetic,
              "gaussian": datasets.gaussian_synthetic, "sphere": datasets.sphere_uniform}
     kind = spec.get("kind")
     generator = kinds.get(kind) if isinstance(kind, str) else None
-    if generator not in (None, datasets.load_csv):  # a generator's rows are known up front
-        _preflight(spec.get("n", inspect.signature(generator).parameters["n"].default))
+    if generator not in (None, datasets.load_csv):  # a generator's shape is known up front
+        defaults = inspect.signature(generator).parameters
+        _preflight(*(spec.get(key, defaults[key].default) for key in ("n", "p")), count)
     X = _construct("dataset", kinds, "kind", spec, seed=lambda: seed)
     if count is not None:
         X = _call("dataset subsample", datasets.subsample,
@@ -197,14 +202,17 @@ def _build_kernels(config, X) -> list[KernelSpec]:
     # the median pairwise distance is computed once, and only if needed.
     policy = config["bandwidth"]
     if isinstance(policy, str) and policy != "median":
-        raise ConfigError(f"config key 'bandwidth' must be \"median\" or a number, got {policy!r}")
+        raise ValueError(f"config key 'bandwidth' must be \"median\" or a number, got {policy!r}")
     bandwidth = (functools.cache(lambda: kernels.median_heuristic(X)) if policy == "median"
                  else lambda: policy)
     families = {"matern": kernels.matern, "rbf": kernels.rbf, "dot_product": kernels.dot_product}
     specs = [_construct("kernel", families, "family", entry, bandwidth=bandwidth)
              for entry in config["kernels"]]
     if not specs:
-        raise ConfigError("config needs at least one kernel")
+        raise ValueError("config needs at least one kernel")
+    labels = [spec.label for spec in specs]
+    if len(set(labels)) < len(labels):  # each label names its kernel's output files
+        raise ValueError(f"kernels share the label {max(labels, key=labels.count)!r}")
     return specs
 
 
@@ -218,10 +226,10 @@ def _rank_grid(spec, n: int) -> list[int]:
     elif all(isinstance(d, int) and not isinstance(d, bool) for d in spec):
         ranks = spec
     else:
-        raise ConfigError(f"ranks must be integers, got {spec!r}")
+        raise ValueError(f"ranks must be integers, got {spec!r}")
     ranks = sorted(set(ranks))
     if not ranks or any(d < 0 or d > n for d in ranks):
-        raise ConfigError(f"ranks must be non-empty and lie in [0, {n}], got {spec!r}")
+        raise ValueError(f"ranks must be non-empty and lie in [0, {n}], got {spec!r}")
     return ranks
 
 
@@ -229,7 +237,7 @@ def _parse_int_list(text: str, what: str) -> list[int]:
     try:
         return sorted({int(tok) for tok in text.split(",") if tok.strip()})
     except ValueError as exc:
-        raise ConfigError(f"cannot parse {what} {text!r}") from exc
+        raise ValueError(f"cannot parse {what} {text!r}") from exc
 
 
 def _fmt(value) -> str:
@@ -298,7 +306,7 @@ def cmd_compare(args) -> int:
     spec = _build_kernels(config, X)[0]
     ranks = [d for d in _rank_grid(config["ranks"], X.shape[0]) if d >= 1]
     if not ranks:
-        raise ConfigError(f"compare needs a rank >= 1, got {config['ranks']!r}")
+        raise ValueError(f"compare needs a rank >= 1, got {config['ranks']!r}")
     out = _ensure_out(config["out"])
 
     try:
@@ -320,7 +328,7 @@ def cmd_compare(args) -> int:
 def cmd_verify(args) -> int:
     from .verification import CHECKS, run_check
     if args.suite != "all" and args.suite not in CHECKS:
-        raise ConfigError(f"unknown check {args.suite!r}; valid: {', '.join(CHECKS)}, all")
+        raise ValueError(f"unknown check {args.suite!r}; valid: {', '.join(CHECKS)}, all")
     config = _load_config(args)
     names = list(CHECKS) if args.suite == "all" else [args.suite]
     out = _ensure_out(config["out"])
@@ -373,10 +381,10 @@ def _hypothesis_from_args(args):
     from .analytic import exponential_decay, polynomial_decay
     if args.hypothesis == "P":
         if args.alpha is None:
-            raise ConfigError("hypothesis P needs --alpha")
+            raise ValueError("hypothesis P needs --alpha")
         return polynomial_decay(args.alpha, args.r)
     if args.beta is None:
-        raise ConfigError("hypothesis E needs --beta")
+        raise ValueError("hypothesis E needs --beta")
     return exponential_decay(args.beta, args.gamma, args.s)
 
 
@@ -385,7 +393,7 @@ def cmd_rates(args) -> int:
     hyp = _hypothesis_from_args(args)
     sizes = _parse_int_list(args.n, "--n grid")
     if not sizes:  # required_rank rejects sizes below 2
-        raise ConfigError(f"--n must list at least one sample size, got {args.n!r}")
+        raise ValueError(f"--n must list at least one sample size, got {args.n!r}")
     rows = [(n, required_rank(n, hyp, c=args.c), entrywise_error_rate(n, hyp)) for n in sizes]
     params = (f"alpha={hyp.alpha:g}, r={hyp.r:g}" if hyp.kind == "P"
               else f"beta={hyp.beta:g}, gamma={hyp.gamma:g}, s={hyp.s:g}")
@@ -450,12 +458,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        return args.func(args)
-    except (EigensolverError, np.linalg.LinAlgError) as exc:  # LinAlgError is a ValueError
+    try:  # an overflow, division by zero or nan raises instead of reaching the outputs
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            return args.func(args)
+    except (EigensolverError, FloatingPointError,
+            np.linalg.LinAlgError) as exc:  # LinAlgError is a ValueError
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 1
-    except (ConfigError, ValueError, OSError, MemoryError) as exc:  # an array too large to allocate
+    except (ValueError, OSError, MemoryError) as exc:  # an array too large to allocate
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

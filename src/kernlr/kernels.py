@@ -27,7 +27,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateDataError
 from .spectral import _PANEL_ROWS, _check_real, _median
 
 _MATERN_NUS = (0.5, 1.5, 2.5)
@@ -174,7 +173,7 @@ def median_heuristic(points) -> float:
         end += part.size
     med = float(_median(upper))
     if med <= 0.0:
-        raise DegenerateDataError("median pairwise distance is zero (coincident points)")
+        raise ValueError("median pairwise distance is zero (coincident points)")
     return med
 
 
@@ -186,5 +185,5 @@ def standardize(points) -> np.ndarray:
     sd = X.std(axis=0, ddof=1)
     dead = np.flatnonzero(sd == 0.0)
     if dead.size:
-        raise DegenerateDataError(f"column {dead[0]} has zero variance")
+        raise ValueError(f"column {dead[0]} has zero variance")
     return (X - X.mean(axis=0)) / sd

@@ -24,7 +24,7 @@ def factor_from_eigendecomposition(eig: EigenDecomposition) -> np.ndarray:
     reproduces the input up to round-off plus ``-np.minimum(w, 0).sum()``.
     Formed as ``B @ B.T`` with ``B = U max(w, 0)^(1/4)``: one SYRK, so the
     root is symmetric bit for bit. Refuses a leading-k decomposition with
-    ``CapabilityError``.
+    ``ValueError``.
     """
     _require_full(eig)
     B = eig.eigenvectors * np.maximum(eig.eigenvalues, 0.0) ** 0.25

@@ -21,11 +21,13 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import CapabilityError, EigensolverError
-
 _PANEL_ROWS = 32  # rows (or columns) per panel wherever an n x n array is walked in panels
 LEADING_K_ITERATION_CAP = 50  # subspace iterations before the leading-k mode gives up
 LEADING_K_TOLERANCE = 1e-12  # stop when every kept residual is below this times |lambda_1|
+
+
+class EigensolverError(RuntimeError):
+    """The symmetric eigensolver, dense or leading-k, failed to converge."""
 
 
 def _check_int(value, name: str, lo, hi=math.inf) -> int:
@@ -111,15 +113,15 @@ class EigenDecomposition:
 
 
 def _require_full(eig: EigenDecomposition) -> None:
-    """Raise ``CapabilityError`` unless ``eig`` holds all n pairs.
+    """Raise ``ValueError`` unless ``eig`` holds all n pairs.
 
     The discarded tail of a leading-k decomposition is unknown, so nothing
     that reads it (the tail statistics, the error sweep, the PSD root) may
     run on one.
     """
     if eig.eigenvalues.shape[0] < eig.n:
-        raise CapabilityError(f"needs the full decomposition, got the leading "
-                              f"{eig.eigenvalues.shape[0]} of {eig.n} pairs")
+        raise ValueError(f"needs the full decomposition, got the leading "
+                         f"{eig.eigenvalues.shape[0]} of {eig.n} pairs")
 
 
 @_readonly
@@ -170,8 +172,8 @@ def _leading_eigh(K: np.ndarray, k: int):
             scale = max(ritz[-1], -ritz[0])  # |lambda_1| as the block sees it
             tol = LEADING_K_TOLERANCE * scale
             if -ritz[0] > ritz[-k] + tol:
-                raise CapabilityError("the leading-k eigensolver needs the k largest eigenvalues "
-                                      "to dominate in magnitude; a negative eigenvalue competes")
+                raise ValueError("the leading-k eigensolver needs the k largest eigenvalues "
+                                 "to dominate in magnitude; a negative eigenvalue competes")
             theta, V = ritz[:-k - 1:-1], V[:, :-k - 1:-1]  # the k largest, descending
             U = Q @ V
             R = Y @ V  # K u - theta u for each kept pair, as Y V - U theta
@@ -203,7 +205,7 @@ def eigendecompose(gram, k=None) -> EigenDecomposition:
     ``||K u - lambda u|| <= LEADING_K_TOLERANCE * |lambda_1|``; when b = n
     they are the first k pairs of the dense path. The block converges onto
     the eigenvalues of largest magnitude, so the leading-k mode raises
-    :class:`CapabilityError` when a negative eigenvalue outweighs the k-th.
+    ``ValueError`` when a negative eigenvalue outweighs the k-th.
 
     Raises :class:`EigensolverError` if ``eigh`` fails, or if the leading
     pairs have not converged after ``LEADING_K_ITERATION_CAP`` iterations.

@@ -1,5 +1,6 @@
 import functools
 import math
+import re
 import sys
 
 import numpy as np
@@ -9,10 +10,8 @@ from scipy.special import gammaincc, gammaln
 from scipy.special import gamma as gamma_fn
 
 from kernlr import (
-    CapabilityError,
     DecayHypothesis,
     GaussianRbfSpectrum,
-    HypothesisError,
     beta_from_upsilon,
     dot_product,
     eigendecompose,
@@ -114,7 +113,7 @@ def test_mercer_partial_sum_reproduces_kernel_pointwise():
 
 
 def test_eigenfunction_order_cap():
-    with pytest.raises(CapabilityError):
+    with pytest.raises(ValueError, match="^eigenfunction order 61 exceeds the supported cap 60$"):
         gaussian_rbf_eigenfunction(61, 0.0, SPEC1)
     gaussian_rbf_eigenfunction(60, 0.0, SPEC1)  # at the cap is fine
 
@@ -278,7 +277,8 @@ def test_sphere_decay_geometric_case():
 
 def test_sphere_decay_threshold_violation():
     # at p=3 the admissibility floor is (9 - 12 + 5)/2 = 1
-    with pytest.raises(HypothesisError):
+    with pytest.raises(ValueError, match=re.escape(
+            "coefficient decay a = 1.0 must exceed (p^2 - 4p + 5)/2 = 1.0 for p = 3")):
         sphere_decay_hypothesis(3, coefficient_decay=1.0)
     with pytest.raises(ValueError, match="exactly one"):
         sphere_decay_hypothesis(3)
@@ -326,7 +326,8 @@ def test_exp_tail_bound_matches_scipy_on_a_grid(gamma):
 
 def test_exp_tail_bound_out_of_float_range():
     # beta**(-1/gamma) Gamma(1/gamma, beta) is about 1e772 here
-    with pytest.raises(CapabilityError, match="out of floating-point range"):
+    with pytest.raises(ValueError, match="^the tail bound for d = 1, beta = 0.01, gamma = 0.005 "
+                                         "is out of floating-point range$"):
         exp_tail_bound(1, 0.01, 0.005)
     # Gamma(200, 10) overflows on its own, but the bound is about 7.9e174
     log_bound = gammaln(200.0) + math.log(gammaincc(200.0, 10.0)) - 200.0 * math.log(10.0) - math.log(0.005)
@@ -336,7 +337,8 @@ def test_exp_tail_bound_out_of_float_range():
 
 def test_exp_tail_bound_refuses_an_unconverged_incomplete_gamma():
     # x = s = 20000 needs about 1200 series terms, beyond the cap
-    with pytest.raises(CapabilityError, match="did not converge in 1000 terms"):
+    with pytest.raises(ValueError, match="^the incomplete gamma function at s = 20000.0, "
+                                         "x = 20000.0 did not converge in 1000 terms$"):
         exp_tail_bound(1, 2e4, 5e-5)
 
 
@@ -388,21 +390,21 @@ def test_required_rank_honors_strict_threshold():
     (exponential_decay(0.1, gamma=0.001), 1.0),  # (log(n) / beta)**1000 overflows
     (polynomial_decay(2.0), 1e308),              # c * sqrt(n) is inf
 ])
-def test_required_rank_overflow_is_a_capability_error(hyp, c):
-    with pytest.raises(CapabilityError, match="n = 1000"):
+def test_required_rank_overflow_is_refused(hyp, c):
+    with pytest.raises(ValueError, match="^the required rank for n = 1000 is too large for a float$"):
         required_rank(1000, hyp, c=c)
 
 
 def test_decay_hypothesis_validation():
-    with pytest.raises(HypothesisError):
+    with pytest.raises(ValueError, match=re.escape("alpha must be a real number in (1, inf), got 0.5")):
         polynomial_decay(0.5)
-    with pytest.raises(HypothesisError):
-        polynomial_decay(2.0, r=0.8)  # alpha <= 2r + 1
-    with pytest.raises(HypothesisError):
+    with pytest.raises(ValueError, match="^admissibility alpha > 2r \\+ 1 fails: alpha = 2.0, r = 0.8$"):
+        polynomial_decay(2.0, r=0.8)
+    with pytest.raises(ValueError, match=re.escape("beta must be a real number in (0, inf), got -1.0")):
         exponential_decay(-1.0)
-    with pytest.raises(HypothesisError):
+    with pytest.raises(ValueError, match=re.escape("gamma must be a real number in (0, 1], got 1.5")):
         exponential_decay(1.0, gamma=1.5)
-    with pytest.raises(HypothesisError):
-        exponential_decay(1.0, s=0.6)  # beta <= 2s
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^admissibility beta > 2s fails: beta = 1.0, s = 0.6$"):
+        exponential_decay(1.0, s=0.6)
+    with pytest.raises(ValueError, match="^hypothesis kind must be 'P' or 'E', got 'Q'$"):
         DecayHypothesis(kind="Q")

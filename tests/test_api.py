@@ -2,6 +2,7 @@
 consumer outside its own unit tests."""
 
 import ast
+import builtins
 import dataclasses
 import importlib
 import inspect
@@ -89,10 +90,28 @@ def test_the_lazy_namespace_loads_no_submodule_and_resolves_every_name():
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "[]"
-    assert len(kernlr.__all__) == len(set(kernlr.__all__)) == 46
+    assert len(kernlr.__all__) == len(set(kernlr.__all__)) == 43
     for name, obj in PUBLIC.items():
         module = importlib.import_module(obj.__module__)
         assert module.__name__.startswith("kernlr.") and getattr(module, name) is obj, name
     assert set(kernlr.__all__) <= set(dir(kernlr))
     with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
         kernlr.no_such_name
+
+
+def test_the_eigensolver_error_is_the_only_exception_class():
+    # A refused input is a plain ValueError (exit 2); only a numerical failure
+    # (exit 1) has a class of its own. A class counts as an exception if a base
+    # is a builtin exception or, transitively, another such class here.
+    classes = {(path.stem, node.name): {ast.unparse(base).rsplit(".")[-1] for base in node.bases}
+               for path in sorted((ROOT / "src" / "kernlr").glob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text())) if isinstance(node, ast.ClassDef)}
+    raised = {name for name in dir(builtins)
+              if isinstance(getattr(builtins, name), type)
+              and issubclass(getattr(builtins, name), BaseException)}
+    found = set()
+    while more := {key for key, bases in classes.items() if bases & raised} - found:
+        found |= more
+        raised |= {name for _, name in more}
+    assert found == {("spectral", "EigensolverError")}
+    assert kernlr.EigensolverError is kernlr.spectral.EigensolverError

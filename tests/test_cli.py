@@ -17,9 +17,8 @@ import kernlr
 from kernlr import cli, kernels, spectral, verification
 from kernlr.cli import DEFAULT_CONFIG, main
 from kernlr.datasets import sphere_uniform
-from kernlr.errors import EigensolverError
 from kernlr.kernels import dot_product, gram_matrix
-from kernlr.spectral import eigendecompose
+from kernlr.spectral import EigensolverError, eigendecompose
 
 
 def _read_csv(path):
@@ -522,7 +521,7 @@ def test_median_bandwidth_computed_once_and_only_when_needed(tmp_path, monkeypat
     real = kernels.median_heuristic
     monkeypatch.setattr(kernels, "median_heuristic", lambda X: calls.append(1) or real(X))
     three = [{"family": "matern", "nu": 0.5}, {"family": "rbf"},
-             {"family": "rbf", "bandwidth": 2.0}]
+             {"family": "matern", "nu": 2.5, "bandwidth": 2.0}]
     assert _run_config(tmp_path, {"dataset": _SMALL, "kernels": three, "ranks": [1]}) == 0
     assert len(calls) == 1
     explicit = [{"family": "rbf", "bandwidth": 2.0}]
@@ -585,6 +584,20 @@ def test_leading_k_iteration_cap_raises_and_verify_exits_1(tmp_path, capsys, mon
     assert len(err) == 1 and err[0].startswith("numerical failure"), err
 
 
+@pytest.mark.parametrize("dataset, kernel", [
+    ({"kind": "gmm", "n": 2}, {"family": "matern", "nu": 0.5, "bandwidth": 1.1125369292536007e-308}),
+    ({"kind": "gmm", "n": 5}, {"family": "rbf", "bandwidth": 1e-200}),
+    ({"kind": "gaussian", "n": 5, "sigma": 1e200}, {"family": "rbf"}),
+], ids=["distance-over-bandwidth-overflows", "bandwidth-squared-underflows", "distances-overflow"])
+def test_floating_point_fault_is_a_numerical_failure(tmp_path, capsys, dataset, kernel):
+    # Each would put inf or nan into the Gram matrix; the run stops on one line
+    # and writes no output file.
+    assert _run_config(tmp_path, {"dataset": dataset, "kernels": [kernel], "ranks": [1]}) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("numerical failure: ") and "encountered" in err[0], err
+    assert not list(tmp_path.glob("o/*"))
+
+
 def test_verify_rejects_ranks(tmp_path):
     with pytest.raises(SystemExit) as info:
         main(["verify", "identity", "--quick", "--ranks", "banana", "--out", str(tmp_path)])
@@ -603,7 +616,8 @@ def test_physical_memory_is_read():
 @pytest.mark.parametrize("command", ["sweep", "compare"])
 @pytest.mark.parametrize("dataset", [{"kind": "gaussian", "n": 11755273248},
                                      {"kind": "gmm", "n": 6.664094404587546e+16},
-                                     {"kind": "sphere", "n": 31}, {"kind": "gmm"}])
+                                     {"kind": "sphere", "n": 31}, {"kind": "gmm"},
+                                     {"kind": "gmm", "n": 6.664094404587546e+16, "subsample": True}])
 def test_oversized_dataset_is_refused_before_it_is_generated(tmp_path, capsys, monkeypatch,
                                                             command, dataset):
     # 30 points fit; the generator is never called, so nothing is allocated.
@@ -622,6 +636,48 @@ def test_dataset_that_fits_runs(tmp_path, monkeypatch):
     config = {"dataset": {"kind": "sphere", "n": 30}, "kernels": [{"family": "rbf"}],
               "ranks": [1], "jl_trials": 1}
     assert _run_config(tmp_path, config, "compare") == 0
+
+
+@pytest.mark.parametrize("command", ["sweep", "compare"])
+def test_subsampled_dataset_is_judged_by_what_the_run_holds(tmp_path, monkeypatch, command):
+    # 20000 x 10 data (1.6 MB) and six 300 x 300 arrays fit in 1 GiB; six
+    # 20000 x 20000 arrays (17.9 GiB) would not.
+    monkeypatch.setattr(cli, "_physical_memory", lambda: 2**30)
+    config = {"dataset": {"kind": "gmm", "n": 20000, "p": 10, "subsample": 300},
+              "kernels": [{"family": "rbf"}], "ranks": "1,10", "jl_trials": 1}
+    assert _run_config(tmp_path, config, command) == 0
+
+
+@pytest.mark.parametrize("n, p, fits", [(6.664094404587546e+16, 10, False), (1000, 10, False),
+                                        (100, 1, True)])
+def test_subsampled_dataset_is_refused_before_it_is_generated(tmp_path, capsys, monkeypatch,
+                                                              n, p, fits):
+    # Memory for 30 points: 43200 bytes. Ten rows drawn from n x p data need
+    # 8 n p bytes for the data and 4800 for six 10 x 10 arrays.
+    _memory_for(monkeypatch, 30)
+    config = {"dataset": {"kind": "gaussian", "n": n, "p": p, "subsample": 10},
+              "kernels": [{"family": "rbf"}], "ranks": [1]}
+    if fits:
+        assert _run_config(tmp_path, config) == 0
+        return
+    monkeypatch.setattr(np.random, "default_rng", None)
+    assert _run_config(tmp_path, config) == 2
+    n, need = int(n), 8 * (int(n) * p + 600)
+    assert _assert_one_error_line(capsys).rstrip() == (
+        f"error: dataset n={n} subsampled to 10 needs its {n} x {p} data and 6 10 x 10 arrays, "
+        f"{need / 2**30:.3g} GiB, against {43200 / 2**30:.3g} GiB of memory")
+
+
+@pytest.mark.parametrize("command", ["sweep", "compare"])
+def test_kernels_sharing_a_label_are_refused(tmp_path, capsys, command):
+    # Output files are named by the label: a second rbf kernel would overwrite
+    # the first one's sweep_rbf.csv and draw a second curve labelled rbf.
+    config = {"dataset": {"kind": "gmm", "n": 200},
+              "kernels": [{"family": "rbf", "bandwidth": 1.0}, {"family": "matern", "nu": 0.5},
+                          {"family": "rbf", "bandwidth": 5.0}]}
+    assert _run_config(tmp_path, config, command) == 2
+    assert _assert_one_error_line(capsys) == "error: kernels share the label 'rbf'\n"
+    assert not (tmp_path / "o").exists()  # refused before any Gram matrix is built
 
 
 def test_invalid_n_keeps_its_message_under_the_preflight(tmp_path, capsys, monkeypatch):
@@ -797,13 +853,13 @@ def test_cli_runs_load_neither_numpy_ma_nor_scipy(tmp_path):
 
 
 def test_each_command_loads_only_the_modules_it_runs(tmp_path):
-    # Each run starts in a fresh interpreter; beside cli, errors and spectral
+    # Each run starts in a fresh interpreter; beside cli and spectral
     # (which argument parsing and config loading use), a command imports only
     # the library modules it calls.
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"dataset": {"kind": "gaussian", "n": 30, "p": 2},
                                "kernels": [{"family": "rbf"}], "ranks": [1, 5], "jl_trials": 3}))
-    base = {"cli", "errors", "spectral"}
+    base = {"cli", "spectral"}
     runs = {
         "sweep": (["sweep", "--config", str(cfg), "--out", "o"], {"datasets", "kernels", "svgplot"}),
         "compare": (["compare", "--config", str(cfg), "--out", "o"],
