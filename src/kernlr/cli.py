@@ -19,9 +19,11 @@ directory comes from --out, the KERNLR_OUT environment variable, or the
 config, in that order of precedence. ``verify`` runs fixed experiments and
 takes no config: only --seed and --out (or KERNLR_OUT) set its run.
 
-Exit codes: 0 success, 1 failed assertion or numerical failure (including a
-floating-point overflow, division by zero or invalid operation), 2 usage or
-configuration error.
+Exit codes: 0 success, 1 failed assertion or numerical failure, 2 usage or
+configuration error. ``main`` prints each error on one line: ``error: <message>``
+for exit 2; ``numerical failure: <message>`` for a failed eigensolver or other
+linear algebra, or a floating-point overflow, division by zero or nan. A failure
+in one kernel's stage of ``sweep`` or ``compare`` starts ``kernel <label>: ``.
 """
 
 from __future__ import annotations
@@ -69,8 +71,8 @@ DEFAULT_CONFIG = {
 _OTHER_TYPES = {"ranks": (list,), "bandwidth": (int, float)}
 
 
-def _load_config(args) -> dict:
-    config = json.loads(json.dumps(DEFAULT_CONFIG))  # deep copy
+def _load_config(args, **defaults) -> dict:
+    config = json.loads(json.dumps({**DEFAULT_CONFIG, **defaults}))  # deep copy; then file, flags
     if getattr(args, "config", None):
         try:
             with open(args.config, encoding="utf-8") as handle:
@@ -90,10 +92,9 @@ def _load_config(args) -> dict:
                 names = " or ".join(t.__name__ for t in types)
                 raise ValueError(f"config key {key!r} must be a {names}, got {value!r}")
         config.update(user)
-    if getattr(args, "seed", None) is not None:
-        config["seed"] = args.seed
-    if getattr(args, "ranks", None) is not None:
-        config["ranks"] = args.ranks
+    for key in ("seed", "ranks"):  # flags override the file
+        if getattr(args, key, None) is not None:
+            config[key] = getattr(args, key)
     # Output directory precedence: --out flag, then KERNLR_OUT, then config.
     if getattr(args, "out", None) is not None:
         config["out"] = args.out
@@ -240,18 +241,12 @@ def _parse_int_list(text: str, what: str) -> list[int]:
         raise ValueError(f"cannot parse {what} {text!r}") from exc
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return f"{value:.17g}"
-    return str(value)
-
-
 def _write_csv(out, name, header, rows) -> None:
     path = os.path.join(out, name)
     with open(path, "w", encoding="utf-8", newline="") as handle:
         handle.write(",".join(header) + "\n")
         for row in rows:
-            handle.write(",".join(_fmt(v) for v in row) + "\n")
+            handle.write(",".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in row) + "\n")
     print(f"wrote {path}")
 
 
@@ -260,10 +255,23 @@ def _ensure_out(out: str) -> str:
     return out
 
 
+def _per_kernel(specs, X, work):
+    """Yield ``(label, work(gram))`` per kernel, one kernel's n x n arrays alive at a time.
+
+    A numerical failure is re-raised with the kernel's label, for ``main`` to print.
+    """
+    from .kernels import gram_matrix
+    for spec in specs:
+        try:
+            result = work(gram_matrix(spec, X))
+        except (EigensolverError, FloatingPointError) as exc:
+            raise type(exc)(f"kernel {spec.label}: {exc}") from exc
+        yield spec.label, result
+
+
 # ---------------------------------------------------------------- sweep
 
 def cmd_sweep(args) -> int:
-    from .kernels import gram_matrix
     from .spectral import eigendecompose, error_sweep
     from .svgplot import line_plot
     config = _load_config(args)
@@ -273,21 +281,13 @@ def cmd_sweep(args) -> int:
     out = _ensure_out(config["out"])
 
     curves = []
-    for spec in specs:
-        try:
-            gram = gram_matrix(spec, X)
-            eig = eigendecompose(gram)
-            sweep = error_sweep(gram, eig, ranks)
-        except EigensolverError as exc:
-            print(f"numerical failure in stage eigendecompose ({spec.label}): {exc}", file=sys.stderr)
-            return 1
-        del gram, eig  # so the next kernel's Gram matrix and eigh are not built beside them
+    for label, sweep in _per_kernel(specs, X, lambda gram: error_sweep(gram, eigendecompose(gram), ranks)):
         rows = zip(ranks, sweep.max_entry_error, sweep.frobenius_error,
                    sweep.spectral_error, sweep.tail_abs_sum, sweep.sup_norm_tail)
-        _write_csv(out, f"sweep_{spec.label}.csv",
+        _write_csv(out, f"sweep_{label}.csv",
                    ["rank", "max_entry_error", "frobenius_error", "spectral_error",
                     "tail_abs_sum", "sup_norm_tail"], rows)
-        curves.append((spec.label, ranks, sweep.max_entry_error.tolist()))
+        curves.append((label, ranks, sweep.max_entry_error.tolist()))
 
     svg = os.path.join(out, "sweep.svg")
     line_plot(svg, curves, xlabel="rank", ylabel="max-entry error",
@@ -299,27 +299,22 @@ def cmd_sweep(args) -> int:
 # -------------------------------------------------------------- compare
 
 def cmd_compare(args) -> int:
-    from .kernels import gram_matrix
     from .random_projection import compare_methods, jl_error_bound
-    config = _load_config(args)
+    # One kernel unless the config names more: each costs jl_trials sketches per rank.
+    config = _load_config(args, kernels=[{"family": "matern", "nu": 0.5}])
     X = _build_dataset(config)
-    spec = _build_kernels(config, X)[0]
+    specs = _build_kernels(config, X)
     ranks = [d for d in _rank_grid(config["ranks"], X.shape[0]) if d >= 1]
     if not ranks:
         raise ValueError(f"compare needs a rank >= 1, got {config['ranks']!r}")
     out = _ensure_out(config["out"])
 
-    try:
-        gram = gram_matrix(spec, X)
-        result = compare_methods(gram, ranks, trials=config["jl_trials"], seed=config["seed"])
-    except EigensolverError as exc:
-        print(f"numerical failure in stage eigendecompose ({spec.label}): {exc}", file=sys.stderr)
-        return 1
-
-    _write_csv(out, f"compare_{spec.label}.csv",
-               ["rank", "spectral_max_error", "jl_median_max_error", "jl_rate_shape"],
-               zip(ranks, result.spectral_max_error, result.jl_median_max_error,
-                   [jl_error_bound(X.shape[0], d) for d in ranks]))
+    shape = [jl_error_bound(X.shape[0], d) for d in ranks]
+    for label, result in _per_kernel(specs, X, lambda gram: compare_methods(
+            gram, ranks, trials=config["jl_trials"], seed=config["seed"])):
+        _write_csv(out, f"compare_{label}.csv",
+                   ["rank", "spectral_max_error", "jl_median_max_error", "jl_rate_shape"],
+                   zip(ranks, result.spectral_max_error, result.jl_median_max_error, shape))
     return 0
 
 
@@ -461,8 +456,7 @@ def main(argv=None) -> int:
     try:  # an overflow, division by zero or nan raises instead of reaching the outputs
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             return args.func(args)
-    except (EigensolverError, FloatingPointError,
-            np.linalg.LinAlgError) as exc:  # LinAlgError is a ValueError
+    except (EigensolverError, FloatingPointError, np.linalg.LinAlgError) as exc:  # LinAlgError is ValueError
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 1
     except (ValueError, OSError, MemoryError) as exc:  # an array too large to allocate

@@ -47,7 +47,8 @@ class KernelSpec:
 
     def __post_init__(self):
         if self.family in ("matern", "rbf"):
-            object.__setattr__(self, "bandwidth", _check_real(self.bandwidth, "bandwidth", "(0, inf)"))
+            lo = "[1.0547686614863e-154" if self.family == "rbf" else "(0"  # rbf: 2 w^2 is normal
+            object.__setattr__(self, "bandwidth", _check_real(self.bandwidth, "bandwidth", f"{lo}, inf)"))
             if self.family == "matern" and self.nu not in _MATERN_NUS:
                 raise ValueError(f"matern smoothness nu must be one of {_MATERN_NUS}, got {self.nu!r}")
         elif self.family == "dot_product":
@@ -100,17 +101,21 @@ def as_dataset(points) -> np.ndarray:
 
 
 def _radial(kernel: KernelSpec, r):
-    """Evaluate a matern/rbf kernel on (an array of) Euclidean distances."""
+    """Evaluate a matern/rbf kernel on a panel of Euclidean distances, capped in place.
+
+    Each kernel is exactly 0 in float64 beyond 1024 bandwidths (e^-t is 0 for
+    t >= 746), so the cap changes no value and keeps the scaled distance finite
+    at every admitted bandwidth. Matern products that round to 1 + 2^-52 are clipped.
+    """
     w = kernel.bandwidth
+    np.minimum(r, 1024.0 * w, out=r)  # a power of 2 times w, so exact
     if kernel.family == "rbf":
         return np.exp(-(r * r) / (2.0 * w * w))
     if kernel.nu == 0.5:
         return np.exp(-r / w)
-    if kernel.nu == 1.5:
-        t = math.sqrt(3.0) * r / w
-        return (1.0 + t) * np.exp(-t)
-    t = math.sqrt(5.0) * r / w
-    return (1.0 + t + t * t / 3.0) * np.exp(-t)
+    t = math.sqrt(2.0 * kernel.nu) * r / w
+    poly = 1.0 + t if kernel.nu == 1.5 else 1.0 + t + t * t / 3.0
+    return np.minimum(poly * np.exp(-t), 1.0)
 
 
 def _distance_panels(X: np.ndarray):

@@ -86,6 +86,28 @@ def test_compare_csv_schema_and_rate_column(tmp_path):
         assert float(row[3]) == pytest.approx(np.sqrt(np.log(40.0) / d))
 
 
+def test_compare_without_kernels_runs_matern12_alone(tmp_path):
+    # compare's own default kernel list: one kernel, as its sketches cost
+    # jl_trials per rank; sweep's default is four.
+    config = {"dataset": {"kind": "gaussian", "n": 30, "p": 2}, "ranks": [3], "jl_trials": 2}
+    assert _run_config(tmp_path, config, "compare") == 0
+    assert sorted(p.name for p in (tmp_path / "o").iterdir()) == ["compare_matern12.csv"]
+
+
+def test_compare_writes_each_kernel_as_its_own_run_would(tmp_path):
+    both = [{"family": "matern", "nu": 0.5}, {"family": "rbf"}]
+    base = {"dataset": {"kind": "gaussian", "n": 40, "p": 2}, "ranks": [2, 9], "jl_trials": 3}
+    for name, kernels in (("both", both), ("matern12", both[:1]), ("rbf", both[1:])):
+        cfg = tmp_path / f"{name}.json"
+        cfg.write_text(json.dumps({**base, "kernels": kernels}))
+        assert main(["compare", "--config", str(cfg), "--out", str(tmp_path / name), "--seed", "4"]) == 0
+    assert sorted(p.name for p in (tmp_path / "both").iterdir()) == ["compare_matern12.csv",
+                                                                      "compare_rbf.csv"]
+    for label in ("matern12", "rbf"):
+        name = f"compare_{label}.csv"
+        assert (tmp_path / "both" / name).read_bytes() == (tmp_path / label / name).read_bytes()
+
+
 def test_compare_byte_identical_given_seed(tmp_path):
     config = {
         "dataset": {"kind": "gaussian", "n": 30, "p": 2},
@@ -161,7 +183,7 @@ def test_verify_all_quick_matches_benchmark_reference(tmp_path, seed):
     assert oracle.compare_outputs(tmp_path, reference / f"seed{seed}", ["verify.csv"]) == []
 
 
-@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("seed", range(8))
 def test_sweep_matches_benchmark_reference(tmp_path, seed):
     # The benchmark's sweep-gmm workload, checked with its own oracle.
     oracle, reference = _bench_oracle("sweep-gmm")
@@ -171,7 +193,7 @@ def test_sweep_matches_benchmark_reference(tmp_path, seed):
     assert oracle.compare_outputs(tmp_path, reference / f"seed{seed}", names) == []
 
 
-@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("seed", range(8))
 def test_compare_matches_benchmark_reference(tmp_path, seed):
     # The benchmark's compare-gmm workload, checked with its own oracle.
     oracle, reference = _bench_oracle("compare-gmm")
@@ -197,7 +219,7 @@ def test_outputs_are_reproducible_within_and_across_blas_thread_counts(tmp_path)
             subprocess.run([sys.executable, "-m", "kernlr.cli", command, "--config", str(cfg),
                             "--out", str(tmp_path / run), "--seed", "0"],
                            env=env, capture_output=True, check=True)
-    names = ["compare_matern12.csv", "sweep_matern12.csv", "sweep_rbf.csv"]
+    names = ["compare_matern12.csv", "compare_rbf.csv", "sweep_matern12.csv", "sweep_rbf.csv"]
     assert sorted(p.name for p in (tmp_path / "one").glob("*.csv")) == names
     for name in names:
         assert (tmp_path / "again" / name).read_bytes() == (tmp_path / "one" / name).read_bytes()
@@ -425,7 +447,7 @@ _SMALL = {"kind": "gaussian", "n": 20, "p": 1}
     ({"dataset": {**_SMALL, "subsample": 50}},
      "dataset subsample: count must be an integer in [1, 20], got 50"),
     ({"dataset": _SMALL, "kernels": [{"family": "rbf", "bandwidth": "abc"}]},
-     "kernel 'rbf': bandwidth must be a real number in (0, inf), got 'abc'"),
+     "kernel 'rbf': bandwidth must be a real number in [1.0547686614863e-154, inf), got 'abc'"),
     ({"dataset": _SMALL, "kernels": [{"family": "matern", "nu": 0.7}]},
      "kernel 'matern': matern smoothness nu"),
     ({"dataset": _SMALL, "bandwidth": "abc"}, "config key 'bandwidth'"),
@@ -438,7 +460,7 @@ _SMALL = {"kind": "gaussian", "n": 20, "p": 1}
     ({"dataset": {"kind": "sphere", "n": 30.5}}, "dataset 'sphere': n must be an integer >= 1"),
     # real fields: bools, strings and non-finite values are refused
     ({"dataset": _SMALL, "kernels": [{"family": "rbf", "bandwidth": True}]},
-     "kernel 'rbf': bandwidth must be a real number in (0, inf), got True"),
+     "kernel 'rbf': bandwidth must be a real number in [1.0547686614863e-154, inf), got True"),
     ({"dataset": {"kind": "sphere", "n": 20},
       "kernels": [{"family": "dot_product", "coefficients": "12"}]},
      "kernel 'dot_product': coefficient must be a real number in [0, inf), got '1'"),
@@ -551,7 +573,9 @@ def test_eigensolver_failure_exits_1_and_names_stage(tmp_path, capsys, monkeypat
     monkeypatch.setattr(np.linalg, "eigh", fail)
     config = {"dataset": _SMALL, "kernels": [{"family": "rbf"}], "ranks": [1]}
     assert _run_config(tmp_path, config) == 1
-    assert "numerical failure in stage eigendecompose (rbf)" in capsys.readouterr().err
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["numerical failure: kernel rbf: symmetric eigensolver did not converge: "
+                   "Eigenvalues did not converge"]
 
 
 @pytest.mark.parametrize("suite, solver", [("eigdev", "qr"), ("subspace", "cholesky")])
@@ -584,18 +608,52 @@ def test_leading_k_iteration_cap_raises_and_verify_exits_1(tmp_path, capsys, mon
     assert len(err) == 1 and err[0].startswith("numerical failure"), err
 
 
-@pytest.mark.parametrize("dataset, kernel", [
-    ({"kind": "gmm", "n": 2}, {"family": "matern", "nu": 0.5, "bandwidth": 1.1125369292536007e-308}),
-    ({"kind": "gmm", "n": 5}, {"family": "rbf", "bandwidth": 1e-200}),
-    ({"kind": "gaussian", "n": 5, "sigma": 1e200}, {"family": "rbf"}),
-], ids=["distance-over-bandwidth-overflows", "bandwidth-squared-underflows", "distances-overflow"])
-def test_floating_point_fault_is_a_numerical_failure(tmp_path, capsys, dataset, kernel):
-    # Each would put inf or nan into the Gram matrix; the run stops on one line
-    # and writes no output file.
-    assert _run_config(tmp_path, {"dataset": dataset, "kernels": [kernel], "ranks": [1]}) == 1
+@pytest.mark.parametrize("command", ["sweep", "compare"])
+def test_eigensolver_failure_on_the_second_kernel_names_it(tmp_path, capsys, monkeypatch, command):
+    eigh, calls = np.linalg.eigh, []
+
+    def fail_second(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 2:
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", fail_second)
+    config = {"dataset": _SMALL, "kernels": [{"family": "matern", "nu": 0.5}, {"family": "rbf"}],
+              "ranks": [1], "jl_trials": 2}
+    assert _run_config(tmp_path, config, command) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("numerical failure: kernel rbf: symmetric eigensolver"), err
+    assert sorted(p.name for p in (tmp_path / "o").iterdir()) == [f"{command}_matern12.csv"]
+
+
+def test_floating_point_fault_is_a_numerical_failure(tmp_path, capsys):
+    # Squared distances of data at 1e200 overflow, here first in the median
+    # bandwidth, which no one kernel owns; the run stops on one line and writes
+    # no output file.
+    config = {"dataset": {"kind": "gaussian", "n": 5, "sigma": 1e200},
+              "kernels": [{"family": "rbf"}], "ranks": [1]}
+    assert _run_config(tmp_path, config) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("numerical failure: ") and "encountered" in err[0], err
+    config["kernels"] = [{"family": "rbf", "bandwidth": 1.0}]  # now the Gram build overflows
+    assert _run_config(tmp_path, config) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["numerical failure: kernel rbf: overflow encountered in square"], err
     assert not list(tmp_path.glob("o/*"))
+
+
+def test_tiny_bandwidths_run_or_are_refused(tmp_path, capsys):
+    # A Matern bandwidth of 1e-308 gives the identity Gram matrix on distinct
+    # points; an rbf bandwidth whose 2 w^2 is subnormal is refused.
+    matern = {"family": "matern", "nu": 0.5, "bandwidth": 1.1125369292536007e-308}
+    assert _run_config(tmp_path, {"dataset": {"kind": "gmm", "n": 2}, "kernels": [matern],
+                                  "ranks": [1]}) == 0
+    _, rows = _read_csv(tmp_path / "o" / "sweep_matern12.csv")
+    assert [float(v) for v in rows[0][1:3]] == [1.0, 1.0]  # K - K_1 = diag(0, 1)
+    rbf = {"family": "rbf", "bandwidth": 1e-200}
+    assert _run_config(tmp_path, {"dataset": {"kind": "gmm", "n": 5}, "kernels": [rbf]}) == 2
+    assert "bandwidth must be a real number in [1.0547686614863e-154, inf)" in _assert_one_error_line(capsys)
 
 
 def test_verify_rejects_ranks(tmp_path):

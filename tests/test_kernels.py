@@ -221,6 +221,61 @@ def test_radial_gram_is_bitwise_the_scipy_reference(kernel, X):
     assert np.all(np.diag(K) == 1.0)
 
 
+_RBF_MIN_BANDWIDTH = 1.0547686614863e-154  # below it 2 w^2 is subnormal or 0
+_ANY_BANDWIDTH = st.one_of(
+    st.builds(matern, st.sampled_from([0.5, 1.5, 2.5]), st.floats(5e-324, 1e300)),
+    st.builds(rbf, st.floats(_RBF_MIN_BANDWIDTH, 1e300)),
+)
+
+
+@st.composite
+def _unit_point_sets(draw):
+    # Unit-scale Gaussian rows drawn with replacement, past one panel of rows.
+    p, max_n = draw(st.integers(1, 4)), _PANEL_ROWS + 8
+    pool = np.random.default_rng(draw(st.integers(0, 2**32))).standard_normal((max_n, p))
+    return pool[draw(st.lists(st.integers(0, max_n - 1), min_size=1, max_size=max_n))]
+
+
+def _closed_form(kernel, r):
+    # The formulas without the cap or the clip.
+    w = kernel.bandwidth
+    if kernel.family == "rbf":
+        return np.exp(-(r * r) / (2.0 * w * w))
+    if kernel.nu == 0.5:
+        return np.exp(-r / w)
+    t = np.sqrt(2.0 * kernel.nu) * r / w
+    return (1.0 + t if kernel.nu == 1.5 else 1.0 + t + t * t / 3.0) * np.exp(-t)
+
+
+@settings(max_examples=300, deadline=None)
+@given(kernel=_ANY_BANDWIDTH, X=_unit_point_sets())
+@example(kernel=rbf(_RBF_MIN_BANDWIDTH), X=np.array([[0.0], [1e-160], [3.0]]))
+@example(kernel=matern(0.5, 5e-324), X=np.array([[0.0], [5e-324], [1.0]]))
+@example(kernel=matern(2.5, 1e-160), X=np.array([[0.0, 0.0], [1.0, 2.0]]))
+@example(kernel=matern(2.5, 1e6), X=np.array([[0.0], [0.00835]]))  # 1 + 2^-52 unclipped
+def test_radial_gram_is_finite_at_every_admitted_bandwidth(kernel, X):
+    # Every entry in [0, 1] (so no inf or nan), the diagonal 1 and no floating-point
+    # fault, from the smallest admitted bandwidth to 1e300. Where the closed form
+    # is computed without a fault and lies in [0, 1], the Gram matrix is it, bit for bit.
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        K = gram_matrix(kernel, X)
+    assert np.all((K >= 0.0) & (K <= 1.0))
+    assert np.all(np.diag(K) == 1.0)
+    with np.errstate(all="ignore"):
+        ref = squareform(_closed_form(kernel, pdist(X)))
+    np.fill_diagonal(ref, 1.0)
+    valid = (ref >= 0.0) & (ref <= 1.0)
+    assert np.array_equal(K[valid], ref[valid])
+
+
+def test_rbf_bandwidth_whose_square_is_subnormal_is_refused():
+    assert rbf(_RBF_MIN_BANDWIDTH).bandwidth == _RBF_MIN_BANDWIDTH
+    for w in (np.nextafter(_RBF_MIN_BANDWIDTH, 0.0), 1e-200, 5e-324):
+        with pytest.raises(ValueError, match=r"bandwidth must be a real number in \[1.0547686614863e-154, inf\)"):
+            rbf(w)
+    assert matern(0.5, 5e-324).bandwidth == 5e-324  # a Matern bandwidth needs no square
+
+
 @settings(max_examples=100, deadline=None)
 @given(X=_scaled_point_sets())
 def test_median_heuristic_is_bitwise_the_scipy_median(X):
