@@ -51,15 +51,13 @@ ENV_OUT = "KERNLR_OUT"
 DEFAULT_CONFIG = {
     "dataset": {"kind": "gmm", "n": 1000, "p": 10, "components": 10, "mean_scale": 10.0},
     "standardize": False,
+    # Matern and rbf entries without a "bandwidth" get the median pairwise distance.
     "kernels": [
         {"family": "matern", "nu": 0.5},
         {"family": "matern", "nu": 1.5},
         {"family": "matern", "nu": 2.5},
         {"family": "rbf"},
     ],
-    # Bandwidth policy for matern/rbf kernels without an explicit "bandwidth":
-    # "median" (median pairwise distance) or a positive number.
-    "bandwidth": "median",
     "ranks": "auto",
     "jl_trials": 50,
     "out": "kernlr-results",
@@ -68,7 +66,7 @@ DEFAULT_CONFIG = {
 
 
 # Keys that also take a second JSON type besides the type of their default.
-_OTHER_TYPES = {"ranks": (list,), "bandwidth": (int, float)}
+_OTHER_TYPES = {"ranks": (list,)}
 
 
 def _load_config(args, **defaults) -> dict:
@@ -147,29 +145,19 @@ def _physical_memory() -> int:
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
-def _preflight(n, p=0, count=None) -> None:
-    """Refuse, before the data exist, a run whose working set exceeds memory: ``_SQUARE_ARRAYS``
-    m x m arrays, m = n, or m = ``count`` plus the n x p data for a subsample of fewer than n
-    rows. The generator names an invalid ``n`` or ``p``; a refused ``count`` counts as none."""
+def _preflight(n) -> None:
+    """Refuse, before the data exist, a run whose ``_SQUARE_ARRAYS`` n x n arrays exceed
+    memory. The generator names an invalid ``n``."""
     try:
-        n, p = _check_int(n, "n", 1), _check_int(p, "p", 0)
+        n = _check_int(n, "n", 1)
     except ValueError:
         return
     memory = _physical_memory()
-    try:
-        m = _check_int(count, "count", 1, n - 1)
-    except ValueError:  # all n rows are kept
-        m = n
     fits = math.isqrt(memory // (8 * _SQUARE_ARRAYS))
-    if m == n and n > fits:
+    if n > fits:
         raise ValueError(f"dataset n={n} needs {_SQUARE_ARRAYS} n x n arrays, "
                          f"{_SQUARE_ARRAYS * 8 * n * n / 2**30:.3g} GiB, against "
                          f"{memory / 2**30:.3g} GiB of memory; the largest n that fits is {fits}")
-    need = 8 * (n * p + _SQUARE_ARRAYS * m * m)
-    if m < n and need > memory:
-        raise ValueError(f"dataset n={n} subsampled to {m} needs its {n} x {p} data and "
-                         f"{_SQUARE_ARRAYS} {m} x {m} arrays, {need / 2**30:.3g} GiB, against "
-                         f"{memory / 2**30:.3g} GiB of memory")
 
 
 def _build_dataset(config) -> np.ndarray:
@@ -178,15 +166,16 @@ def _build_dataset(config) -> np.ndarray:
     seed = config["seed"]
     if "seed" in spec:
         raise ValueError("dataset takes no 'seed'; the top-level seed seeds the data")
-    count = spec.pop("subsample", None)
     # dataset.kind names a generator; its keyword arguments are the fields.
     kinds = {"csv": datasets.load_csv, "gmm": datasets.gmm_synthetic,
              "gaussian": datasets.gaussian_synthetic, "sphere": datasets.sphere_uniform}
     kind = spec.get("kind")
     generator = kinds.get(kind) if isinstance(kind, str) else None
-    if generator not in (None, datasets.load_csv):  # a generator's shape is known up front
-        defaults = inspect.signature(generator).parameters
-        _preflight(*(spec.get(key, defaults[key].default) for key in ("n", "p")), count)
+    if generator not in (None, datasets.load_csv):  # i.i.d. rows: the size is n, known up front
+        if "subsample" in spec:
+            raise ValueError(f"dataset {kind!r} takes no 'subsample'; its 'n' sets the size")
+        _preflight(spec.get("n", inspect.signature(generator).parameters["n"].default))
+    count = spec.pop("subsample", None)
     X = _construct("dataset", kinds, "kind", spec, seed=lambda: seed)
     if count is not None:
         X = _call("dataset subsample", datasets.subsample,
@@ -199,15 +188,10 @@ def _build_dataset(config) -> np.ndarray:
 
 def _build_kernels(config, X) -> list[KernelSpec]:
     from . import kernels
-    # The bandwidth policy fills in matern/rbf entries without a "bandwidth";
-    # the median pairwise distance is computed once, and only if needed.
-    policy = config["bandwidth"]
-    if isinstance(policy, str) and policy != "median":
-        raise ValueError(f"config key 'bandwidth' must be \"median\" or a number, got {policy!r}")
-    bandwidth = (functools.cache(lambda: kernels.median_heuristic(X)) if policy == "median"
-                 else lambda: policy)
+    # The median pairwise distance is computed once, and only if an entry needs it.
+    median = functools.cache(lambda: kernels.median_heuristic(X))
     families = {"matern": kernels.matern, "rbf": kernels.rbf, "dot_product": kernels.dot_product}
-    specs = [_construct("kernel", families, "family", entry, bandwidth=bandwidth)
+    specs = [_construct("kernel", families, "family", entry, bandwidth=median)
              for entry in config["kernels"]]
     if not specs:
         raise ValueError("config needs at least one kernel")

@@ -8,6 +8,8 @@ with 17 significant digits round-trip float64 exactly.
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 
 from .kernels import as_dataset
@@ -18,10 +20,13 @@ def load_csv(path, delimiter: str = ",", has_header: bool = False, columns=None)
     """Read a numeric CSV into an ``(n, p)`` array, preserving row order.
 
     ``columns`` optionally selects a subset of columns by zero-based index.
+    ``path`` is a str, bytes or os.PathLike, never a file descriptor.
     ``has_header`` must be a bool: a string such as ``"false"`` or a number is
     refused, not read as true. Malformed input is reported with the offending
     line (1-based, header included) and column.
     """
+    if not isinstance(path, (str, bytes, os.PathLike)):
+        raise ValueError(f"path must be a str, bytes or os.PathLike file path, got {path!r}")
     if not isinstance(has_header, (bool, np.bool_)):
         raise ValueError(f"has_header must be true or false, got {has_header!r}")
     import csv  # only this reader needs it

@@ -15,6 +15,10 @@ a growth only polynomial in the order, so (E) holds for every s > 0. The
 Gaussian setting does not meet the premise: there the eigenfunctions' sup
 norm grows geometrically with the order (see ``gaussian_rbf_eigenfunction``).
 
+Criterion 4 reads each error from the leading d pairs alone
+(``eigendecompose(K, k=d)``); one more test, not a criterion, checks that
+value against the full ``error_sweep`` at n = 1000.
+
 Criterion 5 takes its maximum only over tail eigenvectors that double
 precision resolves, those whose eigenvalue exceeds the numerical-rank floor
 ``n * eps * lambda_1``. Below that floor any orthonormal basis of the
@@ -49,6 +53,7 @@ from kernlr import (
     required_rank,
     sphere_decay_hypothesis,
     sphere_uniform,
+    truncate,
 )
 from kernlr.verification import CHECKS, run_check
 
@@ -70,6 +75,12 @@ def _report(num, ok, detail):
 
 def _sphere_gram(n, seed):
     return gram_matrix(SPHERE_KERNEL, sphere_uniform(n, 3, seed=seed))
+
+
+def _head_max_entry_error(gram, d):
+    """Largest |entry| of ``K - K_d``, with K_d built from the leading d pairs alone."""
+    R = gram - truncate(eigendecompose(gram, k=d), d)
+    return float(max(R.max(), -R.min()))
 
 
 def _resolved_tail(eig, d):
@@ -138,11 +149,7 @@ def test_criterion_04_exponential_case_error_decay():
     medians = []
     for n in sizes:
         d = required_rank(n, SPHERE_HYP_E) + 2
-        errs = []
-        for seed in range(5):
-            gram = _sphere_gram(n, seed)
-            eig = eigendecompose(gram)
-            errs.append(error_sweep(gram, eig, [d]).max_entry_error[0])
+        errs = [_head_max_entry_error(_sphere_gram(n, seed), d) for seed in range(5)]
         ranks.append(d)
         medians.append(float(np.median(errs)))
     slope = float(np.polyfit(np.log(sizes), np.log(medians), 1)[0])
@@ -152,6 +159,15 @@ def test_criterion_04_exponential_case_error_decay():
                          f"median over 5 seeds at {per_n}; least-squares slope "
                          f"{slope:.3f} (required <= -0.8, target -1)")
     assert ok, msg
+
+
+def test_criterion_04_head_error_is_the_sweeps():
+    # Criterion 4 reads its error from the leading d pairs; the full sweep agrees.
+    d = required_rank(1000, SPHERE_HYP_E) + 2
+    for seed in range(2):
+        gram = _sphere_gram(1000, seed)
+        swept = error_sweep(gram, eigendecompose(gram), [d]).max_entry_error[0]
+        assert abs(_head_max_entry_error(gram, d) - swept) <= 1e-9 * swept
 
 
 def test_criterion_05_delocalisation_statistic():

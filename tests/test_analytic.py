@@ -349,19 +349,6 @@ def test_exp_tail_bound_decreasing_in_d():
             assert np.all(np.diff(vals) < 0.0)
 
 
-def test_tail_bounds_dominate_brute_force_grid():
-    # the full dominance grid; sums taken to 1e7 terms
-    for alpha in (1.5, 2.0, 3.0):
-        for d in (1, 5, 20):
-            i = np.arange(d + 1, 10**7 + 1, dtype=float)
-            assert float(np.sum(i**-alpha)) <= poly_tail_bound(d, alpha)
-    for beta in (0.5, 1.0):
-        for gamma in (0.5, 1.0):
-            for d in (1, 5, 20):
-                i = np.arange(d + 1, 10**7 + 1, dtype=float)
-                assert float(np.sum(np.exp(-beta * i**gamma))) <= exp_tail_bound(d, beta, gamma)
-
-
 def test_entrywise_error_rate():
     assert entrywise_error_rate(10**4, polynomial_decay(2.0)) == pytest.approx(0.092103, abs=5e-7)
     assert entrywise_error_rate(1000, exponential_decay(1.0)) == pytest.approx(0.001)

@@ -19,8 +19,6 @@ ROOT = Path(__file__).resolve().parents[1]
 
 # Public functions kept without an outside caller, each for a stated reason.
 EXEMPT = {
-    # The reference that the error_sweep tests compare the sweep against.
-    "truncate",
     # The harmonic cluster ends, for reporting where a rank falls on the
     # sphere in the scaling experiment (ROADMAP item 7).
     "sphere_harmonic_count",

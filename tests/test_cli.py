@@ -419,6 +419,7 @@ def _assert_one_error_line(capsys):
 
 
 _SMALL = {"kind": "gaussian", "n": 20, "p": 1}
+_CSV = {"kind": "csv", "path": "d.csv"}  # 20 rows, written by the test that reads it
 
 
 @pytest.mark.parametrize("config, needle", [
@@ -439,12 +440,12 @@ _SMALL = {"kind": "gaussian", "n": 20, "p": 1}
     ({"dataset": _SMALL, "ranks": [1, "5"]}, "ranks"),
     ({"dataset": _SMALL, "ranks": []}, "ranks"),
     ({"dataset": _SMALL, "ranks": [0, 21]}, "[0, 20]"),
-    ({"dataset": {**_SMALL, "subsample": "5"}}, "subsample"),
+    ({"dataset": {**_CSV, "subsample": "5"}}, "subsample"),
     ({"dataset": _SMALL, "jl_trials": "5"}, "jl_trials"),
     ({"dataset": _SMALL, "jl_trials": True}, "jl_trials"),
     # values the library constructors reject: the message names the entry
     ({"dataset": {"kind": "gmm", "n": 0}}, "dataset 'gmm': n must be an integer >= 1, got 0"),
-    ({"dataset": {**_SMALL, "subsample": 50}},
+    ({"dataset": {**_CSV, "subsample": 50}},
      "dataset subsample: count must be an integer in [1, 20], got 50"),
     ({"dataset": _SMALL, "kernels": [{"family": "rbf", "bandwidth": "abc"}]},
      "kernel 'rbf': bandwidth must be a real number in [1.0547686614863e-154, inf), got 'abc'"),
@@ -455,8 +456,8 @@ _SMALL = {"kind": "gaussian", "n": 20, "p": 1}
     # integer fields of the dataset generators: fractions and bools are refused
     ({"dataset": {"kind": "gmm", "n": 40, "components": 2.5}},
      "dataset 'gmm': components must be an integer in [1, 10], got 2.5"),
-    ({"dataset": {"kind": "gmm", "n": 40, "subsample": True}},
-     "dataset subsample: count must be an integer in [1, 40], got True"),
+    ({"dataset": {**_CSV, "subsample": True}},
+     "dataset subsample: count must be an integer in [1, 20], got True"),
     ({"dataset": {"kind": "sphere", "n": 30.5}}, "dataset 'sphere': n must be an integer >= 1"),
     # real fields: bools, strings and non-finite values are refused
     ({"dataset": _SMALL, "kernels": [{"family": "rbf", "bandwidth": True}]},
@@ -472,7 +473,9 @@ _SMALL = {"kind": "gaussian", "n": 20, "p": 1}
     ({"dataset": {**_SMALL, "sigma": math.nan}},
      "dataset 'gaussian': sigma must be a real number in [0, inf), got nan"),
 ])
-def test_bad_config_exits_2_with_one_line(tmp_path, capsys, config, needle):
+def test_bad_config_exits_2_with_one_line(tmp_path, capsys, monkeypatch, config, needle):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "d.csv").write_text("".join(f"{i},{i % 3}\n" for i in range(20)))
     assert _run_config(tmp_path, config) == 2
     assert needle in _assert_one_error_line(capsys)
 
@@ -548,10 +551,35 @@ def test_median_bandwidth_computed_once_and_only_when_needed(tmp_path, monkeypat
     assert len(calls) == 1
     explicit = [{"family": "rbf", "bandwidth": 2.0}]
     assert _run_config(tmp_path, {"dataset": _SMALL, "kernels": explicit, "ranks": [1]}) == 0
-    fixed = {"dataset": _SMALL, "kernels": [{"family": "matern", "nu": 1.5}],
-             "bandwidth": 0.5, "ranks": [1]}
-    assert _run_config(tmp_path, fixed) == 0
     assert len(calls) == 1
+
+
+# What sweep wrote for _SMALL, ranks [1, 3] and the top-level "bandwidth": 0.5
+# that used to fill in every matern and rbf entry.
+_GLOBAL_BANDWIDTH_CSV = {
+    "matern12": (
+        b"rank,max_entry_error,frobenius_error,spectral_error,tail_abs_sum,sup_norm_tail\n"
+        b"1,0.99824029571019091,5.025135562368316,3.6632336923229878,13.038667665119549,0.9778467807014406\n"
+        b"3,0.98955937720754172,2.5957684200990965,1.6947575707990152,7.1182913887260142,0.9778467807014406\n"),
+    "rbf": (
+        b"rank,max_entry_error,frobenius_error,spectral_error,tail_abs_sum,sup_norm_tail\n"
+        b"1,0.99991157098823436,5.8499581517865851,4.805183233737722,10.858227625838737,0.97161410447988328\n"
+        b"3,0.99539835439818358,1.9180265797547675,1.5225808312847242,3.3229530919400787,0.97161410447988328\n"),
+}
+
+
+def test_per_kernel_bandwidths_give_the_old_global_bandwidths_bytes(tmp_path, capsys):
+    kernels = [{"family": "matern", "nu": 0.5}, {"family": "rbf"}]
+    config = {"dataset": _SMALL, "kernels": kernels, "ranks": [1, 3], "bandwidth": 0.5}
+    assert _run_config(tmp_path, config) == 2
+    assert _assert_one_error_line(capsys).startswith("error: unknown config key 'bandwidth'; ")
+    assert not (tmp_path / "o").exists()
+    del config["bandwidth"]
+    for entry in kernels:
+        entry["bandwidth"] = 0.5
+    assert _run_config(tmp_path, config) == 0
+    for label, text in _GLOBAL_BANDWIDTH_CSV.items():
+        assert (tmp_path / "o" / f"sweep_{label}.csv").read_bytes() == text
 
 
 @pytest.mark.parametrize("argv, needle", [
@@ -674,8 +702,7 @@ def test_physical_memory_is_read():
 @pytest.mark.parametrize("command", ["sweep", "compare"])
 @pytest.mark.parametrize("dataset", [{"kind": "gaussian", "n": 11755273248},
                                      {"kind": "gmm", "n": 6.664094404587546e+16},
-                                     {"kind": "sphere", "n": 31}, {"kind": "gmm"},
-                                     {"kind": "gmm", "n": 6.664094404587546e+16, "subsample": True}])
+                                     {"kind": "sphere", "n": 31}, {"kind": "gmm"}])
 def test_oversized_dataset_is_refused_before_it_is_generated(tmp_path, capsys, monkeypatch,
                                                             command, dataset):
     # 30 points fit; the generator is never called, so nothing is allocated.
@@ -697,33 +724,27 @@ def test_dataset_that_fits_runs(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("command", ["sweep", "compare"])
-def test_subsampled_dataset_is_judged_by_what_the_run_holds(tmp_path, monkeypatch, command):
-    # 20000 x 10 data (1.6 MB) and six 300 x 300 arrays fit in 1 GiB; six
-    # 20000 x 20000 arrays (17.9 GiB) would not.
-    monkeypatch.setattr(cli, "_physical_memory", lambda: 2**30)
-    config = {"dataset": {"kind": "gmm", "n": 20000, "p": 10, "subsample": 300},
+def test_subsampled_csv_is_judged_by_what_the_run_holds(tmp_path, monkeypatch, command):
+    # A 20000-row file would need six 20000 x 20000 arrays; 30 rows drawn from
+    # it fit in memory for 30 points.
+    path = tmp_path / "data.csv"
+    path.write_text("".join(f"{i},{i % 7}\n" for i in range(20000)))
+    _memory_for(monkeypatch, 30)
+    config = {"dataset": {"kind": "csv", "path": str(path), "subsample": 30},
               "kernels": [{"family": "rbf"}], "ranks": "1,10", "jl_trials": 1}
     assert _run_config(tmp_path, config, command) == 0
 
 
-@pytest.mark.parametrize("n, p, fits", [(6.664094404587546e+16, 10, False), (1000, 10, False),
-                                        (100, 1, True)])
-def test_subsampled_dataset_is_refused_before_it_is_generated(tmp_path, capsys, monkeypatch,
-                                                              n, p, fits):
-    # Memory for 30 points: 43200 bytes. Ten rows drawn from n x p data need
-    # 8 n p bytes for the data and 4800 for six 10 x 10 arrays.
-    _memory_for(monkeypatch, 30)
-    config = {"dataset": {"kind": "gaussian", "n": n, "p": p, "subsample": 10},
-              "kernels": [{"family": "rbf"}], "ranks": [1]}
-    if fits:
-        assert _run_config(tmp_path, config) == 0
-        return
+@pytest.mark.parametrize("kind", ["gmm", "gaussian", "sphere"])
+def test_subsample_of_a_generated_dataset_is_refused(tmp_path, capsys, monkeypatch, kind):
+    # m of n i.i.d. generated rows have the law of n = m rows, so n alone sets
+    # the size; the refusal comes before anything is generated.
     monkeypatch.setattr(np.random, "default_rng", None)
+    config = {"dataset": {"kind": kind, "n": 40, "subsample": 10}, "kernels": [{"family": "rbf"}]}
     assert _run_config(tmp_path, config) == 2
-    n, need = int(n), 8 * (int(n) * p + 600)
-    assert _assert_one_error_line(capsys).rstrip() == (
-        f"error: dataset n={n} subsampled to 10 needs its {n} x {p} data and 6 10 x 10 arrays, "
-        f"{need / 2**30:.3g} GiB, against {43200 / 2**30:.3g} GiB of memory")
+    assert _assert_one_error_line(capsys) == (
+        f"error: dataset '{kind}' takes no 'subsample'; its 'n' sets the size\n")
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("command", ["sweep", "compare"])
@@ -770,6 +791,28 @@ def test_csv_has_header_must_be_a_json_bool(tmp_path, capsys, has_header):
     assert _run_config(tmp_path, config) == 0
     _, rows = _read_csv(tmp_path / "o" / "sweep_rbf.csv")
     assert [row[0] for row in rows] == ["1", "5"]
+
+
+@pytest.mark.parametrize("path", [0, True])
+def test_csv_path_must_be_a_file_path(tmp_path, path):
+    # open() takes an int as a file descriptor: path 0 would read the CSV on
+    # stdin and close it, path true would hit fd 1. A child runs with a CSV
+    # file as its stdin, so this process's own descriptors stay out of it.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"dataset": {"kind": "csv", "path": path},
+                               "kernels": [{"family": "rbf"}]}))
+    stdin = tmp_path / "stdin.csv"
+    stdin.write_text("1,2\n3,4\n5,7\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(kernlr.__file__).parents[1])}
+    with open(stdin) as handle:
+        run = subprocess.run([sys.executable, "-m", "kernlr.cli", "sweep", "--config", str(cfg),
+                              "--out", str(tmp_path / "o")], stdin=handle, env=env,
+                             capture_output=True, text=True)
+        assert os.lseek(handle.fileno(), 0, os.SEEK_CUR) == 0  # stdin was not read
+    assert run.returncode == 2
+    assert run.stderr == (f"error: dataset 'csv': path must be a str, bytes or os.PathLike "
+                          f"file path, got {path!r}\n")
+    assert not (tmp_path / "o").exists()
 
 
 def test_unallocatable_dataset_exits_2(tmp_path, capsys):
@@ -850,11 +893,10 @@ _KERNEL = st.sampled_from([{"family": "matern", "nu": 0.5}, {"family": "matern",
 _CONFIG = st.fixed_dictionaries(
     {"dataset": _DATASET, "kernels": st.lists(_KERNEL, min_size=1, max_size=3)},
     optional={"standardize": st.booleans(),
-              "bandwidth": st.just("median") | st.floats(0.1, 10.0),
               "ranks": st.just("auto") | st.lists(st.integers(0, 40), max_size=4),
               "jl_trials": st.integers(1, 5), "seed": st.integers(0, 40)})
 _EDIT = st.one_of(
-    st.tuples(st.just(()), st.sampled_from(sorted(DEFAULT_CONFIG) + ["jl_trail", "sed"]), _ANY),
+    st.tuples(st.just(()), st.sampled_from(sorted(DEFAULT_CONFIG) + ["jl_trail", "sed", "bandwidth"]), _ANY),
     st.tuples(st.just(("dataset",)), st.sampled_from(
         ["kind", "n", "p", "components", "mean_scale", "sigma", "subsample", "seed",
          "path", "sigm"]), _ANY),

@@ -131,13 +131,6 @@ def test_compare_methods_table(rbf_gram_300):
     assert 1.4 <= ratio <= 2.9
 
 
-def test_compare_methods_scaling_slope(rbf_gram_300):
-    ranks = [16, 64, 256]
-    result = compare_methods(rbf_gram_300, ranks, trials=50, seed=11)
-    slope = np.polyfit(np.log(ranks), np.log(result.jl_median_max_error), 1)[0]
-    assert -0.7 <= slope <= -0.3
-
-
 def test_compare_methods_deterministic(rbf_gram_300):
     a = compare_methods(rbf_gram_300, [8, 32], trials=5, seed=21)
     b = compare_methods(rbf_gram_300, [8, 32], trials=5, seed=21)
