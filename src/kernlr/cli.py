@@ -14,7 +14,10 @@ are byte-identical; CSV cells carry 17 significant digits, so they also
 round-trip exactly. BLAS splits its sums by thread, so across thread counts
 the values agree only within the tolerance of ``bench/oracle.py``: 1e-6
 relative plus 1e-9 of the column's largest value. Between one and two
-OpenBLAS threads the largest gap measured is 8.8e-10 relative. The output
+OpenBLAS threads the largest gap measured is 8.8e-10 relative. Unless
+OPENBLAS_THREAD_TIMEOUT is set, a run parks an idle OpenBLAS worker after 2**18
+cycles, not OpenBLAS's 2**28; unlike the thread count, this changes no output
+bit, and it takes about a third off a ``sweep`` run's CPU time. The output
 directory comes from --out, the KERNLR_OUT environment variable, or the
 config, in that order of precedence. ``verify`` runs fixed experiments and
 takes no config: only --seed and --out (or KERNLR_OUT) set its run.
@@ -37,6 +40,13 @@ import os
 import sys
 from typing import TYPE_CHECKING
 
+# After each BLAS call, an idle OpenBLAS worker spins for 2**28 cycles (0.13 s
+# at 2.1 GHz) before it sleeps: CPU time no result needs, taken from any run
+# beside it. At 2**18 cycles (0.12 ms) it parks between calls; the thread
+# count, and so every output bit, is unchanged. OpenBLAS reads this once, when
+# numpy loads it, so it must precede every numpy import of a CLI run
+# (kernlr/__init__.py imports none). A value the user has exported wins.
+os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "18")
 import numpy as np
 
 # Only what argument parsing and config loading need is imported here; each
@@ -175,9 +185,10 @@ def _build_dataset(config) -> np.ndarray:
         if "subsample" in spec:
             raise ValueError(f"dataset {kind!r} takes no 'subsample'; its 'n' sets the size")
         _preflight(spec.get("n", inspect.signature(generator).parameters["n"].default))
+    subsample = "subsample" in spec  # a null count is refused by subsample's integer rule
     count = spec.pop("subsample", None)
     X = _construct("dataset", kinds, "kind", spec, seed=lambda: seed)
-    if count is not None:
+    if subsample:
         X = _call("dataset subsample", datasets.subsample,
                   {"data": X, "count": count, "seed": seed + 1})
     _preflight(X.shape[0])  # a csv file's rows are known once it is loaded

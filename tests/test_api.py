@@ -81,9 +81,11 @@ def test_every_result_field_is_read_outside_the_tests():
 
 
 def test_the_lazy_namespace_loads_no_submodule_and_resolves_every_name():
-    # A fresh ``import kernlr`` loads no submodule; each name loads its module
+    # A fresh ``import kernlr`` loads no submodule and no numpy (kernlr.cli sets
+    # a BLAS setting before its first numpy import); each name loads its module
     # on first access and is the object that module defines.
-    probe = "import sys, kernlr; print(sorted(m for m in sys.modules if m.startswith('kernlr.')))"
+    probe = ("import sys, kernlr; print(sorted(m for m in sys.modules"
+             " if m.startswith('kernlr.') or m.split('.')[0] == 'numpy'))")
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                          text=True, check=True)

@@ -205,16 +205,19 @@ def test_compare_matches_benchmark_reference(tmp_path, seed):
 def test_outputs_are_reproducible_within_and_across_blas_thread_counts(tmp_path):
     # The reproducibility contract of kernlr.cli: byte-identical files at a
     # fixed BLAS thread count, and within the benchmark oracle's tolerance
-    # between one thread and the library default. Only the child processes'
-    # thread count is set.
+    # between one thread and the library default. How long an idle OpenBLAS
+    # worker spins changes no bit: OpenBLAS's own default of 2**28 cycles gives
+    # the bytes of the CLI's 2**18. Only the child processes' BLAS settings are set.
     config = {"dataset": {"kind": "gmm", "n": 300, "p": 10, "components": 10, "mean_scale": 10.0},
               "kernels": [{"family": "matern", "nu": 0.5}, {"family": "rbf"}], "jl_trials": 3}
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))
-    default = {k: v for k, v in os.environ.items() if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    default = {k: v for k, v in os.environ.items()
+               if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "OPENBLAS_THREAD_TIMEOUT")}
     default["PYTHONPATH"] = str(Path(kernlr.__file__).parents[1])
     one = {**default, "OPENBLAS_NUM_THREADS": "1"}
-    for run, env in (("one", one), ("again", one), ("default", default)):
+    spinning = {**default, "OPENBLAS_THREAD_TIMEOUT": "28"}
+    for run, env in (("one", one), ("again", one), ("default", default), ("spinning", spinning)):
         for command in ("sweep", "compare"):
             subprocess.run([sys.executable, "-m", "kernlr.cli", command, "--config", str(cfg),
                             "--out", str(tmp_path / run), "--seed", "0"],
@@ -223,8 +226,34 @@ def test_outputs_are_reproducible_within_and_across_blas_thread_counts(tmp_path)
     assert sorted(p.name for p in (tmp_path / "one").glob("*.csv")) == names
     for name in names:
         assert (tmp_path / "again" / name).read_bytes() == (tmp_path / "one" / name).read_bytes()
+        assert (tmp_path / "spinning" / name).read_bytes() == (tmp_path / "default" / name).read_bytes()
     oracle, _ = _bench_oracle("sweep-gmm")
     assert oracle.compare_outputs(tmp_path / "default", tmp_path / "one", names) == []
+
+
+# Prints OPENBLAS_THREAD_TIMEOUT as it stands when numpy is first imported,
+# which is when OpenBLAS reads it.
+_TIMEOUT_AT_NUMPY_IMPORT = """
+import os, sys
+class Probe:
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy":
+            print(os.environ.get("OPENBLAS_THREAD_TIMEOUT"))
+            sys.meta_path.remove(self)
+sys.meta_path.insert(0, Probe())
+import kernlr.cli
+"""
+
+
+@pytest.mark.parametrize("exported, expected", [(None, "18"), ("28", "28")])
+def test_cli_parks_idle_blas_workers_unless_the_user_set_the_timeout(exported, expected):
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_THREAD_TIMEOUT"}
+    env["PYTHONPATH"] = str(Path(kernlr.__file__).parents[1])
+    if exported is not None:
+        env["OPENBLAS_THREAD_TIMEOUT"] = exported
+    out = subprocess.run([sys.executable, "-c", _TIMEOUT_AT_NUMPY_IMPORT], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout == f"{expected}\n"
 
 
 def test_verify_unknown_suite_exits_2(tmp_path, capsys):
@@ -441,6 +470,8 @@ _CSV = {"kind": "csv", "path": "d.csv"}  # 20 rows, written by the test that rea
     ({"dataset": _SMALL, "ranks": []}, "ranks"),
     ({"dataset": _SMALL, "ranks": [0, 21]}, "[0, 20]"),
     ({"dataset": {**_CSV, "subsample": "5"}}, "subsample"),
+    ({"dataset": {**_CSV, "subsample": None}},
+     "dataset subsample: count must be an integer in [1, 20], got None"),
     ({"dataset": _SMALL, "jl_trials": "5"}, "jl_trials"),
     ({"dataset": _SMALL, "jl_trials": True}, "jl_trials"),
     # values the library constructors reject: the message names the entry
