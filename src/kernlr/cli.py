@@ -17,10 +17,12 @@ relative plus 1e-9 of the column's largest value. Between one and two
 OpenBLAS threads the largest gap measured is 8.8e-10 relative. Unless
 OPENBLAS_THREAD_TIMEOUT is set, a run parks an idle OpenBLAS worker after 2**18
 cycles, not OpenBLAS's 2**28; unlike the thread count, this changes no output
-bit, and it takes about a third off a ``sweep`` run's CPU time. The output
-directory comes from --out, the KERNLR_OUT environment variable, or the
-config, in that order of precedence. ``verify`` runs fixed experiments and
-takes no config: only --seed and --out (or KERNLR_OUT) set its run.
+bit, and it takes about a third off a ``sweep`` run's CPU time.
+
+Each setting has one source. The config file of ``sweep`` and ``compare``
+holds the experiment: dataset, standardize, kernels, ranks and jl_trials.
+Two flags hold the run: --seed (default 0) and --out (default
+kernlr-results). ``verify`` runs fixed experiments and takes no config.
 
 Exit codes: 0 success, 1 failed assertion or numerical failure, 2 usage or
 configuration error. ``main`` prints each error on one line: ``error: <message>``
@@ -56,8 +58,6 @@ from .spectral import EigensolverError, _check_int
 if TYPE_CHECKING:
     from .kernels import KernelSpec
 
-ENV_OUT = "KERNLR_OUT"
-
 DEFAULT_CONFIG = {
     "dataset": {"kind": "gmm", "n": 1000, "p": 10, "components": 10, "mean_scale": 10.0},
     "standardize": False,
@@ -70,8 +70,6 @@ DEFAULT_CONFIG = {
     ],
     "ranks": "auto",
     "jl_trials": 50,
-    "out": "kernlr-results",
-    "seed": 0,
 }
 
 
@@ -79,16 +77,16 @@ DEFAULT_CONFIG = {
 _OTHER_TYPES = {"ranks": (list,)}
 
 
-def _load_config(args, **defaults) -> dict:
-    config = json.loads(json.dumps({**DEFAULT_CONFIG, **defaults}))  # deep copy; then file, flags
-    if getattr(args, "config", None):
+def _load_config(path, **defaults) -> dict:
+    config = json.loads(json.dumps({**DEFAULT_CONFIG, **defaults}))  # deep copy; then the file
+    if path:
         try:
-            with open(args.config, encoding="utf-8") as handle:
+            with open(path, encoding="utf-8") as handle:
                 user = json.load(handle)
         except OSError as exc:
-            raise ValueError(f"cannot read config {args.config}: {exc}") from exc
+            raise ValueError(f"cannot read config {path}: {exc}") from exc
         except json.JSONDecodeError as exc:
-            raise ValueError(f"config {args.config} is not valid JSON: {exc}") from exc
+            raise ValueError(f"config {path} is not valid JSON: {exc}") from exc
         if not isinstance(user, dict):
             raise ValueError("config root must be a JSON object")
         for key, value in user.items():
@@ -100,16 +98,7 @@ def _load_config(args, **defaults) -> dict:
                 names = " or ".join(t.__name__ for t in types)
                 raise ValueError(f"config key {key!r} must be a {names}, got {value!r}")
         config.update(user)
-    for key in ("seed", "ranks"):  # flags override the file
-        if getattr(args, key, None) is not None:
-            config[key] = getattr(args, key)
-    # Output directory precedence: --out flag, then KERNLR_OUT, then config.
-    if getattr(args, "out", None) is not None:
-        config["out"] = args.out
-    elif os.environ.get(ENV_OUT):
-        config["out"] = os.environ[ENV_OUT]
-    for key, lo in (("seed", 0), ("jl_trials", 1)):  # set by a flag or the file
-        config[key] = _check_int(config[key], key, lo)
+    config["jl_trials"] = _check_int(config["jl_trials"], "jl_trials", 1)
     return config
 
 
@@ -170,12 +159,11 @@ def _preflight(n) -> None:
                          f"{memory / 2**30:.3g} GiB of memory; the largest n that fits is {fits}")
 
 
-def _build_dataset(config) -> np.ndarray:
+def _build_dataset(config, seed: int) -> np.ndarray:
     from . import datasets, kernels
     spec = dict(config["dataset"])
-    seed = config["seed"]
     if "seed" in spec:
-        raise ValueError("dataset takes no 'seed'; the top-level seed seeds the data")
+        raise ValueError("dataset takes no 'seed'; --seed seeds the data")
     # dataset.kind names a generator; its keyword arguments are the fields.
     kinds = {"csv": datasets.load_csv, "gmm": datasets.gmm_synthetic,
              "gaussian": datasets.gaussian_synthetic, "sphere": datasets.sphere_uniform}
@@ -213,27 +201,18 @@ def _build_kernels(config, X) -> list[KernelSpec]:
 
 
 def _rank_grid(spec, n: int) -> list[int]:
-    """The sorted distinct ranks of ``spec``: "auto", a comma-separated string or a list."""
+    """The sorted distinct ranks of ``spec``: "auto" or a list of integers."""
     if spec == "auto":
         # Geometric grid: 30 points from 1 to n, plus the endpoints 0 and n.
         ranks = np.rint(np.geomspace(1, n, 30)).astype(int).tolist() + [0, n]
-    elif isinstance(spec, str):
-        ranks = _parse_int_list(spec, "rank list")
-    elif all(isinstance(d, int) and not isinstance(d, bool) for d in spec):
+    elif isinstance(spec, list) and all(isinstance(d, int) and not isinstance(d, bool) for d in spec):
         ranks = spec
     else:
-        raise ValueError(f"ranks must be integers, got {spec!r}")
+        raise ValueError(f'ranks must be "auto" or a list of integers, got {spec!r}')
     ranks = sorted(set(ranks))
     if not ranks or any(d < 0 or d > n for d in ranks):
         raise ValueError(f"ranks must be non-empty and lie in [0, {n}], got {spec!r}")
     return ranks
-
-
-def _parse_int_list(text: str, what: str) -> list[int]:
-    try:
-        return sorted({int(tok) for tok in text.split(",") if tok.strip()})
-    except ValueError as exc:
-        raise ValueError(f"cannot parse {what} {text!r}") from exc
 
 
 def _write_csv(out, name, header, rows) -> None:
@@ -269,11 +248,11 @@ def _per_kernel(specs, X, work):
 def cmd_sweep(args) -> int:
     from .spectral import eigendecompose, error_sweep
     from .svgplot import line_plot
-    config = _load_config(args)
-    X = _build_dataset(config)
+    config = _load_config(args.config)
+    X = _build_dataset(config, args.seed)
     specs = _build_kernels(config, X)
     ranks = _rank_grid(config["ranks"], X.shape[0])
-    out = _ensure_out(config["out"])
+    out = _ensure_out(args.out)
 
     curves = []
     for label, sweep in _per_kernel(specs, X, lambda gram: error_sweep(gram, eigendecompose(gram), ranks)):
@@ -296,17 +275,17 @@ def cmd_sweep(args) -> int:
 def cmd_compare(args) -> int:
     from .random_projection import compare_methods, jl_error_bound
     # One kernel unless the config names more: each costs jl_trials sketches per rank.
-    config = _load_config(args, kernels=[{"family": "matern", "nu": 0.5}])
-    X = _build_dataset(config)
+    config = _load_config(args.config, kernels=[{"family": "matern", "nu": 0.5}])
+    X = _build_dataset(config, args.seed)
     specs = _build_kernels(config, X)
     ranks = [d for d in _rank_grid(config["ranks"], X.shape[0]) if d >= 1]
     if not ranks:
         raise ValueError(f"compare needs a rank >= 1, got {config['ranks']!r}")
-    out = _ensure_out(config["out"])
+    out = _ensure_out(args.out)
 
     shape = [jl_error_bound(X.shape[0], d) for d in ranks]
     for label, result in _per_kernel(specs, X, lambda gram: compare_methods(
-            gram, ranks, trials=config["jl_trials"], seed=config["seed"])):
+            gram, ranks, trials=config["jl_trials"], seed=args.seed)):
         _write_csv(out, f"compare_{label}.csv",
                    ["rank", "spectral_max_error", "jl_median_max_error", "jl_rate_shape"],
                    zip(ranks, result.spectral_max_error, result.jl_median_max_error, shape))
@@ -319,13 +298,12 @@ def cmd_verify(args) -> int:
     from .verification import CHECKS, run_check
     if args.suite != "all" and args.suite not in CHECKS:
         raise ValueError(f"unknown check {args.suite!r}; valid: {', '.join(CHECKS)}, all")
-    config = _load_config(args)
     names = list(CHECKS) if args.suite == "all" else [args.suite]
-    out = _ensure_out(config["out"])
+    out = _ensure_out(args.out)
 
     rows = []
     for name in names:
-        row, first = run_check(name, config["seed"], args.quick)
+        row, first = run_check(name, args.seed, args.quick)
         if first is not None:
             print(f"{name}: statistic {first:.6g} exceeded {row[2]:g}; "
                   f"re-running once with seed {row[4]}")
@@ -367,24 +345,38 @@ def cmd_spectrum(args) -> int:
     return 0
 
 
+_RATES_FLAGS = {"P": ("alpha", "r", "c"), "E": ("beta", "gamma", "s")}  # each hypothesis's own
+
+
+def _given(args, *flags) -> dict:
+    """The ``flags`` given on the command line; the others take the library's defaults."""
+    return {flag: getattr(args, flag) for flag in flags if getattr(args, flag) is not None}
+
+
 def _hypothesis_from_args(args):
     from .analytic import exponential_decay, polynomial_decay
+    other = "E" if args.hypothesis == "P" else "P"
+    for flag in _given(args, *_RATES_FLAGS[other]):  # refused, not ignored
+        raise ValueError(f"--{flag} applies only under hypothesis {other}")
     if args.hypothesis == "P":
         if args.alpha is None:
             raise ValueError("hypothesis P needs --alpha")
-        return polynomial_decay(args.alpha, args.r)
+        return polynomial_decay(args.alpha, **_given(args, "r"))
     if args.beta is None:
         raise ValueError("hypothesis E needs --beta")
-    return exponential_decay(args.beta, args.gamma, args.s)
+    return exponential_decay(args.beta, **_given(args, "gamma", "s"))
 
 
 def cmd_rates(args) -> int:
     from .analytic import entrywise_error_rate, required_rank
     hyp = _hypothesis_from_args(args)
-    sizes = _parse_int_list(args.n, "--n grid")
+    try:
+        sizes = sorted({int(tok) for tok in args.n.split(",") if tok.strip()})
+    except ValueError as exc:
+        raise ValueError(f"cannot parse --n grid {args.n!r}") from exc
     if not sizes:  # required_rank rejects sizes below 2
         raise ValueError(f"--n must list at least one sample size, got {args.n!r}")
-    rows = [(n, required_rank(n, hyp, c=args.c), entrywise_error_rate(n, hyp)) for n in sizes]
+    rows = [(n, required_rank(n, hyp, **_given(args, "c")), entrywise_error_rate(n, hyp)) for n in sizes]
     params = (f"alpha={hyp.alpha:g}, r={hyp.r:g}" if hyp.kind == "P"
               else f"beta={hyp.beta:g}, gamma={hyp.gamma:g}, s={hyp.s:g}")
     print(f"hypothesis {hyp.kind} ({params})")
@@ -406,15 +398,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--seed", type=int, help="master seed (overrides any config)")
-        p.add_argument("--out", help=f"output directory (overrides ${ENV_OUT} and any config)")
+        p.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
+        p.add_argument("--out", default="kernlr-results", help="output directory (default kernlr-results)")
 
     for name, func, help_text in (("sweep", cmd_sweep, "per-rank truncation errors for each kernel"),
                                   ("compare", cmd_compare, "spectral truncation vs random projection")):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="JSON config file; omitted fields use defaults")
         common(p)
-        p.add_argument("--ranks", help='rank grid: "auto" or comma-separated integers')
         p.set_defaults(func=func)
 
     p = sub.add_parser("verify", help="numerical checks of the spectral identities")
@@ -433,11 +424,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("rates", help="required rank and error rate for a decay hypothesis")
     p.add_argument("--hypothesis", choices=["P", "E"], required=True)
     p.add_argument("--alpha", type=float, help="polynomial decay exponent (P)")
-    p.add_argument("--r", type=float, default=0.0, help="sup-norm growth exponent (P)")
+    p.add_argument("--r", type=float, help="sup-norm growth exponent (P; default 0)")
     p.add_argument("--beta", type=float, help="exponential decay rate (E)")
-    p.add_argument("--gamma", type=float, default=1.0, help="stretching exponent (E)")
-    p.add_argument("--s", type=float, default=0.0, help="sup-norm growth rate (E)")
-    p.add_argument("--c", type=float, default=1.0, help="rank multiplier under P")
+    p.add_argument("--gamma", type=float, help="stretching exponent (E; default 1)")
+    p.add_argument("--s", type=float, help="sup-norm growth rate (E; default 0)")
+    p.add_argument("--c", type=float, help="rank multiplier (P; default 1)")
     p.add_argument("--n", default="500,1000,2000,4000,8000",
                    help="sample size or comma-separated grid")
     p.add_argument("--out", help="also write rates.csv to this directory")
@@ -448,7 +439,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    try:  # an overflow, division by zero or nan raises instead of reaching the outputs
+    try:
+        if hasattr(args, "seed"):  # sweep, compare and verify
+            args.seed = _check_int(args.seed, "seed", 0)
+        # An overflow, division by zero or nan raises instead of reaching the outputs.
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             return args.func(args)
     except (EigensolverError, FloatingPointError, np.linalg.LinAlgError) as exc:  # LinAlgError is ValueError

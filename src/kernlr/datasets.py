@@ -1,9 +1,11 @@
 """CSV ingestion and seeded synthetic data generators.
 
 All generators are pure functions of their parameters and seed; identical
-calls produce identical arrays. CSV files use a comma delimiter by default,
-plain decimal text, UTF-8, and either LF or CRLF line endings; files written
-with 17 significant digits round-trip float64 exactly.
+calls produce identical arrays. A seed follows the integer rule of every
+integer argument: ``None``, a bool or a fraction is refused. CSV files use
+a comma delimiter by default, plain decimal text, UTF-8, and either LF or
+CRLF line endings; files written with 17 significant digits round-trip
+float64 exactly.
 """
 
 from __future__ import annotations
@@ -72,7 +74,7 @@ def gmm_synthetic(n: int = 1000, p: int = 10, components: int = 10,
     n, p = _check_int(n, "n", 1), _check_int(p, "p", 1)
     components = _check_int(components, "components", 1, p)
     mean_scale = _check_real(mean_scale, "mean_scale", "[0, inf)")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_check_int(seed, "seed", 0))
     labels = rng.integers(0, components, size=n)
     X = rng.standard_normal((n, p))
     X[np.arange(n), labels] += mean_scale
@@ -84,14 +86,14 @@ def gaussian_synthetic(n: int = 1000, p: int = 1, sigma: float = 1.0,
     """i.i.d. rows from N(0, sigma^2 I_p)."""
     n, p = _check_int(n, "n", 1), _check_int(p, "p", 1)
     sigma = _check_real(sigma, "sigma", "[0, inf)")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_check_int(seed, "seed", 0))
     return sigma * rng.standard_normal((n, p))
 
 
 def sphere_uniform(n: int = 1000, p: int = 3, seed: int = 0) -> np.ndarray:
     """Rows uniform on the unit sphere: normalized Gaussian vectors."""
     n, p = _check_int(n, "n", 1), _check_int(p, "p", 2)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_check_int(seed, "seed", 0))
     X = rng.standard_normal((n, p))
     return X / np.linalg.norm(X, axis=1, keepdims=True)
 
@@ -100,6 +102,6 @@ def subsample(data, count: int, seed: int = 0) -> np.ndarray:
     """Uniform subsample without replacement, original row order preserved."""
     X = as_dataset(data)
     count = _check_int(count, "count", 1, X.shape[0])
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_check_int(seed, "seed", 0))
     keep = np.sort(rng.choice(X.shape[0], size=count, replace=False))
     return X[keep]

@@ -81,7 +81,7 @@ class MethodComparison:
     jl_median_max_error: np.ndarray
 
 
-def compare_methods(gram, ranks, trials: int, seed) -> MethodComparison:
+def compare_methods(gram, ranks, trials: int, seed: int) -> MethodComparison:
     """Spectral-truncation vs random-projection max-entry error on a rank grid.
 
     For each rank the sketch error is the median over ``trials`` independent
@@ -96,7 +96,7 @@ def compare_methods(gram, ranks, trials: int, seed) -> MethodComparison:
     ``tracemalloc`` sees numpy's arrays only and reads three (the eigenvectors,
     their scaled copy and the PSD root, while the root is formed).
     """
-    trials = _check_int(trials, "trials", 1)
+    trials, seed = _check_int(trials, "trials", 1), _check_int(seed, "seed", 0)
     K = np.asarray(gram, dtype=float)
     eig = eigendecompose(gram)
     ranks = [_check_int(d, "rank", 1, eig.n) for d in ranks]

@@ -157,7 +157,7 @@ def subspace_distance_experiment(n: int, q: int, p0: float, trials: int, seed: i
     p0 = _check_real(p0, "p0", "(0, 1)")
     n = _check_int(n, "n", 2)
     q = _check_int(q, "q", 1, n - 1)
-    trials = _check_int(trials, "trials", 1)
+    trials, seed = _check_int(trials, "trials", 1), _check_int(seed, "seed", 0)
     variance = p0 * (1.0 - p0)
     q_min = 64.0 / variance
     if q < q_min:

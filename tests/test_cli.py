@@ -323,6 +323,18 @@ def test_rates_polynomial_case(capsys):
     assert "10" in out
 
 
+@pytest.mark.parametrize("argv, needle", [
+    (["E", "--beta", "1", "--c", "5"], "--c applies only under hypothesis P"),
+    (["E", "--alpha", "3", "--r", "0.5"], "--alpha applies only under hypothesis P"),
+    (["P", "--alpha", "3", "--gamma", "0.5", "--s", "9"], "--gamma applies only under hypothesis E"),
+], ids=["E-c", "E-alpha-r", "P-gamma-s"])
+def test_rates_refuses_the_other_hypothesis_flags(tmp_path, capsys, argv, needle):
+    out = tmp_path / "o"
+    assert main(["rates", "--hypothesis", *argv, "--out", str(out)]) == 2
+    assert _assert_one_error_line(capsys) == f"error: {needle}\n"
+    assert not out.exists()
+
+
 def test_rates_invalid_hypothesis_exits_2(capsys):
     assert main(["rates", "--hypothesis", "P", "--alpha", "0.5"]) == 2
     assert "alpha" in capsys.readouterr().err
@@ -353,45 +365,33 @@ def test_rates_empty_or_non_positive_n_grid_exits_2(capsys, grid, needle):
     assert captured.out == ""
 
 
-def test_env_var_output_dir(tmp_path, monkeypatch, capsys):
-    target = tmp_path / "from-env"
-    monkeypatch.setenv("KERNLR_OUT", str(target))
-    config = {
-        "dataset": {"kind": "gaussian", "n": 20, "p": 1},
-        "kernels": [{"family": "rbf"}],
-        "ranks": [2],
-    }
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(config))
-    assert main(["sweep", "--config", str(cfg)]) == 0
-    assert (target / "sweep_rbf.csv").exists()
-
-
-def test_ranks_flag_overrides_config(tmp_path):
-    config = {
-        "dataset": {"kind": "gaussian", "n": 20, "p": 1},
-        "kernels": [{"family": "rbf"}],
-        "ranks": [2],
-    }
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(config))
-    out = tmp_path / "o"
-    assert main(["sweep", "--config", str(cfg), "--out", str(out), "--ranks", "1,5,9"]) == 0
-    _, rows = _read_csv(out / "sweep_rbf.csv")
-    assert [int(r[0]) for r in rows] == [1, 5, 9]
+def test_env_var_output_dir(tmp_path, monkeypatch):
+    # --out is the one source of the output directory: a run reads no kernlr
+    # environment variable, and without --out it writes to the default.
+    names = []
+    read = type(os.environ).__getitem__
+    monkeypatch.setattr(type(os.environ), "__getitem__",
+                        lambda environ, name: names.append(name) or read(environ, name))
+    monkeypatch.chdir(tmp_path)
+    config = {"dataset": {"kind": "gaussian", "n": 20, "p": 1}, "kernels": [{"family": "rbf"}],
+              "ranks": [2]}
+    (tmp_path / "cfg.json").write_text(json.dumps(config))
+    assert main(["sweep", "--config", "cfg.json"]) == 0
+    assert (tmp_path / "kernlr-results" / "sweep_rbf.csv").exists()
+    assert [name for name in names if name.upper().startswith("KERNLR")] == []
 
 
 def test_repeated_ranks_are_listed_once(tmp_path):
     # A repeated rank would give compare a second row from another seed stream.
-    config = {"dataset": {"kind": "gaussian", "n": 20, "p": 1}, "kernels": [{"family": "rbf"}],
-              "jl_trials": 3}
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(config))
+    base = {"dataset": {"kind": "gaussian", "n": 20, "p": 1}, "kernels": [{"family": "rbf"}],
+            "jl_trials": 3}
     for command, name in (("sweep", "sweep_rbf.csv"), ("compare", "compare_rbf.csv")):
         outputs = []
-        for ranks in ("5,5,1", "1,5"):
-            out = tmp_path / command / ranks
-            assert main([command, "--config", str(cfg), "--out", str(out), "--ranks", ranks]) == 0
+        for ranks in ([5, 5, 1], [1, 5]):
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({**base, "ranks": ranks}))
+            out = tmp_path / command / "-".join(map(str, ranks))
+            assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
             outputs.append((out / name).read_text())
         assert outputs[0] == outputs[1]
         assert [int(line.split(",")[0]) for line in outputs[0].splitlines()[1:]] == [1, 5]
@@ -483,7 +483,9 @@ _CSV = {"kind": "csv", "path": "d.csv"}  # 20 rows, written by the test that rea
     ({"dataset": _SMALL, "kernels": [{"family": "matern", "nu": 0.7}]},
      "kernel 'matern': matern smoothness nu"),
     ({"dataset": _SMALL, "bandwidth": "abc"}, "config key 'bandwidth'"),
-    ({"dataset": _SMALL, "ranks": [True, 3]}, "ranks must be integers"),
+    ({"dataset": _SMALL, "ranks": [True, 3]}, 'ranks must be "auto" or a list of integers'),
+    ({"dataset": _SMALL, "ranks": "1,5"},
+     "ranks must be \"auto\" or a list of integers, got '1,5'"),
     # integer fields of the dataset generators: fractions and bools are refused
     ({"dataset": {"kind": "gmm", "n": 40, "components": 2.5}},
      "dataset 'gmm': components must be an integer in [1, 10], got 2.5"),
@@ -515,7 +517,6 @@ def test_bad_config_exits_2_with_one_line(tmp_path, capsys, monkeypatch, config,
     pytest.param(command, config, flags, needle, id=f"{case}-{command}")
     for case, config, flags, needle in (
         ("seed-flag", None, ["--seed", "-1"], "seed must be an integer >= 0, got -1"),
-        ("seed-key", {"seed": -1}, [], "seed must be an integer >= 0, got -1"),
         ("jl_trials-key", {"jl_trials": 0}, [], "jl_trials must be an integer >= 1, got 0"))
     for command in ("sweep", "compare", "verify")
     if command != "verify" or config is None])  # verify takes no config file
@@ -546,22 +547,40 @@ def test_verify_refuses_a_config_file(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("config, flags", [
-    ({"dataset": _SMALL, "ranks": [0]}, []),
-    ({"dataset": _SMALL}, ["--ranks", "0"]),
-])
-def test_compare_without_a_positive_rank_exits_2(tmp_path, capsys, config, flags):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(config))
-    out = tmp_path / "o"
-    assert main(["compare", "--config", str(cfg), "--out", str(out)] + flags) == 2
+def test_compare_without_a_positive_rank_exits_2(tmp_path, capsys):
+    assert _run_config(tmp_path, {"dataset": _SMALL, "ranks": [0]}, "compare") == 2
     assert "rank >= 1" in _assert_one_error_line(capsys)
-    assert not out.exists()
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["sweep", "compare"])
+@pytest.mark.parametrize("config, flags, needle", [
+    ({"seed": 3}, [], "error: unknown config key 'seed'; valid keys: dataset, standardize, "
+                      "kernels, ranks, jl_trials"),
+    ({"out": "elsewhere"}, [], "error: unknown config key 'out'; "),
+    ({"ranks": "1,5"}, [], "error: ranks must be \"auto\" or a list of integers, got '1,5'"),
+    ({}, ["--ranks", "1,5"], "error: unrecognized arguments: --ranks 1,5"),
+], ids=["seed-key", "out-key", "string-ranks", "ranks-flag"])
+def test_removed_run_knobs_exit_2_with_one_line(tmp_path, capsys, monkeypatch, command,
+                                                config, flags, needle):
+    # The seed and the output directory come from --seed and --out alone, and
+    # the rank grid from the config's "auto" or list alone.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.json").write_text(json.dumps({"dataset": _SMALL, **config}))
+    argv = [command, "--config", "cfg.json", "--out", "o", *flags]
+    try:
+        rc = main(argv)
+    except SystemExit as exc:  # argparse refuses an unknown flag
+        rc = exc.code
+    assert rc == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == (2 if flags else 1) and needle in err[-1], err  # argparse adds a usage line
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
 
 def test_dataset_fields_are_library_keyword_arguments(tmp_path):
     # a sphere entry without "p" gets sphere_uniform's own default, p = 3,
-    # and the master seed; the dot-product kernel needs no bandwidth
+    # and --seed's default, 0; the dot-product kernel needs no bandwidth
     config = {"dataset": {"kind": "sphere", "n": 25},
               "kernels": [{"family": "dot_product", "coefficients": [1.0, 0.5, 0.25]}],
               "ranks": [0, 3]}
@@ -762,7 +781,7 @@ def test_subsampled_csv_is_judged_by_what_the_run_holds(tmp_path, monkeypatch, c
     path.write_text("".join(f"{i},{i % 7}\n" for i in range(20000)))
     _memory_for(monkeypatch, 30)
     config = {"dataset": {"kind": "csv", "path": str(path), "subsample": 30},
-              "kernels": [{"family": "rbf"}], "ranks": "1,10", "jl_trials": 1}
+              "kernels": [{"family": "rbf"}], "ranks": [1, 10], "jl_trials": 1}
     assert _run_config(tmp_path, config, command) == 0
 
 
@@ -925,9 +944,10 @@ _CONFIG = st.fixed_dictionaries(
     {"dataset": _DATASET, "kernels": st.lists(_KERNEL, min_size=1, max_size=3)},
     optional={"standardize": st.booleans(),
               "ranks": st.just("auto") | st.lists(st.integers(0, 40), max_size=4),
-              "jl_trials": st.integers(1, 5), "seed": st.integers(0, 40)})
+              "jl_trials": st.integers(1, 5)})
 _EDIT = st.one_of(
-    st.tuples(st.just(()), st.sampled_from(sorted(DEFAULT_CONFIG) + ["jl_trail", "sed", "bandwidth"]), _ANY),
+    st.tuples(st.just(()), st.sampled_from(
+        sorted(DEFAULT_CONFIG) + ["jl_trail", "sed", "bandwidth", "seed", "out"]), _ANY),
     st.tuples(st.just(("dataset",)), st.sampled_from(
         ["kind", "n", "p", "components", "mean_scale", "sigma", "subsample", "seed",
          "path", "sigm"]), _ANY),

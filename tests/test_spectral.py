@@ -680,6 +680,31 @@ def test_integer_parameters_refuse_bools_fractions_non_finite_and_out_of_range(p
             call(value)
 
 
+# Every public seed parameter: the same call at each seed. A None seed would
+# draw fresh entropy, so two identical calls would differ.
+_SEEDED = {
+    "gmm_synthetic": lambda seed: gmm_synthetic(n=5, seed=seed),
+    "gaussian_synthetic": lambda seed: gaussian_synthetic(n=5, seed=seed),
+    "sphere_uniform": lambda seed: sphere_uniform(n=5, seed=seed),
+    "subsample": lambda seed: subsample(_X, 4, seed=seed),
+    "compare_methods": lambda seed: compare_methods(np.diag([3.0, 2.0, 1.0]), [1], 2, seed)
+    .jl_median_max_error,
+    "subspace_distance_experiment": lambda seed: subspace_distance_experiment(300, 256, 0.5, 2, seed),
+}
+
+
+@pytest.mark.parametrize("value", [None, True, 1.5, "3", -1])
+@pytest.mark.parametrize("function", list(_SEEDED))
+def test_seeds_follow_the_integer_rule(function, value):
+    with pytest.raises(ValueError, match=f"^seed must be an integer >= 0, got {re.escape(repr(value))}$"):
+        _SEEDED[function](value)
+
+
+@pytest.mark.parametrize("function", list(_SEEDED))
+def test_a_numpy_integer_seed_draws_the_same_bits(function):
+    assert _SEEDED[function](np.int64(3)).tobytes() == _SEEDED[function](3).tobytes()
+
+
 # Each row: a call taking one real value, and a finite value just outside its interval.
 _REAL_PARAMETERS = {
     "GaussianRbfSpectrum sigma": (lambda v: GaussianRbfSpectrum(v, 1.0), 0.0),
