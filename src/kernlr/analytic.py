@@ -16,7 +16,7 @@ consistency and the predicted max-entry error rate of the truncation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -49,15 +49,15 @@ class GaussianRbfSpectrum:
 
     @property
     def ratio(self) -> float:
-        """Geometric ratio of consecutive univariate eigenvalues, in (0, 1)."""
-        u = self.upsilon
-        return u / (1.0 + u + math.sqrt(1.0 + 2.0 * u))
+        """Geometric ratio of consecutive univariate eigenvalues, in (0, 1]."""
+        u = self.upsilon  # 2 sqrt(1/4 + u/2): sqrt(1 + 2u) bit for bit, finite where 1 + 2u is not
+        return u / (1.0 + u + 2.0 * math.sqrt(0.25 + 0.5 * u))
 
     @property
     def base(self) -> float:
         """Leading univariate eigenvalue."""
         u = self.upsilon
-        return math.sqrt(2.0 / (1.0 + u + math.sqrt(1.0 + 2.0 * u)))
+        return math.sqrt(2.0 / (1.0 + u + 2.0 * math.sqrt(0.25 + 0.5 * u)))
 
     @property
     def beta(self) -> float:
@@ -181,6 +181,10 @@ class DecayHypothesis:
                      "E": {"beta": "(0, inf)", "gamma": "(0, 1]", "s": "[0, inf)"}}
         if self.kind not in intervals:
             raise ValueError(f"hypothesis kind must be 'P' or 'E', got {self.kind!r}")
+        for field in fields(self)[1:]:  # after kind; the other kind's are refused, not ignored
+            value = getattr(self, field.name)
+            if field.name not in intervals[self.kind] and value != field.default:
+                raise ValueError(f"hypothesis {self.kind!r} takes no {field.name}, got {value!r}")
         for name, interval in intervals[self.kind].items():
             object.__setattr__(self, name, _check_real(getattr(self, name), name, interval))
         if self.kind == "P" and not self.alpha > 2 * self.r + 1:
@@ -312,25 +316,30 @@ def entrywise_error_rate(n: int, hyp: DecayHypothesis) -> float:
     """Predicted max-entry error rate of the truncation at the required rank.
 
     ``n**(-(alpha - 1)/alpha) * log(n)`` under 'P', ``1/n`` under 'E'
-    (natural logarithm; constants set to 1).
+    (natural logarithm; constants set to 1). Like :func:`required_rank`, it
+    raises ``ValueError`` for an ``n`` too large for a float.
     """
     n = _check_int(n, "n", 2)
-    if hyp.kind == "P":
-        return float(n) ** (-(hyp.alpha - 1.0) / hyp.alpha) * math.log(n)
-    return 1.0 / float(n)
-
-
-def required_rank(n: int, hyp: DecayHypothesis, c: float = 1.0) -> int:
-    """Smallest rank at which the entrywise error rate is achieved.
-
-    ``ceil(c * n**(1/alpha))`` under 'P'; under 'E' the strict threshold
-    ``d > (log(n) / beta)**(1/gamma)`` is honored by flooring and adding one.
-    """
-    n = _check_int(n, "n", 2)
-    c = _check_real(c, "multiplier c", "(0, inf)")
     try:
         if hyp.kind == "P":
-            return math.ceil(c * float(n) ** (1.0 / hyp.alpha))
+            return float(n) ** (-(hyp.alpha - 1.0) / hyp.alpha) * math.log(n)
+        return 1.0 / float(n)
+    except OverflowError:
+        raise ValueError(f"n = {n} is too large for a float") from None
+
+
+def required_rank(n: int, hyp: DecayHypothesis) -> int:
+    """Smallest rank at which the entrywise error rate is achieved.
+
+    ``ceil(n**(1/alpha))`` under 'P'; under 'E' the strict threshold
+    ``d > (log(n) / beta)**(1/gamma)`` is honored by flooring and adding one.
+    Both constants are set to 1. An ``n`` beyond the float range under 'P',
+    or a threshold beyond it under 'E', raises ``ValueError``.
+    """
+    n = _check_int(n, "n", 2)
+    try:
+        if hyp.kind == "P":
+            return math.ceil(float(n) ** (1.0 / hyp.alpha))
         return math.floor((math.log(n) / hyp.beta) ** (1.0 / hyp.gamma)) + 1
     except OverflowError:
         raise ValueError(f"the required rank for n = {n} is too large for a float") from None

@@ -23,12 +23,16 @@ Each setting has one source. The config file of ``sweep`` and ``compare``
 holds the experiment: dataset, standardize, kernels, ranks and jl_trials.
 Two flags hold the run: --seed (default 0) and --out (default
 kernlr-results). ``verify`` runs fixed experiments and takes no config.
+Config fields and ``rates``' hypothesis flags bind as keyword arguments of
+the library function they name (``_call``), so a field that function does
+not take is refused, not ignored.
 
 Exit codes: 0 success, 1 failed assertion or numerical failure, 2 usage or
-configuration error. ``main`` prints each error on one line: ``error: <message>``
-for exit 2; ``numerical failure: <message>`` for a failed eigensolver or other
-linear algebra, or a floating-point overflow, division by zero or nan. A failure
-in one kernel's stage of ``sweep`` or ``compare`` starts ``kernel <label>: ``.
+configuration error. Each error is one line, argparse's refusals included:
+``error: <message>`` for exit 2; ``numerical failure: <message>`` for a failed
+eigensolver or other linear algebra, or a floating-point overflow, division by
+zero or nan. A failure in one kernel's stage of ``sweep`` or ``compare`` starts
+``kernel <label>: ``.
 """
 
 from __future__ import annotations
@@ -53,7 +57,7 @@ import numpy as np
 
 # Only what argument parsing and config loading need is imported here; each
 # command imports the library modules it runs, so no run loads the others.
-from .spectral import EigensolverError, _check_int
+from .spectral import EigensolverError, _check_int, _check_real
 
 if TYPE_CHECKING:
     from .kernels import KernelSpec
@@ -323,17 +327,16 @@ def cmd_verify(args) -> int:
 # ------------------------------------------------------- spectrum, rates
 
 def cmd_spectrum(args) -> int:
-    from .analytic import GaussianRbfSpectrum, beta_from_upsilon, gaussian_rbf_eigenvalue
+    from .analytic import GaussianRbfSpectrum, gaussian_rbf_eigenvalue
     count = _check_int(args.count, "--count", 1)
-    upsilon = args.upsilon
-    beta_from_upsilon(upsilon)  # rejects upsilon <= 0 before the square root
+    upsilon = _check_real(args.upsilon, "upsilon", "[1e-323, inf)")  # below, sigma rounds to 0
     spec = GaussianRbfSpectrum(sigma=math.sqrt(upsilon / 2.0), bandwidth=1.0)
 
     def values():  # streamed, so --count may exceed memory
         return (gaussian_rbf_eigenvalue(i, spec) for i in range(count))
 
     print(f"upsilon = {upsilon:g}")
-    print(f"beta = {beta_from_upsilon(upsilon):.7f}")
+    print(f"beta = {spec.beta:.7f}")
     print(f"ratio = {spec.ratio:.7f}")
     print("eigenvalues: ", end="")
     for i, v in enumerate(values()):
@@ -345,38 +348,14 @@ def cmd_spectrum(args) -> int:
     return 0
 
 
-_RATES_FLAGS = {"P": ("alpha", "r", "c"), "E": ("beta", "gamma", "s")}  # each hypothesis's own
-
-
-def _given(args, *flags) -> dict:
-    """The ``flags`` given on the command line; the others take the library's defaults."""
-    return {flag: getattr(args, flag) for flag in flags if getattr(args, flag) is not None}
-
-
-def _hypothesis_from_args(args):
-    from .analytic import exponential_decay, polynomial_decay
-    other = "E" if args.hypothesis == "P" else "P"
-    for flag in _given(args, *_RATES_FLAGS[other]):  # refused, not ignored
-        raise ValueError(f"--{flag} applies only under hypothesis {other}")
-    if args.hypothesis == "P":
-        if args.alpha is None:
-            raise ValueError("hypothesis P needs --alpha")
-        return polynomial_decay(args.alpha, **_given(args, "r"))
-    if args.beta is None:
-        raise ValueError("hypothesis E needs --beta")
-    return exponential_decay(args.beta, **_given(args, "gamma", "s"))
-
-
 def cmd_rates(args) -> int:
-    from .analytic import entrywise_error_rate, required_rank
-    hyp = _hypothesis_from_args(args)
-    try:
-        sizes = sorted({int(tok) for tok in args.n.split(",") if tok.strip()})
-    except ValueError as exc:
-        raise ValueError(f"cannot parse --n grid {args.n!r}") from exc
-    if not sizes:  # required_rank rejects sizes below 2
-        raise ValueError(f"--n must list at least one sample size, got {args.n!r}")
-    rows = [(n, required_rank(n, hyp, **_given(args, "c")), entrywise_error_rate(n, hyp)) for n in sizes]
+    from .analytic import entrywise_error_rate, exponential_decay, polynomial_decay, required_rank
+    # The flags given bind as a config entry's fields do (see the module docstring).
+    flags = {flag: getattr(args, flag) for flag in ("alpha", "r", "beta", "gamma", "s")
+             if getattr(args, flag) is not None}
+    hyp = _call(f"hypothesis {args.hypothesis!r}",
+                {"P": polynomial_decay, "E": exponential_decay}[args.hypothesis], flags)
+    rows = [(n, required_rank(n, hyp), entrywise_error_rate(n, hyp)) for n in sorted(set(args.n))]
     params = (f"alpha={hyp.alpha:g}, r={hyp.r:g}" if hyp.kind == "P"
               else f"beta={hyp.beta:g}, gamma={hyp.gamma:g}, s={hyp.s:g}")
     print(f"hypothesis {hyp.kind} ({params})")
@@ -390,8 +369,16 @@ def cmd_rates(args) -> int:
 
 # ----------------------------------------------------------------- main
 
+class _Parser(argparse.ArgumentParser):
+    """Refuses a bad command line on one line, as ``main`` refuses every other input;
+    ``add_subparsers`` makes each subcommand's parser one too."""
+
+    def error(self, message):
+        self.exit(2, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="kernlr",
         description="Low-rank kernel matrix approximation experiments.",
     )
@@ -428,9 +415,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta", type=float, help="exponential decay rate (E)")
     p.add_argument("--gamma", type=float, help="stretching exponent (E; default 1)")
     p.add_argument("--s", type=float, help="sup-norm growth rate (E; default 0)")
-    p.add_argument("--c", type=float, help="rank multiplier (P; default 1)")
-    p.add_argument("--n", default="500,1000,2000,4000,8000",
-                   help="sample size or comma-separated grid")
+    p.add_argument("--n", type=int, nargs="+", default=[500, 1000, 2000, 4000, 8000],
+                   help="one or more sample sizes (default 500 1000 2000 4000 8000)")
     p.add_argument("--out", help="also write rates.csv to this directory")
     p.set_defaults(func=cmd_rates)
 

@@ -46,6 +46,10 @@ class KernelSpec:
     coefficients: tuple[float, ...] | None = None
 
     def __post_init__(self):
+        takes = {"matern": ("bandwidth", "nu"), "rbf": ("bandwidth",), "dot_product": ("coefficients",)}
+        for name in ("bandwidth", "nu", "coefficients"):  # refused, not ignored; an unknown family takes all
+            if name not in takes.get(self.family, (name,)) and getattr(self, name) is not None:
+                raise ValueError(f"kernel family {self.family!r} takes no {name}, got {getattr(self, name)!r}")
         if self.family in ("matern", "rbf"):
             lo = "[1.0547686614863e-154" if self.family == "rbf" else "(0"  # rbf: 2 w^2 is normal
             object.__setattr__(self, "bandwidth", _check_real(self.bandwidth, "bandwidth", f"{lo}, inf)"))

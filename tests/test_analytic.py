@@ -52,6 +52,19 @@ def test_eigenvalue_constant_ratio():
         assert ratios == pytest.approx(np.full(7, math.log(spec.ratio)), abs=1e-12)
 
 
+def test_ratio_and_base_hold_up_to_the_largest_upsilon():
+    def old_formulas(u):  # as first written, with 1 + 2u formed outright
+        spread = 1.0 + u + math.sqrt(1.0 + 2.0 * u)
+        return u / spread, math.sqrt(2.0 / spread)
+
+    for upsilon in (1e-300, 0.5, 2.0, 3.0, 7.7, 1e5, 1e300, 8.9e307):
+        spec = GaussianRbfSpectrum(sigma=math.sqrt(upsilon / 2.0), bandwidth=1.0)
+        assert (spec.ratio, spec.base) == old_formulas(spec.upsilon)  # the same bits
+    # 1 + 2u overflows beyond 8.99e307; the ratio 1 - sqrt(2 / u) is 1 as a float
+    spec = GaussianRbfSpectrum(sigma=math.sqrt(1.7e308 / 2.0), bandwidth=1.0)
+    assert spec.ratio == 1.0 and spec.base == pytest.approx(math.sqrt(2.0 / 1.7e308))
+
+
 def test_beta_value_and_identity():
     assert beta_from_upsilon(2.0) == pytest.approx(0.9624237, abs=5e-8)
     for upsilon in (0.1, 1.0, 2.0, 10.0, 100.0):
@@ -373,13 +386,19 @@ def test_required_rank_honors_strict_threshold():
     assert required_rank(1000, exponential_decay(beta)) == 8
 
 
-@pytest.mark.parametrize("hyp, c", [
-    (exponential_decay(0.1, gamma=0.001), 1.0),  # (log(n) / beta)**1000 overflows
-    (polynomial_decay(2.0), 1e308),              # c * sqrt(n) is inf
+@pytest.mark.parametrize("hyp, n", [
+    (exponential_decay(0.1, gamma=0.001), 1000),  # (log(n) / beta)**1000 overflows
+    (polynomial_decay(2.0), 10**400),              # n itself is beyond the float range
 ])
-def test_required_rank_overflow_is_refused(hyp, c):
-    with pytest.raises(ValueError, match="^the required rank for n = 1000 is too large for a float$"):
-        required_rank(1000, hyp, c=c)
+def test_required_rank_overflow_is_refused(hyp, n):
+    with pytest.raises(ValueError, match=f"^the required rank for n = {n} is too large for a float$"):
+        required_rank(n, hyp)
+
+
+@pytest.mark.parametrize("hyp", [polynomial_decay(2.0), exponential_decay(1.0)])
+def test_error_rate_refuses_an_n_beyond_the_float_range(hyp):
+    with pytest.raises(ValueError, match=f"^n = {10**400} is too large for a float$"):
+        entrywise_error_rate(10**400, hyp)
 
 
 def test_decay_hypothesis_validation():

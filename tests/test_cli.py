@@ -270,6 +270,14 @@ def test_spectrum_values(capsys):
     assert "0.9624237" in out
 
 
+@pytest.mark.parametrize("upsilon", ["1e308", "1.7976931348623157e308"])
+def test_spectrum_holds_up_to_the_largest_upsilon(capsys, upsilon):
+    # 1 + 2 upsilon overflows here; the ratio is 1 - sqrt(2 / upsilon), 1 as a float.
+    assert main(["spectrum", "--upsilon", upsilon, "--count", "2"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[1:3] == ["beta = 0.0000000", "ratio = 1.0000000"]
+
+
 def test_spectrum_streams_its_rows(tmp_path):
     # A list of the values and of their formatted strings peaks at 12 MB at
     # this count; streamed rows hold one value at a time, beside the parser
@@ -309,7 +317,7 @@ def test_rates_exponential_case(tmp_path, capsys):
 
 
 def test_rates_writes_each_size_once(tmp_path, capsys):
-    assert main(["rates", "--hypothesis", "E", "--beta", "1", "--n", "1000,500,500",
+    assert main(["rates", "--hypothesis", "E", "--beta", "1", "--n", "1000", "500", "500",
                  "--out", str(tmp_path)]) == 0
     _, rows = _read_csv(tmp_path / "rates.csv")
     assert [row[0] for row in rows] == ["500", "1000"]
@@ -324,10 +332,11 @@ def test_rates_polynomial_case(capsys):
 
 
 @pytest.mark.parametrize("argv, needle", [
-    (["E", "--beta", "1", "--c", "5"], "--c applies only under hypothesis P"),
-    (["E", "--alpha", "3", "--r", "0.5"], "--alpha applies only under hypothesis P"),
-    (["P", "--alpha", "3", "--gamma", "0.5", "--s", "9"], "--gamma applies only under hypothesis E"),
-], ids=["E-c", "E-alpha-r", "P-gamma-s"])
+    (["E", "--beta", "1", "--alpha", "3", "--r", "0.5"],
+     "hypothesis 'E': got an unexpected keyword argument 'alpha'; fields: beta, gamma, s"),
+    (["P", "--alpha", "3", "--gamma", "0.5", "--s", "9"],
+     "hypothesis 'P': got an unexpected keyword argument 'gamma'; fields: alpha, r"),
+], ids=["E-alpha-r", "P-gamma-s"])
 def test_rates_refuses_the_other_hypothesis_flags(tmp_path, capsys, argv, needle):
     out = tmp_path / "o"
     assert main(["rates", "--hypothesis", *argv, "--out", str(out)]) == 2
@@ -340,29 +349,54 @@ def test_rates_invalid_hypothesis_exits_2(capsys):
     assert "alpha" in capsys.readouterr().err
 
 
+_HUGE = str(10**400)  # an integer beyond the float range
+
+
 @pytest.mark.parametrize("argv, needle", [
-    (["P", "--alpha", "2", "--c", "inf"], "multiplier c must be a real number in (0, inf), got inf"),
-    (["P", "--alpha", "2", "--c", "1e308", "--n", "100"], "required rank for n = 100"),
-    (["E", "--beta", "0.1", "--gamma", "0.001", "--n", "1000"], "required rank for n = 1000"),
-])
-def test_rates_bad_multiplier_or_overflowing_rank_exits_2(capsys, argv, needle):
+    (["E", "--beta", "0.1", "--gamma", "0.001", "--n", "1000"], "required rank for n = 1000 "),
+    (["P", "--alpha", "2", "--n", _HUGE], f"required rank for n = {_HUGE} "),
+    (["E", "--beta", "1", "--n", _HUGE], f"n = {_HUGE} is too large for a float"),
+], ids=["E-rank", "P-n", "E-n"])
+def test_rates_overflowing_rank_or_size_exits_2(capsys, argv, needle):
     assert main(["rates", "--hypothesis"] + argv) == 2
     captured = capsys.readouterr()
     assert len(captured.err.splitlines()) == 1 and needle in captured.err, captured.err
     assert captured.out == ""
 
 
-@pytest.mark.parametrize("grid, needle", [
-    ("", "--n must list at least one sample size"),
-    (",", "--n must list at least one sample size"),
-    ("0", "n must be an integer >= 2, got 0"),
-    ("-5,100", "n must be an integer >= 2, got -5"),
+@pytest.mark.parametrize("sizes, needle", [
+    (["0"], "n must be an integer >= 2, got 0"),
+    (["-5", "100"], "n must be an integer >= 2, got -5"),
 ])
-def test_rates_empty_or_non_positive_n_grid_exits_2(capsys, grid, needle):
-    assert main(["rates", "--hypothesis", "E", "--beta", "1", f"--n={grid}"]) == 2
+def test_rates_non_positive_n_exits_2(capsys, sizes, needle):
+    assert main(["rates", "--hypothesis", "E", "--beta", "1", "--n", *sizes]) == 2
     captured = capsys.readouterr()
     assert len(captured.err.splitlines()) == 1 and needle in captured.err, captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv, needle", [
+    (["sweep", "--seed", "abc"], "argument --seed: invalid int value: 'abc'"),
+    (["rates", "--hypothesis", "X"], "argument --hypothesis: invalid choice: 'X'"),
+    (["verify"], "the following arguments are required: suite"),
+    (["rates", "--hypothesis", "E", "--beta", "1", "--c", "5"], "unrecognized arguments: --c 5"),
+    (["rates", "--hypothesis", "E", "--beta", "1", "--n", "x"], "argument --n: invalid int value: 'x'"),
+    (["rates", "--hypothesis", "E", "--beta", "1", "--n", "1000,500"],
+     "argument --n: invalid int value: '1000,500'"),
+    (["rates", "--hypothesis", "E", "--beta", "1", "--alpha", "2"],
+     "hypothesis 'E': got an unexpected keyword argument 'alpha'; fields: beta, gamma, s"),
+    (["rates", "--hypothesis", "P"], "hypothesis 'P': missing a required argument: 'alpha'; fields: alpha, r"),
+], ids=["seed-abc", "hypothesis-X", "verify-no-suite", "rates-c", "n-x", "n-comma", "foreign-flag",
+        "missing-alpha"])
+def test_usage_errors_exit_2_on_one_line(capsys, argv, needle):
+    # argparse's refusals and the library's take one form: exit 2, one line.
+    try:
+        rc = main(argv)
+    except SystemExit as exc:
+        rc = exc.code
+    assert rc == 2
+    err = _assert_one_error_line(capsys)
+    assert err.startswith(f"error: {needle}"), err
 
 
 def test_env_var_output_dir(tmp_path, monkeypatch):
@@ -574,7 +608,7 @@ def test_removed_run_knobs_exit_2_with_one_line(tmp_path, capsys, monkeypatch, c
         rc = exc.code
     assert rc == 2
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == (2 if flags else 1) and needle in err[-1], err  # argparse adds a usage line
+    assert len(err) == 1 and needle in err[0], err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
 
@@ -633,8 +667,10 @@ def test_per_kernel_bandwidths_give_the_old_global_bandwidths_bytes(tmp_path, ca
 
 
 @pytest.mark.parametrize("argv, needle", [
-    (["--upsilon", "-1"], "upsilon must be a real number in (0, inf), got -1.0"),
-    (["--upsilon", "0"], "upsilon must be a real number in (0, inf), got 0.0"),
+    (["--upsilon", "-1"], "error: upsilon must be a real number in [1e-323, inf), got -1.0"),
+    (["--upsilon", "0"], "error: upsilon must be a real number in [1e-323, inf), got 0.0"),
+    # the smallest subnormal: sigma = sqrt(upsilon / 2) would round to 0
+    (["--upsilon", "5e-324"], "error: upsilon must be a real number in [1e-323, inf), got 5e-324"),
     (["--upsilon", "2", "--count", "0"], "error: --count must be an integer >= 1, got 0"),
     (["--upsilon", "2", "--count", "-3"], "error: --count must be an integer >= 1, got -3"),
 ])

@@ -722,7 +722,6 @@ _REAL_PARAMETERS = {
     "poly_tail_bound alpha": (lambda v: poly_tail_bound(10, v), 1.0),
     "exp_tail_bound beta": (lambda v: exp_tail_bound(10, v, 1.0), 0.0),
     "exp_tail_bound gamma": (lambda v: exp_tail_bound(10, 1.0, v), 1.01),
-    "required_rank c": (lambda v: required_rank(100, polynomial_decay(2.0), c=v), 0.0),
     "KernelSpec bandwidth": (lambda v: KernelSpec("rbf", bandwidth=v), 0.0),
     "KernelSpec coefficient": (lambda v: KernelSpec("dot_product", coefficients=(1.0, v)), -0.01),
     "rbf bandwidth": (rbf, 0.0),
@@ -747,6 +746,25 @@ def test_real_parameters_are_stored_as_floats():
     assert type(GaussianRbfSpectrum(np.float32(0.5), 2).bandwidth) is float
     assert dot_product([1, np.int64(2)]).coefficients == (1.0, 2.0)
     assert type(polynomial_decay(np.float64(4.0), 1).r) is float
+
+
+@pytest.mark.parametrize("build, field", [
+    (lambda: DecayHypothesis(kind="E", beta=1.0, gamma=1.0, alpha="x"), "alpha"),
+    (lambda: DecayHypothesis(kind="E", beta=1.0, gamma=1.0, r=-5), "r"),
+    (lambda: DecayHypothesis(kind="P", alpha=3.0, beta=1.0), "beta"),
+    (lambda: DecayHypothesis(kind="P", alpha=3.0, gamma=0.5), "gamma"),
+    (lambda: DecayHypothesis(kind="P", alpha=3.0, s=0.1), "s"),
+    (lambda: KernelSpec("dot_product", coefficients=(1.0,), bandwidth=-3), "bandwidth"),
+    (lambda: KernelSpec("dot_product", coefficients=(1.0,), nu=0.5), "nu"),
+    (lambda: KernelSpec("rbf", bandwidth=1.0, nu=1.5), "nu"),
+    (lambda: KernelSpec("rbf", bandwidth=1.0, coefficients=(1.0,)), "coefficients"),
+    (lambda: KernelSpec("matern", bandwidth=1.0, nu=0.5, coefficients=(1.0,)), "coefficients"),
+], ids=["E-alpha", "E-r", "P-beta", "P-gamma", "P-s", "dot-bandwidth", "dot-nu", "rbf-nu",
+        "rbf-coefficients", "matern-coefficients"])
+def test_specs_refuse_a_field_their_kind_does_not_take(build, field):
+    # Refused, not ignored: the spec would carry a value that no computation reads.
+    with pytest.raises(ValueError, match=f" takes no {field}, got "):
+        build()
 
 
 def test_delocalisation_report_random_orthogonal_basis_is_delocalised():

@@ -259,3 +259,20 @@ def test_verify_check_fails_on_planted_fault(monkeypatch, name, target, fault):
     monkeypatch.setattr(verification, target, fault(getattr(verification, target)))
     (_, stat, threshold, passed, _, _), _ = run_check(name, 0, True)
     assert not passed and stat > threshold
+
+
+def test_delocalisation_passes_on_a_planted_delocalised_basis(monkeypatch):
+    # The check reads sqrt(n) max |Q_il| over the tail. A Haar-random basis with
+    # the Gram's eigenvalues reads about 5 at n = 500, under the threshold 10,
+    # so the check can pass; the Gram's own tail fails it.
+    (_, stat, threshold, passed, _, _), first = run_check("delocalisation", 0, True)
+    assert not passed and stat > threshold
+
+    def haar(K):
+        eig = eigendecompose(K)
+        Q, R = np.linalg.qr(np.random.default_rng(0).standard_normal(K.shape))
+        return EigenDecomposition(eigenvalues=eig.eigenvalues, eigenvectors=Q * np.sign(np.diag(R)))
+
+    monkeypatch.setattr(verification, "eigendecompose", haar)
+    (_, stat, threshold, passed, seed, _), first = run_check("delocalisation", 0, True)
+    assert passed and first is None and seed == 0 and stat < threshold / 1.5
