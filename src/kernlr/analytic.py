@@ -42,10 +42,14 @@ class GaussianRbfSpectrum:
     def __post_init__(self):
         object.__setattr__(self, "sigma", _check_real(self.sigma, "sigma", "(0, inf)"))
         object.__setattr__(self, "bandwidth", _check_real(self.bandwidth, "bandwidth", "(0, inf)"))
+        if not 0.0 < self.upsilon < math.inf:
+            raise ValueError(f"2 (sigma / bandwidth)**2 must be a positive finite float, "
+                             f"got sigma={self.sigma!r}, bandwidth={self.bandwidth!r}")
 
     @property
     def upsilon(self) -> float:
-        return 2.0 * self.sigma**2 / self.bandwidth**2
+        q = self.sigma / self.bandwidth  # q * q gives inf where q**2 raises OverflowError
+        return 2.0 * q * q
 
     @property
     def ratio(self) -> float:
@@ -117,12 +121,10 @@ def gaussian_rbf_eigenfunction(i: int, x, spec: GaussianRbfSpectrum):
     i = _check_int(i, "index", 0)
     if i > HERMITE_ORDER_CAP:
         raise ValueError(f"eigenfunction order {i} exceeds the supported cap {HERMITE_ORDER_CAP}")
-    x = np.asarray(x, dtype=float)
-    u = spec.upsilon
-    root = math.sqrt(1.0 + 2.0 * u)
-    t = (0.25 + 0.5 * u) ** 0.25 * x / spec.sigma
-    envelope = np.exp(-(x * x) * (root - 1.0) / (4.0 * spec.sigma**2))
-    value = (1.0 + 2.0 * u) ** 0.125 * envelope * _hermite_normalized(i, t)
+    z = np.asarray(x, dtype=float) / spec.sigma
+    s = math.sqrt(0.25 + 0.5 * spec.upsilon)  # sqrt(1 + 2u) / 2, finite where 1 + 2u is not
+    envelope = np.exp(-(z * z) * (s - 0.5) / 2.0)
+    value = math.sqrt(math.sqrt(2.0 * s)) * envelope * _hermite_normalized(i, math.sqrt(s) * z)
     return value if value.ndim else float(value)
 
 

@@ -13,8 +13,8 @@ import math
 
 import numpy as np
 
-from .spectral import (EigenDecomposition, eigendecompose, error_sweep, _check_int, _median,
-                       _PANEL_ROWS, _readonly, _require_full)
+from .spectral import (EigenDecomposition, eigendecompose, error_sweep, _check_int,
+                       _max_entry_error, _median, _readonly, _require_full)
 
 
 def factor_from_eigendecomposition(eig: EigenDecomposition) -> np.ndarray:
@@ -48,21 +48,6 @@ def _sketch_factor(root: np.ndarray, d: int, seed) -> np.ndarray:
     return root @ R
 
 
-def _max_entry_error(S: np.ndarray, K: np.ndarray) -> float:
-    """``max |S @ S.T - K|`` for a symmetric K, without forming an n x n array.
-
-    Walks the upper triangle in row panels: ``S[i:i+P] @ S[i:].T`` minus
-    ``K[i:i+P, i:]``, keeping a running max and min. That is n^2 d flops, as
-    for the SYRK ``S @ S.T``, and each panel stays in cache.
-    """
-    hi, lo = -math.inf, math.inf
-    for i in range(0, S.shape[0], _PANEL_ROWS):
-        B = S[i:i + _PANEL_ROWS] @ S[i:].T
-        B -= K[i:i + _PANEL_ROWS, i:]
-        hi, lo = max(hi, B.max()), min(lo, B.min())
-    return float(max(hi, -lo))
-
-
 def jl_error_bound(n: int, d: int) -> float:
     """Rate shape ``sqrt(log(n) / d)`` of the sketch's max-entry error.
 
@@ -89,8 +74,8 @@ def compare_methods(gram, ranks, trials: int, seed: int) -> MethodComparison:
     is deterministic and independent of evaluation order. Trial t at the j-th
     rank d draws ``R = default_rng(SeedSequence(entropy=seed, spawn_key=(j, t)))
     .standard_normal((n, d)) / sqrt(d)`` and forms ``S = root @ R``. Its error
-    ``max |S @ S.T - K|`` is read from S in row panels, so no n x n sketch or
-    error matrix exists.
+    ``max |S @ S.T - K|`` is walked from the pair (S, S) by ``spectral._max_entry_error``,
+    so no n x n sketch or error matrix exists.
     The RSS peak above the input is four n x n arrays, inside ``eigh``: numpy's
     copy of the input, the eigenvectors and the 2 n^2 LAPACK workspace.
     ``tracemalloc`` sees numpy's arrays only and reads three (the eigenvectors,
@@ -109,8 +94,9 @@ def compare_methods(gram, ranks, trials: int, seed: int) -> MethodComparison:
     for j, d in enumerate(ranks):
         errs = np.empty(trials)
         for t in range(trials):
-            trial_seed = np.random.SeedSequence(entropy=seed, spawn_key=(j, t))
-            errs[t] = _max_entry_error(_sketch_factor(root, d, trial_seed), K)
+            S = _sketch_factor(root, d, np.random.SeedSequence(entropy=seed, spawn_key=(j, t)))
+            errs[t] = _max_entry_error(S, S, K)
+            del S  # so the next trial's draw does not sit beside this sketch
         jl_median.append(float(_median(errs)))
 
     return MethodComparison(spectral_max_error=np.array([spectral[d] for d in ranks]),

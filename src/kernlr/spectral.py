@@ -252,6 +252,21 @@ def truncate(eig: EigenDecomposition, d: int) -> np.ndarray:
     return T
 
 
+def _max_entry_error(A: np.ndarray, B: np.ndarray, K: np.ndarray) -> float:
+    """``max |A @ B.T - K|`` for a symmetric K and n x d factors whose product is symmetric.
+
+    The one place a residual that need not be PSD is read. It walks the upper
+    triangle in row panels, ``A[i:i+P] @ B[i:].T - K[i:i+P, i:]``, with a
+    running max and min: n^2 d flops, each panel in cache, no n x n array.
+    """
+    hi, lo = -math.inf, math.inf
+    for i in range(0, K.shape[0], _PANEL_ROWS):
+        P = A[i:i + _PANEL_ROWS] @ B[i:].T
+        P -= K[i:i + _PANEL_ROWS, i:]
+        hi, lo = max(hi, P.max()), min(lo, P.min())
+    return float(max(hi, -lo))
+
+
 def _tails(eig: EigenDecomposition):
     """Statistics of the pairs ``w[d:]``, ``U[:, d:]`` discarded at each rank d = 0..n.
 
@@ -287,9 +302,9 @@ def error_sweep(gram, eig: EigenDecomposition, ranks) -> RankSweepResult:
 
     Fallback: if ``max_i sum_{w_l<0} |w_l| u_l(i)**2 > n * eps * max|w|``
     (judged at rank 0; later tails hold fewer negative values), the largest
-    entry may lie off the diagonal, and the n x n residual is kept instead,
-    updated by ``R -= (U[:, a:b] * w[a:b]) @ U[:, a:b].T``. Kernel Gram matrices
-    are PSD up to round-off and never take it; indefinite matrices do.
+    entry may lie off the diagonal, and :func:`_max_entry_error` walks each
+    rank's residual from the pairs ``(U[:, :d] * w[:d], U[:, :d])``. Kernel
+    Gram matrices are PSD up to round-off and never take it; indefinite ones do.
 
     ``ranks`` must be sorted ascending, all within [0, n]; repeats are allowed.
     """
@@ -305,15 +320,16 @@ def error_sweep(gram, eig: EigenDecomposition, ranks) -> RankSweepResult:
     squares, spectral, abs_sums, sup_norms = _tails(eig)
     k = np.count_nonzero(w >= 0.0)  # w is descending, so w[k:] holds its negative values
     negative = np.einsum("ij,ij,j->i", U[:, k:], U[:, k:], -w[k:])
-    dense = negative.max(initial=0.0) > n * np.finfo(float).eps * np.abs(w).max(initial=0.0)
-    R = K.copy() if dense else np.diag(K).copy()
+    indefinite = negative.max(initial=0.0) > n * np.finfo(float).eps * np.abs(w).max(initial=0.0)
+    diagonal = np.diag(K).copy()  # of the PSD residual
     max_entry = np.zeros(len(ranks))  # rank n discards nothing, so its error is zero
     done = 0
     for i, d in enumerate(d for d in ranks if d < n):  # ranks are sorted: a prefix
-        if d > done:
+        if d > done and not indefinite:
             V = U[:, done:d]
-            R -= (V * w[done:d]) @ V.T if dense else np.einsum("ij,ij,j->i", V, V, w[done:d])
+            diagonal -= np.einsum("ij,ij,j->i", V, V, w[done:d])
             done = d
-        max_entry[i] = max(R.max(), -R.min())
+        max_entry[i] = (_max_entry_error(U[:, :d] * w[:d], U[:, :d], K) if indefinite
+                        else max(diagonal.max(), -diagonal.min()))
     return RankSweepResult(max_entry, np.sqrt(squares[ranks]), spectral[ranks],
                            abs_sums[ranks], sup_norms[ranks])

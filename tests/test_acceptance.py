@@ -15,9 +15,10 @@ a growth only polynomial in the order, so (E) holds for every s > 0. The
 Gaussian setting does not meet the premise: there the eigenfunctions' sup
 norm grows geometrically with the order (see ``gaussian_rbf_eigenfunction``).
 
-Criterion 4 reads each error from the leading d pairs alone
-(``eigendecompose(K, k=d)``); one more test, not a criterion, checks that
-value against the full ``error_sweep`` at n = 1000.
+Criterion 4 walks each error from the leading d pairs alone
+(``eigendecompose(K, k=d)``) with ``spectral._max_entry_error``; one more
+test, not a criterion, checks that value against the full ``error_sweep``
+and against the dense ``K - truncate(...)`` at n = 1000.
 
 Criterion 5 takes its maximum only over tail eigenvectors that double
 precision resolves, those whose eigenvalue exceeds the numerical-rank floor
@@ -55,6 +56,7 @@ from kernlr import (
     sphere_uniform,
     truncate,
 )
+from kernlr.spectral import _max_entry_error
 from kernlr.verification import CHECKS, run_check
 
 SPEC1 = GaussianRbfSpectrum(sigma=1.0, bandwidth=1.0)  # upsilon = 2
@@ -78,9 +80,9 @@ def _sphere_gram(n, seed):
 
 
 def _head_max_entry_error(gram, d):
-    """Largest |entry| of ``K - K_d``, with K_d built from the leading d pairs alone."""
-    R = gram - truncate(eigendecompose(gram, k=d), d)
-    return float(max(R.max(), -R.min()))
+    """Largest |entry| of ``K - K_d``, walked from the leading d pairs alone."""
+    eig = eigendecompose(gram, k=d)
+    return _max_entry_error(eig.eigenvectors * eig.eigenvalues, eig.eigenvectors, gram)
 
 
 def _resolved_tail(eig, d):
@@ -162,12 +164,16 @@ def test_criterion_04_exponential_case_error_decay():
 
 
 def test_criterion_04_head_error_is_the_sweeps():
-    # Criterion 4 reads its error from the leading d pairs; the full sweep agrees.
+    # Criterion 4 walks its error from the leading d pairs; the full sweep and
+    # the dense residual of the same pairs' truncation agree.
     d = required_rank(1000, SPHERE_HYP_E) + 2
     for seed in range(2):
         gram = _sphere_gram(1000, seed)
+        head = _head_max_entry_error(gram, d)
         swept = error_sweep(gram, eigendecompose(gram), [d]).max_entry_error[0]
-        assert abs(_head_max_entry_error(gram, d) - swept) <= 1e-9 * swept
+        dense = np.abs(gram - truncate(eigendecompose(gram, k=d), d)).max()
+        assert abs(head - swept) <= 1e-9 * swept
+        assert abs(head - dense) <= 1e-12 * dense
 
 
 def test_criterion_05_delocalisation_statistic():

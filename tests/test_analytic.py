@@ -65,6 +65,24 @@ def test_ratio_and_base_hold_up_to_the_largest_upsilon():
     assert spec.ratio == 1.0 and spec.base == pytest.approx(math.sqrt(2.0 / 1.7e308))
 
 
+def test_eigenfunction_holds_up_to_the_largest_upsilon():
+    # Beyond u = 8.99e307, 1 + 2u overflows; the eigenfunction forms its powers
+    # of sqrt(1 + 2u) from sqrt(1/4 + u/2) as the ratio does. At x = 1 the
+    # envelope rounds to 1, so order 0 reads (1 + 2u)**(1/8).
+    spec = GaussianRbfSpectrum(sigma=math.sqrt(1e308 / 2), bandwidth=1.0)
+    assert gaussian_rbf_eigenfunction(0, 1.0, spec) == pytest.approx(
+        math.exp((math.log(2.0) + math.log(1e308)) / 8.0), rel=1e-14)
+
+
+@pytest.mark.parametrize("sigma, bandwidth", [(1e200, 1e-200), (1e-200, 1e200)],
+                         ids=["overflow", "underflow"])
+def test_spectrum_refuses_an_upsilon_outside_the_float_range(sigma, bandwidth):
+    with pytest.raises(ValueError, match=re.escape(
+            f"2 (sigma / bandwidth)**2 must be a positive finite float, "
+            f"got sigma={sigma!r}, bandwidth={bandwidth!r}")):
+        GaussianRbfSpectrum(sigma=sigma, bandwidth=bandwidth)
+
+
 def test_beta_value_and_identity():
     assert beta_from_upsilon(2.0) == pytest.approx(0.9624237, abs=5e-8)
     for upsilon in (0.1, 1.0, 2.0, 10.0, 100.0):

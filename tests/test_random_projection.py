@@ -13,8 +13,8 @@ from kernlr import (
     median_heuristic,
     rbf,
 )
-from kernlr.random_projection import _max_entry_error, _sketch_factor
-from kernlr.spectral import _PANEL_ROWS
+from kernlr.random_projection import _sketch_factor
+from kernlr.spectral import _PANEL_ROWS, _max_entry_error
 
 
 def test_factor_identity():
@@ -75,7 +75,7 @@ def test_max_entry_error_equals_the_dense_residual_max(data):
     A = rng.standard_normal((n, n))
     K = A + A.T
     dense = np.abs(S @ S.T - K).max()
-    assert _max_entry_error(S, K) == pytest.approx(dense, rel=1e-12, abs=1e-12 * d)
+    assert _max_entry_error(S, S, K) == pytest.approx(dense, rel=1e-12, abs=1e-12 * d)
 
 
 def test_sketch_factor_rank_validation():

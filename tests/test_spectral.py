@@ -428,7 +428,7 @@ def test_only_spectral_calls_a_numpy_eigensolver():
 
 def test_error_sweep_falls_back_on_an_off_diagonal_maximum():
     # K has a zero diagonal, so the diagonal of its residual at rank 0 is 0;
-    # its negative eigenvalue -1 sends error_sweep to the dense residual.
+    # its negative eigenvalue -1 sends error_sweep to the residual walk.
     K = np.array([[0.0, 1.0], [1.0, 0.0]])
     assert error_sweep(K, eigendecompose(K), [0]).max_entry_error[0] == 1.0
 
@@ -443,6 +443,33 @@ def test_error_sweep_falls_back_on_a_larger_indefinite_matrix():
         R = np.abs(K - truncate(eig, d))
         assert R.max() > np.diag(R).max()  # the largest entry is off the diagonal
         assert sweep.max_entry_error[i] == pytest.approx(R.max(), rel=1e-12)
+
+
+@st.composite
+def _zero_diagonal_and_ranks(draw):
+    # A symmetric matrix with a zero diagonal, so trace 0: unless it is 0, it
+    # has a negative eigenvalue. And a sorted rank grid that holds 0 and n.
+    n = draw(st.integers(1, 60))
+    K = _random_symmetric(n, np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
+    np.fill_diagonal(K, 0.0)
+    K *= draw(st.sampled_from([1e-3, 1.0, 1e3]))
+    return K, sorted([0, n] + draw(st.lists(st.integers(0, n), max_size=6)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=_zero_diagonal_and_ranks())
+def test_error_sweep_fallback_matches_direct_residual(case):
+    K, ranks = case
+    eig = eigendecompose(K)
+    w, U = eig.eigenvalues, eig.eigenvectors
+    # Trace 0 puts at least max|w| / n of negative weight on some diagonal
+    # entry, above the n * eps * max|w| threshold: the fallback walk runs.
+    negative = -((U * U) @ np.minimum(w, 0.0)).min()
+    assert negative > K.shape[0] * np.finfo(float).eps * np.abs(w).max() or not K.any()
+    sweep = error_sweep(K, eig, ranks)
+    tol = 1e-12 * np.linalg.norm(K)
+    for i, d in enumerate(ranks):
+        assert abs(sweep.max_entry_error[i] - np.abs(K - truncate(eig, d)).max()) <= tol
 
 
 def test_spectral_error_matches_power_iteration():
