@@ -13,8 +13,8 @@ import math
 
 import numpy as np
 
-from .spectral import (EigenDecomposition, eigendecompose, error_sweep, _check_int,
-                       _max_entry_error, _median, _readonly, _require_full)
+from .spectral import (EigenDecomposition, eigendecompose, error_sweep, _as_symmetric,
+                       _check_int, _max_entry_error, _median, _readonly, _require_full)
 
 
 def factor_from_eigendecomposition(eig: EigenDecomposition) -> np.ndarray:
@@ -82,11 +82,11 @@ def compare_methods(gram, ranks, trials: int, seed: int) -> MethodComparison:
     their scaled copy and the PSD root, while the root is formed).
     """
     trials, seed = _check_int(trials, "trials", 1), _check_int(seed, "seed", 0)
-    K = np.asarray(gram, dtype=float)
-    eig = eigendecompose(gram)
-    ranks = [_check_int(d, "rank", 1, eig.n) for d in ranks]
+    K = _as_symmetric(gram)
+    ranks = [_check_int(d, "rank", 1, K.shape[0]) for d in ranks]
+    eig = eigendecompose(K)
     grid = sorted(set(ranks))
-    spectral = dict(zip(grid, error_sweep(gram, eig, grid).max_entry_error.tolist()))
+    spectral = dict(zip(grid, error_sweep(K, eig, grid).max_entry_error.tolist()))
     root = factor_from_eigendecomposition(eig)
     del eig  # the root is all the sketches read
 
@@ -95,7 +95,7 @@ def compare_methods(gram, ranks, trials: int, seed: int) -> MethodComparison:
         errs = np.empty(trials)
         for t in range(trials):
             S = _sketch_factor(root, d, np.random.SeedSequence(entropy=seed, spawn_key=(j, t)))
-            errs[t] = _max_entry_error(S, S, K)
+            errs[t] = _max_entry_error(S, S, K, [d])[0]
             del S  # so the next trial's draw does not sit beside this sketch
         jl_median.append(float(_median(errs)))
 

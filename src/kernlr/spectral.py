@@ -22,7 +22,6 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 _PANEL_ROWS = 32  # rows (or columns) per panel wherever an n x n array is walked in panels
-LEADING_K_ITERATION_CAP = 50  # subspace iterations before the leading-k mode gives up
 LEADING_K_TOLERANCE = 1e-12  # stop when every kept residual is below this times |lambda_1|
 
 
@@ -156,41 +155,40 @@ def _as_symmetric(gram) -> np.ndarray:
 
 
 def _leading_eigh(K: np.ndarray, k: int):
-    """The k algebraically largest pairs of K by randomized subspace iteration.
+    """The k algebraically largest pairs of K by block Krylov iteration (Musco & Musco 2015).
 
-    Halko, Martinsson & Tropp (2011), Alg. 4.4, with a Rayleigh-Ritz step:
-    from the Householder QR of a seeded n x b Gaussian block Q, b = 2k + 5,
-    each iteration forms ``Y = K Q``, takes the Ritz pairs from the ``eigh``
-    of ``Q.T Y`` and moves on to ``Q = qr(Y)``. KQ is ill-conditioned by
-    design, so Q comes from Householder QR and never from a Cholesky factor.
+    The basis Q starts as the QR of a seeded n x (k + 10) Gaussian block and grows a block
+    each step, up to n columns, where Rayleigh-Ritz on ``T = Q.T K Q`` is exact. T grows by
+    the newest image's column, so no image is kept; the image's part W outside the basis
+    gives the residuals (``K Q = Q T + W E.T``) and, by QR, Gram-Schmidt and QR, the next block.
     """
+    n = K.shape[0]
     try:  # the start block comes from a fixed seed, so repeated calls agree bit for bit
-        Q = np.linalg.qr(np.random.default_rng(0).standard_normal((K.shape[0], 2 * k + 5)))[0]
-        for _ in range(LEADING_K_ITERATION_CAP):
-            Y = K @ Q
-            ritz, V = np.linalg.eigh(Q.T @ Y)  # eigh reads one triangle of Q.T K Q
-            scale = max(ritz[-1], -ritz[0])  # |lambda_1| as the block sees it
-            tol = LEADING_K_TOLERANCE * scale
+        Q = np.linalg.qr(np.random.default_rng(0).standard_normal((n, k + 10)))[0]
+        T = np.empty((0, 0))
+        while True:
+            m = T.shape[0]  # Q[:, m:] is the newest block
+            W = K @ Q[:, m:]
+            C = Q.T @ W
+            T = np.block([[T, C[:m]], [C[:m].T, C[m:]]])
+            ritz, V = np.linalg.eigh(T)  # eigh reads one triangle of T
+            tol = LEADING_K_TOLERANCE * max(ritz[-1], -ritz[0])  # |lambda_1| as the basis sees it
             if -ritz[0] > ritz[-k] + tol:
                 raise ValueError("the leading-k eigensolver needs the k largest eigenvalues "
                                  "to dominate in magnitude; a negative eigenvalue competes")
             theta, V = ritz[:-k - 1:-1], V[:, :-k - 1:-1]  # the k largest, descending
-            U = Q @ V
-            R = Y @ V  # K u - theta u for each kept pair, as Y V - U theta
-            R -= U * theta
-            residual = np.sqrt(np.einsum("ij,ij->j", R, R)).max()
+            W -= Q @ C
+            residual = np.linalg.norm(W @ V[m:], axis=0).max()  # of K u - theta u, u = Q v
             if residual <= tol:
-                return theta, U
-            Q = np.linalg.qr(Y)[0]
+                return theta, Q @ V
+            if Q.shape[1] == n:
+                raise EigensolverError(f"leading {k} eigenpairs not converged on all {n} columns: "
+                                       f"residual {residual:.3g} above the stop {tol:.3g}")
+            W = np.linalg.qr(W[:, :n - Q.shape[1]])[0]
+            W = np.linalg.qr(W - Q @ (Q.T @ W))[0]  # the second Gram-Schmidt pass
+            Q = np.hstack([Q, W])
     except np.linalg.LinAlgError as exc:
         raise EigensolverError(f"leading-k eigensolver failed: {exc}") from exc
-    # Each iteration shrinks the residual by about |lambda_{b+1}| / lambda_k,
-    # which the block's smallest-magnitude Ritz value over theta_k estimates.
-    raise EigensolverError(f"leading {k} eigenpairs not converged in {LEADING_K_ITERATION_CAP} "
-                           f"subspace iterations: largest residual {residual / scale:.3g} x |lambda_1|"
-                           f" (stop at {LEADING_K_TOLERANCE:g}), convergence factor "
-                           f"{np.abs(ritz).min() / theta[-1]:.4f}; k=None gives the full "
-                           "decomposition, which does not iterate")
 
 
 def eigendecompose(gram, k=None) -> EigenDecomposition:
@@ -200,20 +198,18 @@ def eigendecompose(gram, k=None) -> EigenDecomposition:
     :func:`~kernlr.kernels.gram_matrix`. With ``k=None`` all n pairs come
     from a dense ``eigh``. With an integer k in [1, n] only the leading k
     pairs are returned, a partial decomposition that :func:`_require_full`
-    refuses. They come from :func:`_leading_eigh` with a block of
-    b = min(n, 2k + 5) columns, stopped once every kept pair has
-    ``||K u - lambda u|| <= LEADING_K_TOLERANCE * |lambda_1|``; when b = n
-    they are the first k pairs of the dense path. The block converges onto
-    the eigenvalues of largest magnitude, so the leading-k mode raises
-    ``ValueError`` when a negative eigenvalue outweighs the k-th.
+    refuses: the first k of the dense path if k + 10 >= n, else those of
+    :func:`_leading_eigh`, stopped once every kept pair has
+    ``||K u - lambda u|| <= LEADING_K_TOLERANCE * |lambda_1|``. The leading-k
+    mode raises ``ValueError`` when a negative eigenvalue outweighs the k-th.
 
-    Raises :class:`EigensolverError` if ``eigh`` fails, or if the leading
-    pairs have not converged after ``LEADING_K_ITERATION_CAP`` iterations.
+    Raises :class:`EigensolverError` if a LAPACK call fails, or if the leading
+    pairs have not converged on a basis of all n columns.
     """
     K = _as_symmetric(gram)
     if k is not None:
         k = _check_int(k, "k", 1, K.shape[0])
-    if k is None or 2 * k + 5 >= K.shape[0]:
+    if k is None or k + 10 >= K.shape[0]:
         try:
             w, U = np.linalg.eigh(K)
         except np.linalg.LinAlgError as exc:
@@ -252,19 +248,23 @@ def truncate(eig: EigenDecomposition, d: int) -> np.ndarray:
     return T
 
 
-def _max_entry_error(A: np.ndarray, B: np.ndarray, K: np.ndarray) -> float:
-    """``max |A @ B.T - K|`` for a symmetric K and n x d factors whose product is symmetric.
+def _max_entry_error(A: np.ndarray, B: np.ndarray, K: np.ndarray, ranks) -> np.ndarray:
+    """``max |A[:, :d] @ B[:, :d].T - K|`` for each d of the sorted, non-empty ``ranks``.
 
-    The one place a residual that need not be PSD is read. It walks the upper
-    triangle in row panels, ``A[i:i+P] @ B[i:].T - K[i:i+P, i:]``, with a
-    running max and min: n^2 d flops, each panel in cache, no n x n array.
-    """
-    hi, lo = -math.inf, math.inf
+    The one place a residual that need not be PSD is read (K and the products symmetric). It
+    walks the upper triangle once in row panels, each started as the first rank's ``A[i:i+P, :d]
+    @ B[i:, :d].T - K[i:i+P, i:]`` and updated by the product of each later rank interval, with
+    a running max of |entry| per rank: n^2 max(ranks) flops and one panel alive at a time."""
+    worst = np.zeros(len(ranks))
     for i in range(0, K.shape[0], _PANEL_ROWS):
-        P = A[i:i + _PANEL_ROWS] @ B[i:].T
-        P -= K[i:i + _PANEL_ROWS, i:]
-        hi, lo = max(hi, P.max()), min(lo, P.min())
-    return float(max(hi, -lo))
+        E = A[i:i + _PANEL_ROWS, :ranks[0]] @ B[i:, :ranks[0]].T
+        E -= K[i:i + _PANEL_ROWS, i:]
+        for j, (a, d) in enumerate(zip(ranks[:1] + ranks[:-1], ranks)):
+            if d > a:
+                E += A[i:i + _PANEL_ROWS, a:d] @ B[i:, a:d].T
+            worst[j] = max(worst[j], E.max(), -E.min())
+        del E  # so the next panel is not formed beside this one
+    return worst
 
 
 def _tails(eig: EigenDecomposition):
@@ -302,8 +302,8 @@ def error_sweep(gram, eig: EigenDecomposition, ranks) -> RankSweepResult:
 
     Fallback: if ``max_i sum_{w_l<0} |w_l| u_l(i)**2 > n * eps * max|w|``
     (judged at rank 0; later tails hold fewer negative values), the largest
-    entry may lie off the diagonal, and :func:`_max_entry_error` walks each
-    rank's residual from the pairs ``(U[:, :d] * w[:d], U[:, :d])``. Kernel
+    entry may lie off the diagonal, and one :func:`_max_entry_error` walk reads
+    every rank's residual from the pairs ``(U[:, :d] * w[:d], U)``. Kernel
     Gram matrices are PSD up to round-off and never take it; indefinite ones do.
 
     ``ranks`` must be sorted ascending, all within [0, n]; repeats are allowed.
@@ -321,15 +321,15 @@ def error_sweep(gram, eig: EigenDecomposition, ranks) -> RankSweepResult:
     k = np.count_nonzero(w >= 0.0)  # w is descending, so w[k:] holds its negative values
     negative = np.einsum("ij,ij,j->i", U[:, k:], U[:, k:], -w[k:])
     indefinite = negative.max(initial=0.0) > n * np.finfo(float).eps * np.abs(w).max(initial=0.0)
-    diagonal = np.diag(K).copy()  # of the PSD residual
     max_entry = np.zeros(len(ranks))  # rank n discards nothing, so its error is zero
-    done = 0
-    for i, d in enumerate(d for d in ranks if d < n):  # ranks are sorted: a prefix
-        if d > done and not indefinite:
+    kept = [d for d in ranks if d < n]  # ranks are sorted: a prefix
+    if indefinite and kept:
+        max_entry[:len(kept)] = _max_entry_error(U[:, :kept[-1]] * w[:kept[-1]], U, K, kept)
+    else:
+        diagonal, done = np.diag(K).copy(), 0  # of the PSD residual
+        for i, d in enumerate(kept):
             V = U[:, done:d]
             diagonal -= np.einsum("ij,ij,j->i", V, V, w[done:d])
-            done = d
-        max_entry[i] = (_max_entry_error(U[:, :d] * w[:d], U[:, :d], K) if indefinite
-                        else max(diagonal.max(), -diagonal.min()))
+            max_entry[i], done = max(diagonal.max(), -diagonal.min()), d
     return RankSweepResult(max_entry, np.sqrt(squares[ranks]), spectral[ranks],
                            abs_sums[ranks], sup_norms[ranks])

@@ -82,7 +82,7 @@ def _sphere_gram(n, seed):
 def _head_max_entry_error(gram, d):
     """Largest |entry| of ``K - K_d``, walked from the leading d pairs alone."""
     eig = eigendecompose(gram, k=d)
-    return _max_entry_error(eig.eigenvectors * eig.eigenvalues, eig.eigenvectors, gram)
+    return _max_entry_error(eig.eigenvectors * eig.eigenvalues, eig.eigenvectors, gram, [d])[0]
 
 
 def _resolved_tail(eig, d):

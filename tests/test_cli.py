@@ -14,11 +14,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import kernlr
-from kernlr import cli, kernels, spectral, verification
+from kernlr import cli, kernels, verification
 from kernlr.cli import DEFAULT_CONFIG, main
 from kernlr.datasets import sphere_uniform
 from kernlr.kernels import dot_product, gram_matrix
-from kernlr.spectral import EigensolverError, eigendecompose
+from kernlr.spectral import eigendecompose
 
 
 def _read_csv(path):
@@ -703,23 +703,6 @@ def test_linalg_failure_outside_eigendecompose_exits_1(tmp_path, capsys, monkeyp
     assert main(["verify", suite, "--quick", "--out", str(tmp_path)]) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("numerical failure")
-
-
-def test_leading_k_iteration_cap_raises_and_verify_exits_1(tmp_path, capsys, monkeypatch):
-    # The n = 1000 eigdev Gram needs 3 subspace iterations for its top 5 pairs.
-    gram = verification._gauss1d_gram(1000, 0)
-    monkeypatch.setattr(spectral, "LEADING_K_ITERATION_CAP", 3)
-    assert eigendecompose(gram, k=5).eigenvalues.shape == (5,)
-    monkeypatch.setattr(spectral, "LEADING_K_ITERATION_CAP", 2)
-    with pytest.raises(EigensolverError, match="not converged in 2 subspace iterations"):
-        eigendecompose(gram, k=5)
-    monkeypatch.setattr(spectral, "LEADING_K_ITERATION_CAP", 1)
-    with pytest.raises(EigensolverError):
-        eigendecompose(gram, k=5)
-    capsys.readouterr()
-    assert main(["verify", "eigdev", "--quick", "--out", str(tmp_path)]) == 1
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("numerical failure"), err
 
 
 @pytest.mark.parametrize("command", ["sweep", "compare"])

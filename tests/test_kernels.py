@@ -23,7 +23,7 @@ from kernlr import (
     truncate,
 )
 from kernlr.kernels import _PANEL_ROWS, KernelSpec, _radial
-from kernlr.spectral import _as_symmetric
+from kernlr.spectral import _as_symmetric, _max_entry_error
 
 
 def _pair(kernel, x, y):
@@ -327,8 +327,9 @@ def test_eigendecompose_peak_memory_is_one_matrix():
 
 
 def test_leading_k_eigendecompose_peak_memory_is_no_matrix():
-    # The leading 5 pairs at n = 1000 hold n x b blocks (b = 15) and the
-    # validation's panel; no n x n array beside the input.
+    # The leading 5 pairs at n = 1000 take a basis of three blocks of b = 15
+    # columns. The peak holds the basis, its copy while it grows and one
+    # block (0.093 of n^2 * 8 bytes); no n x n array beside the input.
     n = 1000
     K = gram_matrix(rbf(1.0), gaussian_synthetic(n, 1, sigma=1.0, seed=0))
     assert _peak_bytes(eigendecompose, K, 5) < 0.1 * n * n * 8
@@ -379,6 +380,15 @@ def test_error_sweep_peak_memory_on_an_indefinite_matrix_is_no_matrix():
     eig = eigendecompose(K)
     assert eig.eigenvalues[-1] < -1.0  # far from PSD, so the fallback is taken
     assert _peak_bytes(error_sweep, K, eig, [0, 1, 5, 50, n]) < 0.25 * n * n * 8
+
+
+def test_max_entry_error_peak_memory_at_one_rank_is_one_panel():
+    # The walk a sketch trial takes: one 32-row panel at a time (0.053 of
+    # n^2 * 8 bytes at n = 600) and numpy's reduction buffers.
+    n, d = 600, 50
+    A = np.random.default_rng(5).standard_normal((n, n))
+    S = A[:, :d].copy()
+    assert _peak_bytes(_max_entry_error, S, S, A + A.T, [d]) < 0.085 * n * n * 8
 
 
 def test_error_sweep_peak_memory_on_a_psd_gram_is_no_matrix():

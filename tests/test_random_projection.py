@@ -13,6 +13,7 @@ from kernlr import (
     median_heuristic,
     rbf,
 )
+from kernlr import random_projection
 from kernlr.random_projection import _sketch_factor
 from kernlr.spectral import _PANEL_ROWS, _max_entry_error
 
@@ -75,7 +76,7 @@ def test_max_entry_error_equals_the_dense_residual_max(data):
     A = rng.standard_normal((n, n))
     K = A + A.T
     dense = np.abs(S @ S.T - K).max()
-    assert _max_entry_error(S, S, K) == pytest.approx(dense, rel=1e-12, abs=1e-12 * d)
+    assert _max_entry_error(S, S, K, [d])[0] == pytest.approx(dense, rel=1e-12, abs=1e-12 * d)
 
 
 def test_sketch_factor_rank_validation():
@@ -161,3 +162,12 @@ def test_compare_methods_keeps_its_sketch_stream():
 def test_compare_methods_full_rank_spectral_error_is_zero(rbf_gram_300):
     result = compare_methods(rbf_gram_300, [300], trials=1, seed=0)
     assert result.spectral_max_error[0] == 0.0
+
+
+def test_compare_methods_refuses_a_rank_above_n_before_decomposing(rbf_gram_300, monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("eigendecompose called")
+
+    monkeypatch.setattr(random_projection, "eigendecompose", fail)
+    with pytest.raises(ValueError, match=r"^rank must be an integer in \[1, 300\], got 301$"):
+        compare_methods(rbf_gram_300, [1, 301], trials=1, seed=0)
