@@ -8,16 +8,16 @@ verify    numerical checks of the spectral identities and concentration
 spectrum  analytic eigenvalues and decay rate of the Gaussian/RBF setting
 rates     required rank and predicted error rate for a decay hypothesis
 
-All randomness flows from one seed. Reproducible means two things. For a
-fixed (config, seed, numpy/BLAS build, BLAS thread count) the output files
-are byte-identical; CSV cells carry 17 significant digits, so they also
-round-trip exactly. BLAS splits its sums by thread, so across thread counts
-the values agree only within the tolerance of ``bench/oracle.py``: 1e-6
-relative plus 1e-9 of the column's largest value. Between one and two
-OpenBLAS threads the largest gap measured is 8.8e-10 relative. Unless
-OPENBLAS_THREAD_TIMEOUT is set, a run parks an idle OpenBLAS worker after 2**18
-cycles, not OpenBLAS's 2**28; unlike the thread count, this changes no output
-bit, and it takes about a third off a ``sweep`` run's CPU time.
+All randomness flows from one seed. For a fixed (config, seed, numpy/BLAS
+build, BLAS thread count) the output files are byte-identical; CSV cells carry
+17 significant digits, so they round-trip exactly. BLAS splits its sums by
+thread, so across thread counts ``sweep`` and ``compare`` agree only within the
+tolerance of ``bench/oracle.py`` (1e-6 relative plus 1e-9 of the column's
+largest value; one against two OpenBLAS threads: 8.8e-10 relative at most).
+``verify delocalisation`` reads the numerically null space, which the thread
+count moves: at --seed 4 --quick it read 22.0053 on one thread, 21.9946 on two.
+Unless OPENBLAS_THREAD_TIMEOUT is set, a run parks an idle OpenBLAS worker after
+2**18 cycles, not 2**28; unlike the thread count, this changes no output bit.
 
 Each setting has one source. The config file of ``sweep`` and ``compare``
 holds the experiment: dataset, standardize, kernels, ranks and jl_trials.

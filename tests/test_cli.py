@@ -692,7 +692,7 @@ def test_eigensolver_failure_exits_1_and_names_stage(tmp_path, capsys, monkeypat
                    "Eigenvalues did not converge"]
 
 
-@pytest.mark.parametrize("suite, solver", [("eigdev", "qr"), ("subspace", "cholesky")])
+@pytest.mark.parametrize("suite, solver", [("eigdev", "qr"), ("subspace", "solve")])
 def test_linalg_failure_outside_eigendecompose_exits_1(tmp_path, capsys, monkeypatch,
                                                        suite, solver):
     # LinAlgError is a ValueError; it must not be reported as a usage error.
