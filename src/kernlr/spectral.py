@@ -267,6 +267,23 @@ def _max_entry_error(A: np.ndarray, B: np.ndarray, K: np.ndarray, ranks) -> np.n
     return worst
 
 
+def _psd_max_entry_error(K: np.ndarray, eig: EigenDecomposition, ranks) -> np.ndarray:
+    """``max_i |K_ii - sum_{l<d} w_l u_l(i)**2|`` at each sorted rank d, 0 at d = n: the paper's
+    quantity, the largest |entry| of ``R = K - truncate(eig, d)`` if R is PSD (``R_ij**2 <= R_ii
+    R_jj``). It reads diag(K) and the pairs held, full or leading-k, in O(n * max rank); a d above
+    them raises ``ValueError``. PSD is the caller's premise: a ``gram_matrix`` result meets it up
+    to round-off, and :func:`error_sweep` checks it for any other input."""
+    ranks = [_check_int(d, "rank", 0, eig.eigenvalues.shape[0]) for d in ranks]
+    w, U = eig.eigenvalues, eig.eigenvectors
+    worst = np.zeros(len(ranks))  # rank n discards nothing, so its error is zero
+    diagonal, done = np.diag(K).copy(), 0
+    for i, d in enumerate(d for d in ranks if d < eig.n):  # ranks are sorted: a prefix
+        V = U[:, done:d]
+        diagonal -= np.einsum("ij,ij,j->i", V, V, w[done:d])
+        worst[i], done = max(diagonal.max(), -diagonal.min()), d
+    return worst
+
+
 def _tails(eig: EigenDecomposition):
     """Statistics of the pairs ``w[d:]``, ``U[:, d:]`` discarded at each rank d = 0..n.
 
@@ -289,22 +306,17 @@ def _tails(eig: EigenDecomposition):
 def error_sweep(gram, eig: EigenDecomposition, ranks) -> RankSweepResult:
     """Residual error metrics of the rank-d truncation on a grid of ranks.
 
-    * ``max_entry_error``: largest absolute entry of the residual
-      ``R = K - truncate(eig, d) = sum_{l>=d} w_l u_l u_l^T``. If R is PSD, its 2x2
-      principal minors are >= 0, so ``R_ij**2 <= R_ii R_jj``: the answer is the
-      largest ``R_ii = sum_{l>=d} w_l u_l(i)**2``, the paper's quantity. The
-      diagonal starts at ``diag(K)`` and loses ``sum_l w_l u_l(i)**2`` over each
-      interval ``[a, b)`` between requested ranks, O(n * max rank) in all.
-    * ``frobenius_error``, ``spectral_error``, ``tail_abs_sum`` and
-      ``sup_norm_tail``: read at the requested ranks from the suffix tables
-      of :func:`_tails` (the square root of the sum of ``w**2``, the max of
-      ``|w|``, the sum of ``|w|``, the max of ``|u|`` over the discarded pairs).
+    * ``max_entry_error``: largest |entry| of the residual ``R = K - truncate(eig, d) =
+      sum_{l>=d} w_l u_l u_l^T``; if R is PSD, its largest diagonal entry, read by
+      :func:`_psd_max_entry_error`.
+    * ``frobenius_error``, ``spectral_error``, ``tail_abs_sum`` and ``sup_norm_tail``: read at
+      the requested ranks from :func:`_tails` (square root of the sum of ``w**2``, max of ``|w|``,
+      sum of ``|w|``, max of ``|u|`` over the discarded pairs).
 
-    Fallback: if ``max_i sum_{w_l<0} |w_l| u_l(i)**2 > n * eps * max|w|``
-    (judged at rank 0; later tails hold fewer negative values), the largest
-    entry may lie off the diagonal, and one :func:`_max_entry_error` walk reads
-    every rank's residual from the pairs ``(U[:, :d] * w[:d], U)``. Kernel
-    Gram matrices are PSD up to round-off and never take it; indefinite ones do.
+    Fallback: if ``max_i sum_{w_l<0} |w_l| u_l(i)**2 > n * eps * max|w|`` (judged at rank 0;
+    later tails hold fewer negative values), the largest entry may lie off the diagonal, and one
+    :func:`_max_entry_error` walk reads every rank's residual from ``(U[:, :d] * w[:d], U)``.
+    Kernel Gram matrices are PSD up to round-off and never take it; indefinite ones do.
 
     ``ranks`` must be sorted ascending, all within [0, n]; repeats are allowed.
     """
@@ -321,15 +333,11 @@ def error_sweep(gram, eig: EigenDecomposition, ranks) -> RankSweepResult:
     k = np.count_nonzero(w >= 0.0)  # w is descending, so w[k:] holds its negative values
     negative = np.einsum("ij,ij,j->i", U[:, k:], U[:, k:], -w[k:])
     indefinite = negative.max(initial=0.0) > n * np.finfo(float).eps * np.abs(w).max(initial=0.0)
-    max_entry = np.zeros(len(ranks))  # rank n discards nothing, so its error is zero
     kept = [d for d in ranks if d < n]  # ranks are sorted: a prefix
     if indefinite and kept:
+        max_entry = np.zeros(len(ranks))  # rank n discards nothing, so its error is zero
         max_entry[:len(kept)] = _max_entry_error(U[:, :kept[-1]] * w[:kept[-1]], U, K, kept)
     else:
-        diagonal, done = np.diag(K).copy(), 0  # of the PSD residual
-        for i, d in enumerate(kept):
-            V = U[:, done:d]
-            diagonal -= np.einsum("ij,ij,j->i", V, V, w[done:d])
-            max_entry[i], done = max(diagonal.max(), -diagonal.min()), d
+        max_entry = _psd_max_entry_error(K, eig, ranks)
     return RankSweepResult(max_entry, np.sqrt(squares[ranks]), spectral[ranks],
                            abs_sums[ranks], sup_norms[ranks])

@@ -15,10 +15,11 @@ a growth only polynomial in the order, so (E) holds for every s > 0. The
 Gaussian setting does not meet the premise: there the eigenfunctions' sup
 norm grows geometrically with the order (see ``gaussian_rbf_eigenfunction``).
 
-Criterion 4 walks each error from the leading d pairs alone
-(``eigendecompose(K, k=d)``) with ``spectral._max_entry_error``; one more
-test, not a criterion, checks that value against the full ``error_sweep``
-and against the dense ``K - truncate(...)`` at n = 1000.
+Criterion 4 reads each error from diag(K) and the leading d pairs alone
+(``eigendecompose(K, k=d)``) with ``spectral._psd_max_entry_error``, the read
+``error_sweep`` makes; one more test, not a criterion, checks that value
+against the full ``error_sweep``, the dense ``K - truncate(...)`` and the
+residual walk ``spectral._max_entry_error`` at n = 1000.
 
 Criterion 5 takes its maximum only over tail eigenvectors that double
 precision resolves, those whose eigenvalue exceeds the numerical-rank floor
@@ -56,7 +57,7 @@ from kernlr import (
     sphere_uniform,
     truncate,
 )
-from kernlr.spectral import _max_entry_error
+from kernlr.spectral import _max_entry_error, _psd_max_entry_error
 from kernlr.verification import CHECKS, run_check
 
 SPEC1 = GaussianRbfSpectrum(sigma=1.0, bandwidth=1.0)  # upsilon = 2
@@ -80,9 +81,8 @@ def _sphere_gram(n, seed):
 
 
 def _head_max_entry_error(gram, d):
-    """Largest |entry| of ``K - K_d``, walked from the leading d pairs alone."""
-    eig = eigendecompose(gram, k=d)
-    return _max_entry_error(eig.eigenvectors * eig.eigenvalues, eig.eigenvectors, gram, [d])[0]
+    """Largest |entry| of the PSD ``K - K_d``, read from its diagonal and the leading d pairs."""
+    return _psd_max_entry_error(gram, eigendecompose(gram, k=d), [d])[0]
 
 
 def _resolved_tail(eig, d):
@@ -164,16 +164,20 @@ def test_criterion_04_exponential_case_error_decay():
 
 
 def test_criterion_04_head_error_is_the_sweeps():
-    # Criterion 4 walks its error from the leading d pairs; the full sweep and
-    # the dense residual of the same pairs' truncation agree.
+    # Criterion 4 reads its error from the diagonal and the leading d pairs; the
+    # full sweep, the dense residual of the same pairs' truncation and the
+    # residual walk over those pairs (criterion 4's read before the diagonal) agree.
     d = required_rank(1000, SPHERE_HYP_E) + 2
     for seed in range(2):
         gram = _sphere_gram(1000, seed)
         head = _head_max_entry_error(gram, d)
         swept = error_sweep(gram, eigendecompose(gram), [d]).max_entry_error[0]
-        dense = np.abs(gram - truncate(eigendecompose(gram, k=d), d)).max()
+        eig = eigendecompose(gram, k=d)
+        dense = np.abs(gram - truncate(eig, d)).max()
+        walked = _max_entry_error(eig.eigenvectors * eig.eigenvalues, eig.eigenvectors, gram, [d])[0]
         assert abs(head - swept) <= 1e-9 * swept
         assert abs(head - dense) <= 1e-12 * dense
+        assert abs(head - walked) <= 1e-12 * walked
 
 
 def test_criterion_05_delocalisation_statistic():

@@ -325,6 +325,41 @@ def test_leading_k_pairs_match_eigvalsh_on_kernel_grams(case):
     assert np.array_equal(again.eigenvectors, eig.eigenvectors)
 
 
+@st.composite
+def _kernel_gram_leading_k_and_ranks(draw):
+    # A kernel Gram of order n <= 120; a k for either leading-k path, the block
+    # Krylov iteration (k + 10 < n) or the dense one (k + 10 >= n); a sorted grid
+    # of ranks d <= k and one of d <= n, each of which may hold 0 and repeats.
+    krylov = draw(st.booleans())
+    n = draw(st.integers(12, 120) if krylov else st.integers(1, 120))
+    k = draw(st.integers(1, n - 11) if krylov else st.integers(max(1, n - 10), n))
+    head = sorted(draw(st.lists(st.integers(0, k), min_size=1, max_size=5)))
+    full = sorted(draw(st.lists(st.integers(0, n), min_size=1, max_size=5)))
+    return _kernel_gram(draw, n), k, head, full
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=_kernel_gram_leading_k_and_ranks())
+def test_psd_max_entry_error_reads_leading_pairs_like_the_dense_residual(case):
+    # Each leading pair has ||K u - theta u|| <= e = LEADING_K_TOLERANCE * |lambda_1|,
+    # and Rayleigh-Ritz gives U.T E = 0 for E = K U_d - U_d Theta_d. So the residual is
+    # a PSD matrix plus E U_d.T + U_d E.T, whose entries are at most 2 sqrt(d) e, and
+    # its diagonal and dense maxima differ by at most 4 sqrt(d) e. One more e covers
+    # round-off, n * eps * |lambda_1| <= 2.7e-14 * |lambda_1| at n <= 120.
+    K, k, head, full = case
+    eig = eigendecompose(K, k=k)
+    read = spectral._psd_max_entry_error(K, eig, head)
+    for e, d in zip(read, head):
+        tol = (4 * math.sqrt(d) + 1) * LEADING_K_TOLERANCE * abs(eig.eigenvalues[0])
+        assert abs(e - np.abs(K - truncate(eig, d)).max()) <= tol
+    with pytest.raises(ValueError, match="rank must be an integer in"):
+        spectral._psd_max_entry_error(K, eig, head + [k + 1])
+    # On the full decomposition it is error_sweep's own read, d = n included.
+    eig = eigendecompose(K)
+    assert np.array_equal(spectral._psd_max_entry_error(K, eig, full),
+                          error_sweep(K, eig, full).max_entry_error)
+
+
 def test_leading_k_inside_a_harmonic_cluster_on_the_sphere():
     # Dot-product kernel 0.5**i on S^2 at n = 2000: k = 38 falls inside the
     # 13-fold degree-6 cluster (indices 36-48), where lambda_37 / lambda_38 is
